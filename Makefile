@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: all build test race vet androne-vet vet-ip vet-effects vet-locks vet-smoke vet-stale sim telemetry fleet equivalence fleet10k-smoke scale-smoke cloud-smoke load-smoke planner-smoke fuzz cover check clean
+.PHONY: all build test race vet androne-vet vet-ip vet-effects vet-locks vet-smoke vet-stale sim telemetry fleet equivalence fleet10k-smoke scale-smoke cloud-smoke load-smoke planner-smoke perfbench-smoke fuzz cover check clean
 
 all: build
 
@@ -159,6 +159,16 @@ load-smoke: build
 	$(GO) run ./cmd/androne-load -tenants 2 -orders 1 -browse 3 -churn 2 -json >/dev/null
 	@echo "androne-load: smoke run completed"
 
+# The benchmark module (perfbench/, declared by BENCHMARK.json) is a Go
+# module of its own, so `go test ./...` never compiles it. Run its tests
+# and a one-second pass of each workload, so an API change it depends on
+# fails here rather than in the benchmark run.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+	@for w in fleet-survey fleet-dutycycle portal-mixed; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
+
 # Fuzz smoke: each native fuzz target for FUZZTIME (default 15s) on top of
 # its checked-in seed corpus (testdata/fuzz/).
 fuzz:
@@ -179,7 +189,7 @@ cover:
 		{ echo "total coverage $$total% fell below the $$floor% floor"; exit 1; }
 
 # Everything CI enforces, in CI's order.
-check: build vet vet-ip vet-locks vet-stale test race sim telemetry equivalence fleet fleet10k-smoke scale-smoke cloud-smoke planner-smoke load-smoke fuzz
+check: build vet vet-ip vet-locks vet-stale test race sim telemetry equivalence fleet fleet10k-smoke scale-smoke cloud-smoke planner-smoke load-smoke perfbench-smoke fuzz
 
 clean:
 	$(GO) clean ./...

@@ -41,7 +41,9 @@ type Drone struct {
 	FC       *flight.Controller
 	Proxy    *mavproxy.Proxy
 	VDC      *VDC
-	Log      *flight.Log
+	// AED folds the flight controller's attitude estimate against ground
+	// truth into the AED verdict, in O(1) memory for the drone's life.
+	AED *flight.AEDMonitor
 	// Tel is the drone's flight recorder, shared by every onboard layer.
 	// Its tick advances with the stepping loop, so traces are deterministic
 	// under a fixed seed.
@@ -110,7 +112,7 @@ func NewDroneWithStore(home geo.Position, seed string, store *container.Store) (
 		return nil, fmt.Errorf("core: flight container HAL bridge: %w", err)
 	}
 
-	d.Log = flight.NewLog()
+	d.AED = flight.NewAEDMonitor()
 	sensors := &flight.DirectSensors{
 		GPS:  devices.NewGPS("fc-gps", d.Sim, 0),
 		Imu:  devices.NewIMU("fc-imu", d.Sim, 0, 0),
@@ -120,7 +122,7 @@ func NewDroneWithStore(home geo.Position, seed string, store *container.Store) (
 	}
 	d.FC = flight.NewController(sensors, d.Sim, home,
 		flight.WithHoverFraction(sitl.DefaultParams().HoverThrustFrac()),
-		flight.WithLog(d.Log),
+		flight.WithAEDMonitor(d.AED),
 		flight.WithRecorder(d.Tel))
 	d.Proxy = mavproxy.New(d.FC)
 	d.Proxy.SetRecorder(d.Tel)

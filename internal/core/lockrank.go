@@ -14,9 +14,10 @@
 //     lock during Start.
 //   - Drone persistence: the virtual drone's state lock wraps the energy
 //     allotment lock while snapshotting.
-//   - Flight: the controller's owner lock wraps the flight log's lock in
-//     the fast loop (both short, leaf-ordered critical sections; the
-//     controller lock is also on the sanctioned hot-path list).
+//   - Flight: the controller's owner lock wraps the opt-in flight log's
+//     lock in the fast loop (both short, leaf-ordered critical sections;
+//     the controller lock is also on the sanctioned hot-path list). Drones
+//     attach the lock-free AED monitor instead of a log.
 //   - Cloud VDR: the repository's manifest lock wraps the content-
 //     addressed blob store's lock while a save puts and unrefs layers, so
 //     the quota check and the layer swap commit atomically.

@@ -146,7 +146,7 @@ func (d *Drone) ExecuteRoute(route planner.Route, env *CloudEnv) (*FlightReport,
 
 	report.DurationS = d.Sim.Now().Sub(startTime).Seconds()
 	report.FlightEnergyJ = d.Sim.EnergyUsedJ() - startEnergy
-	report.AED = flight.AnalyzeAED(d.Log)
+	report.AED = d.AED.Result()
 	return report, nil
 }
 

@@ -255,10 +255,14 @@ func (m *IMU) Name() string { return m.name }
 // Kind implements Device.
 func (m *IMU) Kind() Kind { return KindIMU }
 
-// Read returns one sample.
+// Read returns one sample. A noiseless IMU returns the world values and
+// draws nothing from its PRNG.
 func (m *IMU) Read() IMUSample {
 	ax, ay, az := m.world.AccelBody()
 	gx, gy, gz := m.world.GyroBody()
+	if m.AccelNoiseStd == 0 && m.GyroNoiseStd == 0 {
+		return IMUSample{AccelX: ax, AccelY: ay, AccelZ: az, GyroX: gx, GyroY: gy, GyroZ: gz, Time: m.world.Now()}
+	}
 	return IMUSample{
 		AccelX: ax + m.rng.gauss()*m.AccelNoiseStd,
 		AccelY: ay + m.rng.gauss()*m.AccelNoiseStd,
@@ -306,9 +310,13 @@ func AltitudeFor(pressure float64) float64 {
 	return (1 - math.Pow(pressure/SeaLevelPressure, 1/5.25588)) / 2.25577e-5
 }
 
-// Read returns the current pressure in Pa.
+// Read returns the current pressure in Pa. A noiseless barometer draws
+// nothing from its PRNG.
 func (b *Barometer) Read() float64 {
 	alt := b.BaseAlt + b.world.Position().Alt
+	if b.NoiseStd == 0 {
+		return PressureAt(alt)
+	}
 	return PressureAt(alt) + b.rng.gauss()*b.NoiseStd
 }
 

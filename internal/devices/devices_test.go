@@ -192,6 +192,38 @@ func TestBarometerRead(t *testing.T) {
 	}
 }
 
+// TestNoiselessSensorsSkipPRNG pins the noiseless fast path: a σ=0 IMU
+// and barometer return exactly the world values and leave their PRNG
+// untouched, while a noisy twin does draw.
+func TestNoiselessSensorsSkipPRNG(t *testing.T) {
+	w := testWorld()
+	w.ax, w.ay, w.az = 0.125, -0.25, -9.81
+	w.gx, w.gy, w.gz = 0.01, -0.02, 0.03
+	m := NewIMU("imu0", w, 0, 0)
+	b := NewBarometer("baro0", w, 250, 0)
+	imuState, baroState := m.rng.state, b.rng.state
+	for i := 0; i < 3; i++ {
+		got := m.Read()
+		want := IMUSample{AccelX: w.ax, AccelY: w.ay, AccelZ: w.az, GyroX: w.gx, GyroY: w.gy, GyroZ: w.gz, Time: w.now}
+		if got != want {
+			t.Fatalf("noiseless IMU read %+v, want %+v", got, want)
+		}
+		if got, want := b.Read(), PressureAt(265); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("noiseless baro read %v, want %v", got, want)
+		}
+	}
+	if m.rng.state != imuState || m.rng.has || b.rng.state != baroState || b.rng.has {
+		t.Fatal("a noiseless sensor advanced its PRNG")
+	}
+
+	noisy := NewIMU("imu-noisy", w, 0, 0.002)
+	before := noisy.rng.state
+	noisy.Read()
+	if noisy.rng.state == before {
+		t.Fatal("a noisy IMU did not draw from its PRNG")
+	}
+}
+
 func TestMagnetometer(t *testing.T) {
 	w := testWorld()
 	m := NewMagnetometer("mag0", w)

@@ -147,6 +147,7 @@ type Controller struct {
 	timeS     float64
 	loopCount uint64
 	log       *Log
+	aed       *AEDMonitor
 
 	// Telemetry. stepCount is atomic (not under c.mu) so the latency
 	// sampling decision can be made before the step's sensor reads; tel is
@@ -176,6 +177,10 @@ func WithHoverFraction(f float64) Option { return func(c *Controller) { c.hoverF
 // WithLog attaches a flight log that records estimate-vs-truth attitude for
 // the AED analyzer.
 func WithLog(l *Log) Option { return func(c *Controller) { c.log = l } }
+
+// WithAEDMonitor attaches a streaming AED monitor, which computes the
+// verdict AnalyzeAED would give without keeping the samples.
+func WithAEDMonitor(m *AEDMonitor) Option { return func(c *Controller) { c.aed = m } }
 
 // WithBatteryFailsafe forces RTL when the battery state of charge drops
 // below frac (e.g. 0.2). Zero disables the failsafe.
@@ -650,25 +655,33 @@ func (c *Controller) Breached() bool {
 }
 
 func (c *Controller) logSample() {
-	if c.log == nil {
+	if c.log == nil && c.aed == nil {
 		return
 	}
-	c.log.add(Sample{
+	s := Sample{
 		T:        c.timeS,
 		EstRoll:  c.estRoll,
 		EstPitch: c.estPitch,
 		EstYaw:   c.estYaw,
-	})
+	}
+	if c.log != nil {
+		c.log.add(s)
+	}
+	if c.aed != nil {
+		c.aed.add(s)
+	}
 }
 
 // RecordTruth lets the harness attach ground-truth attitude to the most
 // recent log sample (on hardware, the "canonical" attitude comes from log
 // post-processing; in simulation it is the sim state).
 func (c *Controller) RecordTruth(roll, pitch, yaw float64) {
-	if c.log == nil {
-		return
+	if c.log != nil {
+		c.log.setTruth(roll, pitch, yaw)
 	}
-	c.log.setTruth(roll, pitch, yaw)
+	if c.aed != nil {
+		c.aed.setTruth(roll, pitch, yaw)
+	}
 }
 
 // --------------------------------------------------------------------------

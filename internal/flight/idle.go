@@ -10,10 +10,12 @@
 // idempotent against a parked simulation. AdvanceDisarmed replays just
 // the counters with the exact per-step arithmetic.
 //
-// The flight log is the one deliberate divergence: lockstep appends one
-// sample per fast-loop step while a bulk leap appends none. The log
-// feeds the AED analysis and black-box records, never the trace hash, so
-// the determinism contract is unaffected (DESIGN.md "Event-driven
+// The AED monitor is the one deliberate divergence: lockstep folds one
+// sample per fast-loop step into it while a bulk leap folds none. The
+// skipped samples would repeat the last stepped one (estimate and truth
+// are both frozen), so they could only lengthen an excursion already
+// open on a parked drone. The verdict never feeds the trace hash, so the
+// determinism contract is unaffected (DESIGN.md "Event-driven
 // scheduling").
 
 package flight
@@ -30,10 +32,10 @@ func (c *Controller) Disarmed() bool {
 }
 
 // Fingerprint hashes every controller field except the pure step
-// counters (timeS, loopCount, stepCount) and the flight log. Equal
-// fingerprints one tick apart mean the intervening steps changed nothing
-// the control law can later observe — paired with sitl.Sim.Fingerprint
-// it gates the event runner's bulk leaps.
+// counters (timeS, loopCount, stepCount) and the attached flight log or
+// AED monitor. Equal fingerprints one tick apart mean the intervening
+// steps changed nothing the control law can later observe — paired with
+// sitl.Sim.Fingerprint it gates the event runner's bulk leaps.
 func (c *Controller) Fingerprint() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -73,7 +75,7 @@ func (c *Controller) Fingerprint() uint64 {
 // loopCount by one per step (the 50 Hz GPS phase is preserved because
 // callers leap whole harness ticks of 40 steps, and 40 ≡ 0 mod 8), and
 // the atomic stepCount by one per step so latency-sampling phase
-// survives the leap. No flight-log samples are appended.
+// survives the leap. No samples reach the flight log or AED monitor.
 func (c *Controller) AdvanceDisarmed(steps int, dt float64) {
 	if steps <= 0 || dt <= 0 {
 		return

@@ -16,7 +16,8 @@ type Sample struct {
 
 // Log is a flight log, the input to the Attitude Estimate Divergence
 // analyzer the paper uses (DroneKit Log Analyzer) to show that virtual
-// drone workloads do not destabilize the drone.
+// drone workloads do not destabilize the drone. It keeps every sample, so
+// it is opt-in; drones that only need the verdict attach an AEDMonitor.
 type Log struct {
 	mu      sync.Mutex
 	samples []Sample
@@ -26,7 +27,7 @@ type Log struct {
 func NewLog() *Log { return &Log{} }
 
 func (l *Log) add(s Sample) {
-	l.mu.Lock() //vet:allow hotpath opt-in AED flight log; off in fleet runs
+	l.mu.Lock() //vet:allow hotpath opt-in flight log; drones attach the lock-free AEDMonitor instead, 0 allocs pinned by core.TestDroneStepZeroAlloc
 	defer l.mu.Unlock()
 	l.samples = append(l.samples, s)
 }
@@ -73,33 +74,85 @@ const (
 
 // AnalyzeAED runs the Attitude Estimate Divergence analysis over the log.
 func AnalyzeAED(l *Log) AEDResult {
-	samples := l.Samples()
-	res := AEDResult{Pass: true}
-	excursionStart := -1.0
-	for _, s := range samples {
-		if !s.HasTruth {
-			continue
-		}
-		div := math.Max(angDiffDeg(s.EstRoll, s.TrueRoll),
-			math.Max(angDiffDeg(s.EstPitch, s.TruePitch), angDiffDeg(s.EstYaw, s.TrueYaw)))
-		if div > res.MaxDivergenceDeg {
-			res.MaxDivergenceDeg = div
-		}
-		if div > AEDThresholdDeg {
-			if excursionStart < 0 {
-				excursionStart = s.T
-			}
-			if dur := s.T - excursionStart; dur > res.LongestExcursionS {
-				res.LongestExcursionS = dur
-			}
-		} else {
-			excursionStart = -1
-		}
+	f := newAEDFold()
+	for _, s := range l.Samples() {
+		f.add(s)
 	}
-	if res.LongestExcursionS > AEDThresholdSec {
-		res.Pass = false
+	return f.result()
+}
+
+// aedFold is the AED analysis as a left fold over samples: the one
+// implementation behind both AnalyzeAED and AEDMonitor.
+type aedFold struct {
+	res            AEDResult
+	excursionStart float64 // T of the open excursion, -1 when none
+}
+
+func newAEDFold() aedFold { return aedFold{excursionStart: -1} }
+
+func (f *aedFold) add(s Sample) {
+	if !s.HasTruth {
+		return
 	}
+	div := math.Max(angDiffDeg(s.EstRoll, s.TrueRoll),
+		math.Max(angDiffDeg(s.EstPitch, s.TruePitch), angDiffDeg(s.EstYaw, s.TrueYaw)))
+	if div > f.res.MaxDivergenceDeg {
+		f.res.MaxDivergenceDeg = div
+	}
+	if div > AEDThresholdDeg {
+		if f.excursionStart < 0 {
+			f.excursionStart = s.T
+		}
+		if dur := s.T - f.excursionStart; dur > f.res.LongestExcursionS {
+			f.res.LongestExcursionS = dur
+		}
+	} else {
+		f.excursionStart = -1
+	}
+}
+
+func (f *aedFold) result() AEDResult {
+	res := f.res
+	res.Pass = !(res.LongestExcursionS > AEDThresholdSec)
 	return res
+}
+
+// AEDMonitor computes the AED verdict while the vehicle flies, in O(1)
+// memory: each sample is folded in when the next one arrives, after
+// RecordTruth has attached its ground truth. Its result equals AnalyzeAED
+// over a Log fed the same samples. It has no lock: the goroutine that
+// steps the controller owns it, and reads Result between steps.
+type AEDMonitor struct {
+	fold       aedFold
+	pending    Sample
+	hasPending bool
+}
+
+// NewAEDMonitor creates a monitor that has seen no samples.
+func NewAEDMonitor() *AEDMonitor { return &AEDMonitor{fold: newAEDFold()} }
+
+func (m *AEDMonitor) add(s Sample) {
+	if m.hasPending {
+		m.fold.add(m.pending)
+	}
+	m.pending, m.hasPending = s, true
+}
+
+func (m *AEDMonitor) setTruth(roll, pitch, yaw float64) {
+	if !m.hasPending {
+		return
+	}
+	m.pending.TrueRoll, m.pending.TruePitch, m.pending.TrueYaw = roll, pitch, yaw
+	m.pending.HasTruth = true
+}
+
+// Result returns the verdict over every sample so far.
+func (m *AEDMonitor) Result() AEDResult {
+	f := m.fold
+	if m.hasPending {
+		f.add(m.pending)
+	}
+	return f.result()
 }
 
 func angDiffDeg(a, b float64) float64 {

@@ -71,9 +71,9 @@ type Service struct {
 	handler http.Handler
 	// flyCh hands flight requests to the fly worker goroutine. The HTTP
 	// fly handler only performs channel sends/receives: flight-critical
-	// locks (binder, flight controller, flight log) are acquired on the
-	// worker, never on a tenant-reachable call path — the lockorder
-	// critical-path rule convicts the inline alternative.
+	// locks (binder, flight controller) are acquired on the worker, never
+	// on a tenant-reachable call path — the lockorder critical-path rule
+	// convicts the inline alternative.
 	flyCh chan chan flyResult
 
 	mu    sync.Mutex

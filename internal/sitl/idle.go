@@ -4,8 +4,8 @@
 // of Step up to two pure accumulators: energyUsedJ (avionics draw) and
 // simTime. Every other field either stays bit-identical (velocities,
 // rates, attitude, and accelerations are re-zeroed by the ground-contact
-// clamp; motor thrust has decayed to a plateau where the first-order lag
-// increment rounds to nothing) or is never touched (the gust RNG is only
+// clamp; a stopped motor's thrust is set to exactly zero once its lag has
+// decayed below motorStopN) or is never touched (the gust RNG is only
 // consumed while gustStd > 0). AdvanceParked exploits this: it replays
 // the accumulator arithmetic of n steps with the exact float operations
 // Step performs, so an event-driven run that leaps over parked ticks
@@ -73,10 +73,10 @@ func (s *Sim) Fingerprint() uint64 {
 // AdvanceParked fast-forwards a parked simulation by steps fast-loop
 // iterations of dt seconds, replaying exactly the accumulator arithmetic
 // Step would perform: energyUsedJ grows by the same per-step float add
-// (powerW is constant while parked — thrust is at its decay plateau, so
-// the induced-power term underflows to zero), and simTime advances by
-// the same per-step duration. All other state is left untouched, which
-// is exactly what Step would do.
+// (powerW is constant while parked — thrust is exactly zero, so only the
+// avionics draw remains), and simTime advances by the same per-step
+// duration. All other state is left untouched, which is exactly what
+// Step would do.
 func (s *Sim) AdvanceParked(steps int, dt float64) {
 	if steps <= 0 || dt <= 0 {
 		return

@@ -27,6 +27,10 @@ const Gravity = 9.80665
 // AirDensity is sea-level air density in kg/m^3.
 const AirDensity = 1.225
 
+// motorStopN is the thrust, in newtons, below which a motor whose target
+// is zero counts as stopped and its thrust is set to exactly zero.
+const motorStopN = 1e-9
+
 // Params are the physical constants of the simulated quadcopter.
 type Params struct {
 	MassKg         float64 // all-up weight
@@ -87,6 +91,11 @@ type Sim struct {
 	roll, pitch, yaw float64
 	p_, q_, r_       float64 // body rates, rad/s
 
+	// Cosines and sines of roll, pitch and yaw, kept equal to math.Cos
+	// and math.Sin of the current attitude: the end of Step refreshes
+	// them, and the next Step's kinematics and AccelBody reuse them.
+	cr, sr, cp, sp, cy, sy float64
+
 	motorCmd    [4]float64 // commanded thrust fraction 0..1
 	motorThrust [4]float64 // actual thrust, N (first-order lag)
 	motorEff    [4]float64 // health factor 0..1 (failure injection), 0 value = 1
@@ -119,6 +128,9 @@ func New(home geo.Position, p Params, seed string) *Sim {
 		p:        p,
 		home:     home,
 		d:        0,
+		cr:       1,
+		cp:       1,
+		cy:       1,
 		onGround: true,
 		simTime:  time.Unix(1700000000, 0),
 		rng:      newRNG(seed),
@@ -191,6 +203,11 @@ func (s *Sim) Step(dt float64) {
 		target := s.motorCmd[i] * p.MaxMotorThrust * eff
 		alpha := dt / (p.MotorTau + dt)
 		s.motorThrust[i] += alpha * (target - s.motorThrust[i])
+		// A stopped motor's lag would otherwise decay into subnormal
+		// floats, which every later step pays for in slow arithmetic.
+		if target == 0 && s.motorThrust[i] < motorStopN {
+			s.motorThrust[i] = 0
+		}
 	}
 	f0, f1, f2, f3 := s.motorThrust[0], s.motorThrust[1], s.motorThrust[2], s.motorThrust[3]
 	thrust := f0 + f1 + f2 + f3
@@ -209,8 +226,7 @@ func (s *Sim) Step(dt float64) {
 
 	// Euler kinematics (well-conditioned away from ±90° pitch, which the
 	// controller's tilt limits guarantee).
-	cr, sr := math.Cos(s.roll), math.Sin(s.roll)
-	cp, sp := math.Cos(s.pitch), math.Sin(s.pitch)
+	cr, sr, cp := s.cr, s.sr, s.cp
 	tp := math.Tan(s.pitch)
 	s.roll += dt * (s.p_ + s.q_*sr*tp + s.r_*cr*tp)
 	s.pitch += dt * (s.q_*cr - s.r_*sr)
@@ -236,7 +252,8 @@ func (s *Sim) Step(dt float64) {
 	// Linear dynamics. Body thrust is -z (up); rotate to world NED.
 	cy, sy := math.Cos(s.yaw), math.Sin(s.yaw)
 	cr, sr = math.Cos(s.roll), math.Sin(s.roll)
-	cp, sp = math.Cos(s.pitch), math.Sin(s.pitch)
+	cp, sp := math.Cos(s.pitch), math.Sin(s.pitch)
+	s.cr, s.sr, s.cp, s.sp, s.cy, s.sy = cr, sr, cp, sp, cy, sy
 	// Third column of the body-to-world rotation (ZYX Euler), times -T.
 	fx := -(cy*sp*cr + sy*sr) * thrust
 	fy := -(sy*sp*cr - cy*sr) * thrust
@@ -266,6 +283,7 @@ func (s *Sim) Step(dt float64) {
 			s.vn, s.ve = 0, 0
 			s.p_, s.q_, s.r_ = 0, 0, 0
 			s.roll, s.pitch = 0, 0
+			s.cr, s.sr, s.cp, s.sp = 1, 0, 1, 0
 			s.an, s.ae, s.ad = 0, 0, 0
 		}
 	} else {
@@ -279,7 +297,7 @@ func (s *Sim) Step(dt float64) {
 	var pw float64
 	for _, f := range s.motorThrust {
 		if f > 0 {
-			pw += math.Pow(f, 1.5) / denom
+			pw += f * math.Sqrt(f) / denom
 		}
 	}
 	s.powerW = pw/p.Eta + p.AvionicsW
@@ -319,9 +337,7 @@ func (s *Sim) AccelBody() (float64, float64, float64) {
 	defer s.mu.Unlock()
 	// Specific force f = R^T (a - g) in NED (g = +Gravity down).
 	axw, ayw, azw := s.an, s.ae, s.ad-Gravity
-	cr, sr := math.Cos(s.roll), math.Sin(s.roll)
-	cp, sp := math.Cos(s.pitch), math.Sin(s.pitch)
-	cy, sy := math.Cos(s.yaw), math.Sin(s.yaw)
+	cr, sr, cp, sp, cy, sy := s.cr, s.sr, s.cp, s.sp, s.cy, s.sy
 	// R^T rows are R's columns (ZYX Euler body-to-world).
 	bx := cy*cp*axw + sy*cp*ayw - sp*azw
 	by := (cy*sp*sr-sy*cr)*axw + (sy*sp*sr+cy*cr)*ayw + cp*sr*azw

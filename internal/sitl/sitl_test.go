@@ -344,3 +344,88 @@ func TestMotorHealthBounds(t *testing.T) {
 		t.Fatalf("health clamp broken: roll %g pitch %g", r, p)
 	}
 }
+
+// accelBodyFromScratch is AccelBody with every rotation term computed from
+// the attitude itself, the form the cached trig must reproduce bit for bit.
+func accelBodyFromScratch(s *Sim) (float64, float64, float64) {
+	axw, ayw, azw := s.an, s.ae, s.ad-Gravity
+	cr, sr := math.Cos(s.roll), math.Sin(s.roll)
+	cp, sp := math.Cos(s.pitch), math.Sin(s.pitch)
+	cy, sy := math.Cos(s.yaw), math.Sin(s.yaw)
+	bx := cy*cp*axw + sy*cp*ayw - sp*azw
+	by := (cy*sp*sr-sy*cr)*axw + (sy*sp*sr+cy*cr)*ayw + cp*sr*azw
+	bz := (cy*sp*cr+sy*sr)*axw + (sy*sp*cr-cy*sr)*ayw + cp*cr*azw
+	return bx, by, bz
+}
+
+// TestAttitudeTrigCacheExact checks the shared attitude trig: across a
+// tumbling climb, a motor cut, and the ground-contact clamp that levels a
+// tilted airframe, AccelBody must equal the from-scratch rotation bit for
+// bit, and the cache must equal math.Cos/math.Sin of the attitude.
+func TestAttitudeTrigCacheExact(t *testing.T) {
+	const dt = 1.0 / 400
+	s := newSim()
+	f := DefaultParams().HoverThrustFrac()
+	clampedTilt := false
+	check := func(i int) {
+		t.Helper()
+		bx, by, bz := s.AccelBody()
+		wx, wy, wz := accelBodyFromScratch(s)
+		for j, pair := range [3][2]float64{{bx, wx}, {by, wy}, {bz, wz}} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Fatalf("step %d: AccelBody[%d] = %v, from scratch %v", i, j, pair[0], pair[1])
+			}
+		}
+		for j, pair := range [6][2]float64{
+			{s.cr, math.Cos(s.roll)}, {s.sr, math.Sin(s.roll)},
+			{s.cp, math.Cos(s.pitch)}, {s.sp, math.Sin(s.pitch)},
+			{s.cy, math.Cos(s.yaw)}, {s.sy, math.Sin(s.yaw)},
+		} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Fatalf("step %d: cached trig term %d = %v, want %v", i, j, pair[0], pair[1])
+			}
+		}
+	}
+	check(-1)
+	for i := 0; i < 8*400; i++ {
+		switch i {
+		case 0: // climb while rolling, pitching and yawing
+			s.SetMotors([4]float64{1.25 * f, 1.35 * f, 1.4 * f, 1.2 * f})
+		case 400: // cut the motors and fall back
+			s.SetMotors([4]float64{})
+		}
+		tilted := s.roll != 0 || s.pitch != 0
+		s.Step(dt)
+		if tilted && s.OnGround() && s.roll == 0 && s.pitch == 0 {
+			clampedTilt = true
+		}
+		check(i)
+	}
+	if !clampedTilt {
+		t.Fatal("the ground-contact clamp never levelled a tilted airframe; the test missed its case")
+	}
+}
+
+// TestStoppedMotorThrustReachesZero checks that a stopped motor's lagged
+// thrust goes to exactly zero instead of decaying into subnormal floats.
+func TestStoppedMotorThrustReachesZero(t *testing.T) {
+	s := newSim()
+	f := DefaultParams().HoverThrustFrac()
+	s.SetMotors([4]float64{1.2 * f, 1.2 * f, 1.2 * f, 1.2 * f})
+	run(s, 2)
+	s.SetMotors([4]float64{})
+	for i := 0; i < 2*400; i++ {
+		s.Step(1.0 / 400)
+		for m, th := range s.motorThrust {
+			if th != 0 && th < 0x1p-1022 {
+				t.Fatalf("step %d: motor %d thrust %v is subnormal", i, m, th)
+			}
+		}
+	}
+	if s.motorThrust != [4]float64{} {
+		t.Fatalf("thrust %v two seconds after the cut, want exactly zero", s.motorThrust)
+	}
+	if pw := s.PowerW(); pw != DefaultParams().AvionicsW {
+		t.Fatalf("stopped power = %v, want the avionics draw %v", pw, DefaultParams().AvionicsW)
+	}
+}
