@@ -11,7 +11,9 @@ import "androne/internal/flight"
 // caller must additionally observe a stable IdleFingerprint across two
 // consecutive ticks before leaping — eligibility alone does not prove
 // the state is a fixed point (a just-landed drone still has decaying
-// motor thrust and a drifting attitude estimate for a while).
+// motor thrust for about a second). A settling attitude estimate does not
+// block a leap: the fingerprint covers the estimator's inputs, and the
+// leap replays the estimate (see internal/flight/idle.go).
 func (d *Drone) IdleEligible() bool {
 	return d.FC.Disarmed() && d.Sim.Parked()
 }
@@ -30,7 +32,7 @@ func (d *Drone) IdleFingerprint() uint64 {
 // BulkAdvanceTicks fast-forwards n harness ticks of stepsPerTick
 // fast-loop steps each, bit-identically to n StepSeconds ticks over a
 // fixed-point state: physics and controller replay their accumulator
-// arithmetic exactly, and the flight recorder's tick counter advances by
+// arithmetic and the controller its settling estimate exactly, and the flight recorder's tick counter advances by
 // n so later events carry the same timestamps. The per-tick Proxy.Tick
 // and Driver.FlushMetrics calls are skipped — both only fold metric
 // shards when no VFC is recovering (the caller's quiescence condition),

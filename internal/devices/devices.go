@@ -506,18 +506,23 @@ func (s *Speaker) SamplesPlayed() int64 {
 
 // Framebuffer is the virtual framebuffer each virtual drone container gets:
 // drones are headless, so the framebuffer is just a memory region that
-// contents can be written to, with no hardware behind it.
+// contents can be written to, with no hardware behind it. The region is
+// committed on first write, as an OS maps a zero page until a store
+// touches it: until then reads return zeros, so a virtual drone that
+// never draws (every one today) does not carry its width x height x 4
+// bytes for its whole life.
 type Framebuffer struct {
 	name          string
 	Width, Height int
 
 	mu  sync.Mutex
-	mem []byte
+	mem []byte // nil until the first in-range Write
 }
 
-// NewFramebuffer allocates a width x height x 4 (RGBA) virtual framebuffer.
+// NewFramebuffer returns a width x height x 4 (RGBA) virtual framebuffer
+// whose memory is allocated on first write.
 func NewFramebuffer(name string, width, height int) *Framebuffer {
-	return &Framebuffer{name: name, Width: width, Height: height, mem: make([]byte, width*height*4)}
+	return &Framebuffer{name: name, Width: width, Height: height}
 }
 
 // Name implements Device.
@@ -526,12 +531,18 @@ func (f *Framebuffer) Name() string { return f.name }
 // Kind implements Device.
 func (f *Framebuffer) Kind() Kind { return KindFramebuffer }
 
+// size is the region's length in bytes.
+func (f *Framebuffer) size() int { return f.Width * f.Height * 4 }
+
 // Write copies data into the framebuffer at offset, clamping to the region.
 func (f *Framebuffer) Write(offset int, data []byte) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if offset < 0 || offset >= len(f.mem) {
+	if offset < 0 || offset >= f.size() {
 		return 0
+	}
+	if f.mem == nil {
+		f.mem = make([]byte, f.size())
 	}
 	return copy(f.mem[offset:], data)
 }
@@ -540,8 +551,13 @@ func (f *Framebuffer) Write(offset int, data []byte) int {
 func (f *Framebuffer) Read(offset int, out []byte) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if offset < 0 || offset >= len(f.mem) {
+	if offset < 0 || offset >= f.size() {
 		return 0
+	}
+	if f.mem == nil {
+		n := min(len(out), f.size()-offset)
+		clear(out[:n])
+		return n
 	}
 	return copy(out, f.mem[offset:])
 }

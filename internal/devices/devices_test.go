@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -300,6 +301,14 @@ func TestFramebuffer(t *testing.T) {
 	if f.Kind() != KindFramebuffer {
 		t.Fatal("kind")
 	}
+	// An untouched framebuffer reads as zeros, clamped like a written one.
+	dirty := []byte{7, 7, 7, 7, 7}
+	if n := f.Read(4*4*4-3, dirty); n != 3 || !bytes.Equal(dirty, []byte{0, 0, 0, 7, 7}) {
+		t.Fatalf("untouched read = %d %v", n, dirty)
+	}
+	if n := f.Read(4*4*4, dirty); n != 0 {
+		t.Fatalf("past-end read = %d", n)
+	}
 	n := f.Write(0, []byte{1, 2, 3, 4})
 	if n != 4 {
 		t.Fatalf("wrote %d", n)
@@ -337,5 +346,29 @@ func TestPRNGGaussMoments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.05 {
 		t.Fatalf("gauss variance = %g", variance)
+	}
+}
+
+// TestFramebufferCommitsOnWrite pins the lazy commit: building and
+// reading a framebuffer allocates far less than its region, and the
+// region appears on the first write.
+func TestFramebufferCommitsOnWrite(t *testing.T) {
+	const w, h = 320, 240
+	fbs := make([]*Framebuffer, 8)
+	out := make([]byte, 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range fbs {
+		fbs[i] = NewFramebuffer("fb", w, h)
+		fbs[i].Read(0, out)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > w*h*4/8 {
+		t.Fatalf("%d untouched framebuffers allocated %d bytes", len(fbs), got)
+	}
+	f := fbs[0]
+	f.Write(w*h*4-1, []byte{5})
+	if n := f.Read(w*h*4-2, out); n != 2 || out[0] != 0 || out[1] != 5 {
+		t.Fatalf("read after write = %d %v", n, out[:2])
 	}
 }

@@ -104,6 +104,11 @@ type Controller struct {
 
 	// Attitude estimate (complementary filter).
 	estRoll, estPitch, estYaw float64
+	// idleIn holds the estimator inputs of the latest disarmed step —
+	// accel x/y/z, gyro x/y/z, heading — for the idle fast-forward (see
+	// idle.go). Plain floats: an IMUSample's time.Time carries a pointer,
+	// so storing one would cost a write barrier per step.
+	idleIn [7]float64
 
 	// Position/velocity estimate from GPS.
 	posN, posE, alt  float64
@@ -460,6 +465,7 @@ func (c *Controller) stepLocked(imu devices.IMUSample, hdg float64, fix devices.
 	}
 
 	if !c.armed {
+		c.idleIn = [7]float64{imu.AccelX, imu.AccelY, imu.AccelZ, imu.GyroX, imu.GyroY, imu.GyroZ, hdg}
 		c.logSample()
 		return [4]float64{}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"androne/internal/geo"
 	"androne/internal/mavlink"
 )
 
@@ -76,4 +77,53 @@ func TestAdvanceDisarmedBitExact(t *testing.T) {
 	if alt := a.Sim.AltitudeAGL(); math.Abs(alt) < 1 {
 		t.Fatal("comparison vacuous: drone never left the ground")
 	}
+}
+
+// TestFingerprintSoundness checks both sides of the input fingerprint.
+// A noisy gyro feeds the estimator new inputs every step, so a parked,
+// disarmed vehicle with one must never look stable (a leap would replay
+// stale inputs). A noiseless vehicle that has just landed must look
+// stable while its estimate is still settling: that is the state the
+// leap's estimator replay exists for.
+func TestFingerprintSoundness(t *testing.T) {
+	noisy := prepare(t)
+	noisy.Controller.sensors.(*DirectSensors).Imu.GyroNoiseStd = 0.002
+	noisy.StepSeconds(0.5)
+	last := noisy.Controller.Fingerprint()
+	for i := 0; i < 50; i++ {
+		noisy.StepSeconds(0.1)
+		if !noisy.Controller.Disarmed() || !noisy.Sim.Parked() {
+			t.Fatal("noisy vehicle is not parked and disarmed; the check is vacuous")
+		}
+		fp := noisy.Controller.Fingerprint()
+		if fp == last {
+			t.Fatalf("tick %d: fingerprint stable under gyro noise", i)
+		}
+		last = fp
+	}
+
+	v := prepare(t)
+	takeoffTo(t, v, 8)
+	hop := geo.Position{LatLon: geo.OffsetNE(home.LatLon, 25, 10), Alt: 8}
+	if err := v.Controller.GotoPosition(hop, 0); err != nil {
+		t.Fatal(err)
+	}
+	v.StepSeconds(10)
+	if err := v.Controller.SetModeNum(mavlink.ModeLand); err != nil {
+		t.Fatal(err)
+	}
+	if !v.RunUntil(func() bool { return v.Controller.Disarmed() }, 60) {
+		t.Fatal("vehicle never landed and disarmed")
+	}
+	last = v.Controller.Fingerprint()
+	for i := 0; i < 200; i++ {
+		r0, p0, _ := v.Controller.EstimatedAttitude()
+		v.StepSeconds(0.1)
+		fp := v.Controller.Fingerprint()
+		if r, p, _ := v.Controller.EstimatedAttitude(); fp == last && (r != r0 || p != p0) {
+			return
+		}
+		last = fp
+	}
+	t.Fatal("no tick after landing had a stable fingerprint and a moving estimate")
 }

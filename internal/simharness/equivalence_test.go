@@ -2,8 +2,10 @@ package simharness
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // violationLines renders violations the way the determinism hash sees
@@ -168,5 +170,104 @@ func TestEventModeFaultDuringHold(t *testing.T) {
 		if ft <= landed {
 			t.Errorf("fault at tick %d fired before landing (tick %d); not a during-hold fault", ft, landed)
 		}
+	}
+}
+
+// TestEventModeLeapsPostFlightHold guards the post-flight leap against
+// passing vacuously: after landing, the attitude estimate keeps settling
+// for the whole hold, and the event runner must still leap it (replaying
+// the estimate) rather than step every tick — while staying identical to
+// lockstep.
+func TestEventModeLeapsPostFlightHold(t *testing.T) {
+	sc := *dutyCycle()
+	sc.HoldAfterS = 600
+	lockSC, evSC := sc, sc
+	lock, err := RunScenarioMode(&lockSC, ModeLockstep)
+	if err != nil {
+		t.Fatalf("lockstep: %v", err)
+	}
+	r, err := newModeRunner(&evSC, ModeEvent, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := r.Run()
+	if err != nil {
+		t.Fatalf("event: %v", err)
+	}
+
+	if lock.Ticks != ev.Ticks {
+		t.Errorf("ticks: lockstep %d, event %d", lock.Ticks, ev.Ticks)
+	}
+	if lt, et := lock.Trace(), ev.Trace(); lt != et {
+		t.Errorf("traces differ: %s", firstDiff(lt, et))
+	}
+	if lv, evl := violationLines(lock), violationLines(ev); lv != evl {
+		t.Errorf("violations differ: %s", firstDiff(lv, evl))
+	}
+
+	// The post-flight hold is the run's last hold.
+	hold := holdTicks(sc.HoldAfterS)
+	t.Logf("event mode stepped %d of %d post-flight hold ticks", r.holdStepped, hold)
+	if r.holdStepped*20 >= hold {
+		t.Errorf("event mode stepped %d of %d post-flight hold ticks, want < 5%%", r.holdStepped, hold)
+	}
+}
+
+// TestEventModeSoak24h runs 24 simulated hours of duty cycle — 23 hours
+// parked before a short flight, one hour after — in event mode. Every
+// checker must pass, and the live heap of the finished runner may not
+// exceed that of the 10-minute builtin by more than 64 KiB: nothing in
+// the drone grows with time parked. The event runner leaps both holds,
+// so the run is cheap; the lockstep equivalence of both leap kinds is
+// covered by the tests above and by core's TestBulkAdvance tests.
+func TestEventModeSoak24h(t *testing.T) {
+	liveHeap := func(sc *Scenario) (uint64, *Result, *Runner) {
+		t.Helper()
+		r, err := newModeRunner(sc, ModeEvent, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(r)
+		return ms.HeapAlloc, res, r
+	}
+
+	base, _, _ := liveHeap(dutyCycle())
+
+	sc := dutyCycle()
+	sc.Name = "duty-cycle-24h"
+	sc.HoldBeforeS = 82800
+	sc.HoldAfterS = 3600
+	sc.MaxTicks = holdTicks(sc.HoldBeforeS) + 12000 // the flight's budget starts after the hold
+	start := time.Now()
+	soak, res, r := liveHeap(sc)
+	t.Logf("24 h duty cycle: %d ticks in %v; live heap %d B vs %d B for the 10-minute builtin",
+		res.Ticks, time.Since(start), soak, base)
+
+	if !res.Passed() {
+		t.Fatalf("24 h duty cycle violated invariants: %v", res.Violations)
+	}
+	if min := holdTicks(sc.HoldBeforeS) + holdTicks(sc.HoldAfterS); res.Ticks < min {
+		t.Fatalf("ran %d ticks; the holds alone are %d", res.Ticks, min)
+	}
+	var reached, landed bool
+	for _, e := range res.Events {
+		reached = reached || e.Kind == "reached"
+		landed = landed || e.Kind == "landed"
+	}
+	if !reached || !landed {
+		t.Fatalf("the flight between the holds did not happen (reached %v, landed %v)", reached, landed)
+	}
+	if hold := holdTicks(sc.HoldAfterS); r.holdStepped*20 >= hold {
+		t.Errorf("event mode stepped %d of %d post-flight hold ticks, want < 5%%", r.holdStepped, hold)
+	}
+	if soak > base+64<<10 {
+		t.Errorf("live heap grew with time parked: %d B after 24 h vs %d B after 10 min", soak, base)
 	}
 }

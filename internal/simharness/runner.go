@@ -142,6 +142,10 @@ type Runner struct {
 	queue    *sched.Queue
 	lastFP   uint64
 	fpStable bool
+	// holdStepped counts the ticks advanceToNextWakeup stepped rather
+	// than leapt since the latest hold began. Tests read it; it is not
+	// part of the Result or the trace.
+	holdStepped int
 }
 
 // NewRunner builds the full stack for a scenario: drone, cloud environment,

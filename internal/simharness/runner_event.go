@@ -12,12 +12,14 @@
 //  1. Leaps happen only when the stack is at a fixed point of the tick:
 //     the drone is structurally idle (disarmed controller over a parked
 //     airframe), the idle fingerprint — every physics and controller
-//     field except the pure accumulators — was unchanged by the previous
+//     field except the pure accumulators and the attitude estimate, with
+//     the estimator's inputs in its place — was unchanged by the previous
 //     tick, and the harness itself is quiescent (no active or recovering
 //     VFC, no induced breach in flight, no pending fault retry). Under
-//     those conditions a stepped tick changes only the accumulators that
-//     BulkAdvanceTicks replays, and the per-tick proxy flush, pilot,
-//     breach relay, and checker calls are all no-ops.
+//     those conditions a stepped tick changes only the accumulators and
+//     the settling estimate, which BulkAdvanceTicks replays, and the
+//     per-tick proxy flush, pilot, breach relay, and checker calls are
+//     all no-ops.
 //  2. Wakeups only bound leaps, so a spurious wakeup costs one stepped
 //     tick, never correctness; a missing wakeup could leap past a due
 //     time, so fault due ticks are computed with the same float
@@ -97,6 +99,7 @@ func (r *Runner) advanceToNextWakeup() (sched.Wakeup, bool) {
 			continue
 		}
 		r.stepTick()
+		r.holdStepped++
 		r.noteFingerprint()
 	}
 	out, _ := r.queue.Pop()
@@ -104,11 +107,11 @@ func (r *Runner) advanceToNextWakeup() (sched.Wakeup, bool) {
 }
 
 // noteFingerprint records whether the tick that just ran was the
-// identity on all non-accumulator drone state. Two equal fingerprints in
-// a row are the entry ticket for a bulk leap; any state change (motor
-// thrust still decaying after landing, an estimator still converging, a
-// fault mutating physics) breaks stability and forces per-tick stepping
-// until the stack settles again.
+// identity on all drone state a leap does not replay. Two equal
+// fingerprints in a row are the entry ticket for a bulk leap; any state
+// change (motor thrust still decaying after landing, a noisy sensor
+// feeding the estimator new inputs, a fault mutating physics) breaks
+// stability and forces per-tick stepping until the stack settles again.
 func (r *Runner) noteFingerprint() {
 	fp := r.drone.IdleFingerprint()
 	r.fpStable = fp == r.lastFP
@@ -166,6 +169,7 @@ func (r *Runner) hold(seconds float64) {
 	ids := make([]sched.ID, 0, 1+len(r.faults))
 	ids = append(ids, r.queue.Schedule(uint64(end), wakeHoldEnd, 0))
 	ids = append(ids, r.scheduleFaultWakeups(end)...)
+	r.holdStepped = 0
 	for r.tick < end {
 		if _, ok := r.advanceToNextWakeup(); !ok {
 			break // defensive: the hold-end wakeup is always scheduled
@@ -256,6 +260,15 @@ func RunScenarioMode(sc *Scenario, mode Mode) (*Result, error) {
 // churn workload saves every run's checkpoints through one content-
 // addressed blob store to make the cross-run dedup ratio measurable.
 func RunScenarioOver(sc *Scenario, mode Mode, env *core.CloudEnv) (*Result, error) {
+	r, err := newModeRunner(sc, mode, env)
+	if err != nil {
+		return nil, err
+	}
+	return r.Run()
+}
+
+// newModeRunner builds the runner RunScenarioOver runs.
+func newModeRunner(sc *Scenario, mode Mode, env *core.CloudEnv) (*Runner, error) {
 	r, err := NewRunner(sc)
 	if err != nil {
 		return nil, err
@@ -267,5 +280,5 @@ func RunScenarioOver(sc *Scenario, mode Mode, env *core.CloudEnv) (*Result, erro
 	if mode == ModeEvent {
 		r.queue = sched.New()
 	}
-	return r.Run()
+	return r, nil
 }
