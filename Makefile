@@ -116,11 +116,13 @@ fleet:
 
 # Differential equivalence suite: every builtin and sabotaged scenario in
 # event-driven mode must produce bit-identical traces, violations, and
-# tick counts to the lockstep oracle, across seed variants; plus the
-# bit-exactness test behind the scheduler's bulk leaps. See DESIGN.md
+# tick counts to the lockstep oracle, across seed variants; the pinned
+# trace hashes of every builtin and sabotaged scenario in both modes; plus
+# the bit-exactness test behind the scheduler's bulk leaps. See DESIGN.md
 # "Event-driven scheduling".
 equivalence:
 	$(GO) test -count=1 -run 'TestEventMode' ./internal/simharness
+	$(GO) test -count=1 -run 'TestTraceHashesPinned' ./internal/simharness
 	$(GO) test -count=1 -run 'TestBulkAdvance' ./internal/core
 	$(GO) test -count=1 ./internal/sched
 

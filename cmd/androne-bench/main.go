@@ -265,8 +265,8 @@ func jitter(seed string) error {
 func aed(seed string) error {
 	header("Section 6.2: hover stability (Attitude Estimate Divergence)")
 	for _, load := range []string{"idle", "passmark"} {
-		log := flight.NewLog()
-		v := flight.NewVehicle(home, seed+load, flight.WithLog(log))
+		mon := flight.NewAEDMonitor()
+		v := flight.NewVehicle(home, seed+load, flight.WithAEDMonitor(mon))
 		v.StepSeconds(0.1)
 		if err := v.Controller.SetModeNum(4); err != nil { // GUIDED
 			return err
@@ -284,7 +284,7 @@ func aed(seed string) error {
 			go bench.CPUWorkload(50_000_000)
 		}
 		v.StepSeconds(30)
-		res := flight.AnalyzeAED(log)
+		res := mon.Result()
 		fmt.Printf("  %-9s max divergence %5.2f deg, longest excursion %.2f s, pass=%v\n",
 			load, res.MaxDivergenceDeg, res.LongestExcursionS, res.Pass)
 	}

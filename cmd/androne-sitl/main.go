@@ -27,8 +27,8 @@ func main() {
 	flag.Parse()
 
 	home := geo.Position{LatLon: geo.LatLon{Lat: *lat, Lon: *lon}, Alt: 0}
-	log := flight.NewLog()
-	v := flight.NewVehicle(home, *seed, flight.WithLog(log))
+	mon := flight.NewAEDMonitor()
+	v := flight.NewVehicle(home, *seed, flight.WithAEDMonitor(mon))
 	v.Sim.SetWind(*windN, *windE, *gust)
 	v.StepSeconds(0.1)
 
@@ -66,7 +66,7 @@ func main() {
 	fmt.Println("landed and disarmed")
 	report(v)
 
-	aed := flight.AnalyzeAED(log)
+	aed := mon.Result()
 	fmt.Printf("AED: max divergence %.2f deg, longest excursion %.2f s, pass=%v\n",
 		aed.MaxDivergenceDeg, aed.LongestExcursionS, aed.Pass)
 	fmt.Printf("energy used: %.0f J (%.1f%% of battery)\n",

@@ -9,7 +9,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"androne/internal/apps"
 	"androne/internal/core"
@@ -57,27 +56,16 @@ func main() {
 	}})
 	check(err)
 
-	// A "weather" goroutine triggers an 18 m/s squall — stronger than the
-	// tilt limit can fight — once the virtual drone holds its waypoint. The
-	// squall's duration is bounded in *sim time* (SetWindFor), so the drone
-	// is pushed out of its fence, the breach protocol runs, and recovery
-	// succeeds deterministically once the air calms.
-	flightDone := make(chan struct{})
-	windDone := make(chan struct{})
-	go func() {
-		defer close(windDone)
-		if !waitUntil(func() bool { at, _ := vd.AtWaypoint(); return at }, flightDone) {
-			return
-		}
-		fmt.Println("weather: 25 s squall hits while the virtual drone holds its waypoint")
-		drone.Sim.SetWindFor(18, 0, 2, 25)
-	}()
-
+	// The weather rides on the mission clock: an 18 m/s squall — stronger
+	// than the tilt limit can fight — hits on the tick the virtual drone is
+	// granted its waypoint. The squall's duration is bounded in sim time
+	// (SetWindFor), so the drone is pushed out of its fence, the breach
+	// protocol runs, and recovery succeeds once the air calms.
+	clk := &weather{Clock: core.Lockstep{Drone: drone}, drone: drone}
 	env := core.NewCloudEnv()
-	report, err := drone.ExecuteRoute(plan.Routes[0], env)
-	close(flightDone)
-	<-windDone
+	report, err := drone.Fly(plan.Routes[0], clk)
 	check(err)
+	check(drone.Offload(env, clk, report))
 
 	executed, rejected := rc.Stats()
 	rep := report.PerDrone["fenced"]
@@ -99,21 +87,16 @@ func main() {
 	fmt.Println("geofence example OK")
 }
 
-// waitUntil polls cond at 1 ms until true, or returns false if stop closes.
-// A single reused ticker paces the loop; time.After here would allocate a
-// fresh timer every millisecond for the whole wait.
-func waitUntil(cond func() bool, stop <-chan struct{}) bool {
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for {
-		if cond() {
-			return true
-		}
-		select {
-		case <-stop:
-			return false
-		case <-tick.C:
-		}
+// weather is the lockstep mission clock with a squall on waypoint grant.
+type weather struct {
+	core.Clock
+	drone *core.Drone
+}
+
+func (w *weather) Note(m core.Milestone) {
+	if m.Kind == core.Reached {
+		fmt.Println("weather: 25 s squall hits as the virtual drone is granted its waypoint")
+		w.drone.Sim.SetWindFor(18, 0, 2, 25)
 	}
 }
 

@@ -41,8 +41,8 @@ func HoverWithLoopMissProb(missProb, seconds float64, seed string) (JitterResult
 }
 
 func hoverWithMisses(seconds float64, seed string, miss func() bool) (JitterResult, error) {
-	log := flight.NewLog()
-	v := flight.NewVehicle(benchHome, "jitter/"+seed, flight.WithLog(log))
+	mon := flight.NewAEDMonitor()
+	v := flight.NewVehicle(benchHome, "jitter/"+seed, flight.WithAEDMonitor(mon))
 	// Gusty wind makes the hover demand active control, so missed control
 	// cycles have a consequence to measure.
 	v.Sim.SetWind(3, -2, 1.2)
@@ -74,7 +74,7 @@ func hoverWithMisses(seconds float64, seed string, miss func() bool) (JitterResu
 		r, p, y := v.Sim.Attitude()
 		c.RecordTruth(r, p, y)
 	}
-	res.AED = flight.AnalyzeAED(log)
+	res.AED = mon.Result()
 	return res, nil
 }
 

@@ -186,20 +186,3 @@ func (d *Drone) StepSeconds(seconds float64) {
 		}
 	}
 }
-
-// RunUntil advances until cond or timeout; reports whether cond was met.
-func (d *Drone) RunUntil(cond func() bool, timeoutS float64) bool {
-	steps := int(timeoutS * flight.FastLoopHz)
-	for i := 0; i < steps; i++ {
-		d.Step(flight.FastLoopDT)
-		if i%40 == 0 {
-			d.Tel.AdvanceTick()
-			d.Proxy.Tick()
-			d.Driver.FlushMetrics()
-			if cond() {
-				return true
-			}
-		}
-	}
-	return cond()
-}

@@ -91,6 +91,18 @@ func TestBulkAdvanceMatchesLockstepParked(t *testing.T) {
 	}
 }
 
+// stepUntil steps d one 0.1 s tick at a time until cond holds or maxS sim
+// seconds elapse, and reports whether cond held.
+func stepUntil(d *Drone, cond func() bool, maxS float64) bool {
+	for elapsed := 0.0; elapsed < maxS; elapsed += 0.1 {
+		d.StepSeconds(0.1)
+		if cond() {
+			return true
+		}
+	}
+	return false
+}
+
 // landedDrone flies a short hop, lands, and steps whole ticks until the
 // idle fingerprint is stable: the state in which the event runner starts
 // leaping a post-flight hold. The attitude estimate is still decaying
@@ -111,7 +123,7 @@ func landedDrone(t *testing.T, seed string) *Drone {
 	if err := d.FC.Takeoff(TransitAltM); err != nil {
 		t.Fatal(err)
 	}
-	if !d.RunUntil(func() bool { return d.Sim.AltitudeAGL() > TransitAltM-1 }, 30) {
+	if !stepUntil(d, func() bool { return d.Sim.AltitudeAGL() > TransitAltM-1 }, 30) {
 		t.Fatal("takeoff never reached transit altitude")
 	}
 	dest := geo.Position{LatLon: geo.OffsetNE(idleHome.LatLon, 30, 10), Alt: TransitAltM}
@@ -122,7 +134,7 @@ func landedDrone(t *testing.T, seed string) *Drone {
 	if err := d.FC.SetModeNum(mavlink.ModeLand); err != nil {
 		t.Fatal(err)
 	}
-	if !d.RunUntil(func() bool { return !d.FC.Armed() }, 60) {
+	if !stepUntil(d, func() bool { return !d.FC.Armed() }, 60) {
 		t.Fatal("drone never landed and disarmed")
 	}
 	last := d.IdleFingerprint()

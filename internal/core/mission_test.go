@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -376,5 +377,75 @@ func TestExecuteRouteInWindAndGusts(t *testing.T) {
 	// Wind costs energy: the flight drew more than a calm one would.
 	if report.FlightEnergyJ <= 0 {
 		t.Fatal("no energy recorded")
+	}
+}
+
+// recordingClock is the lockstep clock that records each run of same-phase
+// ticks and every milestone kind.
+type recordingClock struct {
+	Clock
+	phases []Phase
+	notes  []MilestoneKind
+}
+
+func (c *recordingClock) Tick(p Phase) bool {
+	if n := len(c.phases); n == 0 || c.phases[n-1] != p {
+		c.phases = append(c.phases, p)
+	}
+	return c.Clock.Tick(p)
+}
+
+func (c *recordingClock) Note(m Milestone) { c.notes = append(c.notes, m.Kind) }
+
+// TestFlyOnRecordingClock flies a two-tenant route on a recording clock:
+// the ticks pass through the phases in flight order, the milestones in
+// workflow order, and Fly plus Offload report bit-identically to
+// ExecuteRoute on a twin drone.
+func TestFlyOnRecordingClock(t *testing.T) {
+	twin := func() (*Drone, planner.Route) {
+		d, err := NewDrone(testHome, "recording-clock")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.VDC.RegisterAppFactory("com.test.quick", newQuickAppFactory("com.test.quick"))
+		a, b := defWith("vd1", 1, "com.test.quick"), defWith("vd2", 1, "com.test.quick")
+		b.Waypoints[0].Position.LatLon = geo.OffsetNE(testHome.LatLon, -60, 20)
+		for _, def := range []*Definition{a, b} {
+			if _, err := d.VDC.Create(def); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d, routeFor(t, d, a, b)
+	}
+
+	d, route := twin()
+	want, err := d.ExecuteRoute(route, NewCloudEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d, route = twin()
+	clk := &recordingClock{Clock: Lockstep{Drone: d}}
+	got, err := d.Fly(route, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Offload(NewCloudEnv(), clk, got); err != nil {
+		t.Fatal(err)
+	}
+
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Fly+Offload report %+v, ExecuteRoute %+v", got, want)
+	}
+	wantPhases := []Phase{Takeoff, Transit, Dwell, Transit, Dwell, RTL}
+	if !reflect.DeepEqual(clk.phases, wantPhases) {
+		t.Errorf("phases %v, want %v", clk.phases, wantPhases)
+	}
+	wantNotes := []MilestoneKind{Airborne,
+		Transiting, Reached, DwellEnd, Left,
+		Transiting, Reached, DwellEnd, Left,
+		Returning, Landed, Offloaded, Saved, Offloaded, Saved}
+	if !reflect.DeepEqual(clk.notes, wantNotes) {
+		t.Errorf("milestones %v, want %v", clk.notes, wantNotes)
 	}
 }

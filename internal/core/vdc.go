@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"androne/internal/android"
 	"androne/internal/cloud"
@@ -104,6 +107,8 @@ type VirtualDrone struct {
 	warnedExhausted   bool
 	marked            []string
 	netBytes          int64
+	breachOpen        bool // a relayed geofence breach is in recovery
+	breaches          int  // breaches relayed since creation
 }
 
 // SDKFor returns the app's SDK instance.
@@ -153,6 +158,14 @@ func (vd *VirtualDrone) CompleteRequested() bool {
 	vd.mu.Lock()
 	defer vd.mu.Unlock()
 	return vd.completeRequested
+}
+
+// Breaches reports whether a geofence breach relayed by RelayBreaches is
+// still in recovery, and how many breaches it has relayed.
+func (vd *VirtualDrone) Breaches() (open bool, count int) {
+	vd.mu.Lock()
+	defer vd.mu.Unlock()
+	return vd.breachOpen, vd.breaches
 }
 
 // deliver fans an SDK event to every app, in definition order: app
@@ -227,6 +240,8 @@ type VDC struct {
 	mu        sync.Mutex
 	factories map[string]AppFactory
 	vds       map[string]*VirtualDrone
+
+	meterFault atomic.Bool // see BreakMeter
 }
 
 func newVDC(d *Drone) *VDC {
@@ -533,7 +548,7 @@ func (v *VDC) WaypointReached(name string, idx int) error {
 
 	// Other parties' continuous devices are suspended for privacy while
 	// this virtual drone operates.
-	v.suspendOthers(name)
+	v.suspendOthers(name, true)
 
 	if fc {
 		if err := v.drone.Proxy.Activate(name, wp); err != nil {
@@ -587,7 +602,7 @@ func (v *VDC) WaypointLeft(name string, idx int) error {
 	mRevocations.Inc()
 	v.drone.Tel.Emit(vd.key, kRevoke, int64(idx), 0, "")
 	v.enforceRevocation(vd)
-	v.resumeOthers(name)
+	v.suspendOthers(name, false)
 	if deactivateErr != nil {
 		return fmt.Errorf("core: withdrawing flight control from %s: %w", name, deactivateErr)
 	}
@@ -622,45 +637,37 @@ func (v *VDC) enforceRevocation(vd *VirtualDrone) {
 	v.drone.DevCon.ReleaseContainer(vd.Name)
 }
 
-// suspendOthers suspends continuous device access of every other virtual
-// drone and notifies their apps.
-func (v *VDC) suspendOthers(active string) {
-	for _, other := range v.snapshotExcept(active) {
+// suspendOthers suspends or resumes continuous device access of every
+// other virtual drone, notifying those whose window state changes.
+func (v *VDC) suspendOthers(active string, suspend bool) {
+	kind := sdk.EventResumeContinuous
+	if suspend {
+		kind = sdk.EventSuspendContinuous
+	}
+	for _, other := range v.snapshot() {
+		if other.Name == active {
+			continue
+		}
 		other.mu.Lock()
-		shouldNotify := other.started && !other.done && !other.suspended && len(other.Def.ContinuousDevices) > 0
-		other.suspended = true
+		shouldNotify := other.started && !other.done && other.suspended != suspend && len(other.Def.ContinuousDevices) > 0
+		other.suspended = suspend
 		other.mu.Unlock()
 		if shouldNotify {
-			other.deliver(sdk.Event{Kind: sdk.EventSuspendContinuous})
+			other.deliver(sdk.Event{Kind: kind})
 		}
 	}
 }
 
-// resumeOthers lifts the suspension and notifies.
-func (v *VDC) resumeOthers(active string) {
-	for _, other := range v.snapshotExcept(active) {
-		other.mu.Lock()
-		shouldNotify := other.suspended && other.started && !other.done && len(other.Def.ContinuousDevices) > 0
-		other.suspended = false
-		other.mu.Unlock()
-		if shouldNotify {
-			other.deliver(sdk.Event{Kind: sdk.EventResumeContinuous})
-		}
-	}
-}
-
-// snapshotExcept returns every other virtual drone in name order — callers
-// notify apps through the snapshot, so its order must be replay-stable.
-func (v *VDC) snapshotExcept(name string) []*VirtualDrone {
+// snapshot returns every virtual drone in name order — callers notify
+// and tick apps through it, so its order must be replay-stable.
+func (v *VDC) snapshot() []*VirtualDrone {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	out := make([]*VirtualDrone, 0, len(v.vds))
-	for n, vd := range v.vds {
-		if n != name {
-			out = append(out, vd)
-		}
+	for _, vd := range v.vds {
+		out = append(out, vd)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *VirtualDrone) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -698,23 +705,18 @@ func (v *VDC) MeterActive(name string, seconds, joules float64) bool {
 		usedS, usedJ := vd.Allotment.Used()
 		v.drone.Tel.Emit(vd.key, kExhausted, int64(usedS), int64(usedJ), "")
 	}
-	return exhausted
+	return exhausted && !v.meterFault.Load()
 }
+
+// BreakMeter injects an enforcement fault for negative controls: from
+// then on, MeterActive meters but never reports exhaustion.
+func (v *VDC) BreakMeter() { v.meterFault.Store(true) }
 
 // TickTransit runs periodic work for virtual drones operating between their
 // waypoints with continuous device access (e.g. a traffic-survey app filming
 // along the route).
 func (v *VDC) TickTransit(dt float64) {
-	v.mu.Lock()
-	vds := make([]*VirtualDrone, 0, len(v.vds))
-	for _, vd := range v.vds {
-		vds = append(vds, vd)
-	}
-	v.mu.Unlock()
-	// App ticks run in name order so a replayed fleet tick is one
-	// deterministic sequence, not a map-order shuffle.
-	sort.Slice(vds, func(i, j int) bool { return vds[i].Name < vds[j].Name })
-	for _, vd := range vds {
+	for _, vd := range v.snapshot() {
 		vd.mu.Lock()
 		inWindow := vd.started && !vd.done && !vd.atWaypoint && !vd.suspended &&
 			len(vd.Def.ContinuousDevices) > 0
@@ -738,6 +740,29 @@ func (v *VDC) TickActive(name string, dt float64) {
 	vd.mu.Unlock()
 	if at {
 		vd.tick(dt)
+	}
+}
+
+// RelayBreaches forwards geofence transitions to apps as SDK events and to
+// clk as Breach/Recovered notes. Clocks call it once per tick, after stepping.
+func (v *VDC) RelayBreaches(clk Clock) {
+	for _, vd := range v.snapshot() {
+		rec := vd.VFC.Recovering()
+		vd.mu.Lock()
+		opened, closed := rec && !vd.breachOpen, !rec && vd.breachOpen
+		vd.breachOpen = rec
+		if opened {
+			vd.breaches++
+		}
+		vd.mu.Unlock()
+		switch {
+		case opened:
+			v.NotifyBreach(vd.Name)
+			clk.Note(Milestone{Kind: Breach, Task: vd.Name})
+		case closed:
+			v.NotifyControlReturned(vd.Name)
+			clk.Note(Milestone{Kind: Recovered, Task: vd.Name})
+		}
 	}
 }
 

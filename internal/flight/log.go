@@ -17,7 +17,9 @@ type Sample struct {
 // Log is a flight log, the input to the Attitude Estimate Divergence
 // analyzer the paper uses (DroneKit Log Analyzer) to show that virtual
 // drone workloads do not destabilize the drone. It keeps every sample, so
-// it is opt-in; drones that only need the verdict attach an AEDMonitor.
+// every flying caller attaches an AEDMonitor instead; Log and AnalyzeAED
+// remain only as test oracles, the one TestAEDMonitorMatchesLog checks the
+// monitor against in particular.
 type Log struct {
 	mu      sync.Mutex
 	samples []Sample
@@ -27,7 +29,7 @@ type Log struct {
 func NewLog() *Log { return &Log{} }
 
 func (l *Log) add(s Sample) {
-	l.mu.Lock() //vet:allow hotpath opt-in flight log; drones attach the lock-free AEDMonitor instead, 0 allocs pinned by core.TestDroneStepZeroAlloc
+	l.mu.Lock() //vet:allow hotpath Log is a test-only oracle; no production caller attaches one (they attach the lock-free AEDMonitor), 0 allocs pinned by core.TestDroneStepZeroAlloc
 	defer l.mu.Unlock()
 	l.samples = append(l.samples, s)
 }

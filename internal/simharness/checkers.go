@@ -2,6 +2,7 @@ package simharness
 
 import (
 	"fmt"
+	"strings"
 
 	"androne/internal/cloud"
 	"androne/internal/mavlink"
@@ -156,7 +157,7 @@ func (c *breachConduct) Tick(r *Runner) {
 			// Recovery just completed: the protocol ends in loiter.
 			if mode != mavlink.ModeLoiter {
 				r.Violate(c.Name(), name,
-					"recovery ended in "+modeName(mode)+", want loiter")
+					"recovery ended in "+strings.ToLower(mavlink.ModeName(mode))+", want loiter")
 			}
 		}
 		c.recovering[name] = rec
@@ -181,7 +182,7 @@ func (c *fileDelivery) Finish(r *Runner) {
 	for _, name := range r.DroneNames() {
 		m := r.meta[name]
 		for _, dst := range m.files {
-			if _, err := r.Env().Storage.Get(m.owner, dst); err != nil {
+			if _, err := r.Env().Storage.Get(m.spec.Owner, dst); err != nil {
 				r.Violate(c.Name(), name, "marked file missing from cloud storage: "+dst)
 			}
 		}

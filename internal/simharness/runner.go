@@ -3,7 +3,6 @@ package simharness
 import (
 	"errors"
 	"fmt"
-	"path"
 	"sort"
 	"strings"
 
@@ -16,6 +15,7 @@ import (
 	"androne/internal/mavlink"
 	"androne/internal/mavproxy"
 	"androne/internal/netem"
+	"androne/internal/planner"
 	"androne/internal/sched"
 	"androne/internal/sdk"
 	"androne/internal/telemetry"
@@ -95,18 +95,14 @@ func (r *Result) Trace() string {
 
 // droneMeta is the runner's per-virtual-drone bookkeeping.
 type droneMeta struct {
-	spec       DroneSpec
-	orderID    string
-	dwellTick  int // tick of the first waypoint grant (-1 until then)
-	breaches   int
-	breachOpen bool
+	spec      DroneSpec
+	orderID   string
+	dwellTick int // tick of the first waypoint grant (-1 until then)
 	// pushTarget, when set, is re-asserted through the master connection
 	// every tick until the fence trips: the induced breach must win the
 	// tug-of-war against a pilot re-targeting the drone inside the fence.
 	pushTarget *geo.Position
-	saved      bool
-	// expected files captured before teardown, for the delivery checker.
-	owner string
+	// files offloaded at flight end, for the delivery checker.
 	files []string
 }
 
@@ -129,13 +125,13 @@ type Runner struct {
 	events   []Event
 	fails    []Violation
 	tick     int
+	maxTicks int // the flight's tick budget
 	liftoff  int // tick of takeoff completion (-1 before)
 	meta     map[string]*droneMeta
 	names    []string // declaration order
+	route    planner.Route
 	faults   []*faultState
 	pilotN   int
-
-	sabotageAllotment bool
 
 	// Event-driven mode state (zero in lockstep; see runner_event.go).
 	mode     Mode
@@ -149,7 +145,7 @@ type Runner struct {
 }
 
 // NewRunner builds the full stack for a scenario: drone, cloud environment,
-// orders, virtual drones, optional GCS pilot, checkers.
+// orders, virtual drones and their route, optional GCS pilot, checkers.
 func NewRunner(sc *Scenario) (*Runner, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -168,7 +164,6 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 		liftoff: -1,
 		meta:    make(map[string]*droneMeta),
 	}
-	r.sabotageAllotment = sc.Sabotage == "allotment"
 	for _, f := range sc.Faults {
 		fs := &faultState{Fault: f}
 		if fs.From == "" {
@@ -195,12 +190,28 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 			o.Status = cloud.OrderScheduled
 		})
 		r.meta[spec.Name] = &droneMeta{
-			spec: spec, orderID: ord.ID, dwellTick: -1, owner: spec.Owner,
+			spec: spec, orderID: ord.ID, dwellTick: -1,
 		}
 		r.names = append(r.names, spec.Name)
+		// Compile the drone's waypoints into the executor's route, with
+		// positions from its definition and a 20 s dwell unless given.
+		for idx, w := range spec.Waypoints {
+			dwell := w.DwellS
+			if dwell == 0 {
+				dwell = 20
+			}
+			r.route.Stops = append(r.route.Stops, planner.Stop{
+				Task: spec.Name, Index: idx, Waypoint: def.Waypoints[idx], DwellS: dwell,
+			})
+		}
 	}
 
-	if sc.Sabotage == "whitelist" {
+	switch sc.Sabotage {
+	case "allotment":
+		// A meter that never reports exhaustion: the allotment guard must
+		// catch the exhausted drone that keeps its waypoint.
+		d.VDC.BreakMeter()
+	case "whitelist":
 		// A template that wrongly admits ARM/DISARM: the canary checker
 		// must catch the first command that leaks through.
 		broken := mavproxy.TemplateStandard()
@@ -323,58 +334,17 @@ func (r *Runner) DroneNames() []string { return r.names }
 
 // stepTick advances the whole stack one harness tick: physics + controller
 // at the fast-loop rate (proxy ticked inside), then fault triggers, the
-// scripted pilot, breach relay, and every invariant checker.
+// scripted pilot, core's breach relay, and every invariant checker.
 func (r *Runner) stepTick() {
 	r.drone.StepSeconds(TickS)
 	r.tick++
 	r.fireFaults()
 	r.pushBreaches()
 	r.pilotAct()
-	r.relayBreaches()
+	r.drone.VDC.RelayBreaches(clock{r})
 	for _, c := range r.checkers {
 		c.Tick(r)
 	}
-}
-
-// relayBreaches forwards VFC breach/recovery transitions to the VDC as SDK
-// events and the trace, as the flight orchestrator does.
-func (r *Runner) relayBreaches() {
-	for _, name := range r.names {
-		vd, err := r.drone.VDC.Get(name)
-		if err != nil {
-			continue
-		}
-		m := r.meta[name]
-		rec := vd.VFC.Recovering()
-		if rec && !m.breachOpen {
-			m.breaches++
-			m.breachOpen = true
-			r.drone.VDC.NotifyBreach(name)
-			r.event("breach", name, "geofence breached; recovery started")
-		} else if !rec && m.breachOpen {
-			m.breachOpen = false
-			r.drone.VDC.NotifyControlReturned(name)
-			r.event("recovered", name, fmt.Sprintf("mode=%s", modeName(r.drone.FC.Mode())))
-		}
-	}
-}
-
-func modeName(m uint32) string {
-	switch m {
-	case mavlink.ModeStabilize:
-		return "stabilize"
-	case mavlink.ModeGuided:
-		return "guided"
-	case mavlink.ModeLoiter:
-		return "loiter"
-	case mavlink.ModeLand:
-		return "land"
-	case mavlink.ModeRTL:
-		return "rtl"
-	case mavlink.ModeAuto:
-		return "auto"
-	}
-	return fmt.Sprintf("mode-%d", m)
 }
 
 // --------------------------------------------------------------------------
@@ -398,31 +368,33 @@ func (r *Runner) fireFaults() {
 	}
 }
 
+// faultAnchor returns the tick a fault's AtS counts from: liftoff for
+// "start" faults, the anchor drone's first waypoint grant for "dwell"
+// faults. ok is false while that clock has not started.
+func (r *Runner) faultAnchor(f *faultState) (tick int, ok bool) {
+	if f.From != "dwell" {
+		return r.liftoff, r.liftoff >= 0
+	}
+	// Untargeted faults (wind, link) anchor on the pilot's drone if
+	// there is one, else the first drone's dwell.
+	name := f.Target
+	if name == "" {
+		if f.Kind == FaultLink && r.sc.Pilot != nil {
+			name = r.sc.Pilot.Target
+		} else {
+			name = r.names[0]
+		}
+	}
+	if m := r.meta[name]; m != nil {
+		return m.dwellTick, m.dwellTick >= 0
+	}
+	return 0, false
+}
+
 // faultDue evaluates the fault's anchor clock.
 func (r *Runner) faultDue(f *faultState) bool {
-	switch f.From {
-	case "dwell":
-		// Untargeted faults (wind, link) anchor on the pilot's drone if
-		// there is one, else the first drone's dwell.
-		anchor := f.Target
-		if anchor == "" {
-			if f.Kind == FaultLink && r.sc.Pilot != nil {
-				anchor = r.sc.Pilot.Target
-			} else {
-				anchor = r.names[0]
-			}
-		}
-		m := r.meta[anchor]
-		if m == nil || m.dwellTick < 0 {
-			return false
-		}
-		return float64(r.tick-m.dwellTick)*TickS >= f.AtS
-	default: // "start": relative to liftoff
-		if r.liftoff < 0 {
-			return false
-		}
-		return float64(r.tick-r.liftoff)*TickS >= f.AtS
-	}
+	anchor, ok := r.faultAnchor(f)
+	return ok && float64(r.tick-anchor)*TickS >= f.AtS
 }
 
 // saveRestoreEligible: the target must have visited at least one waypoint
@@ -681,46 +653,23 @@ func ackSummary(replies []mavlink.Message) string {
 // --------------------------------------------------------------------------
 // The mission
 
-// Run executes the scenario end to end and returns the result. The flight
-// mirrors core.ExecuteRoute — takeoff, per-stop transit/grant/dwell/leave,
-// RTL, offload, VDR save — but advances tick-by-tick so faults, the pilot,
-// and the checkers interleave with flight at harness resolution.
+// Run executes the scenario end to end and returns the result: the ground
+// holds around core's mission executor, which flies the scenario's route
+// and offloads on the runner's clock, then the checkers' final verdicts.
 func (r *Runner) Run() (*Result, error) {
-	maxTicks := r.sc.MaxTicks
-	if maxTicks == 0 {
-		maxTicks = 12000
+	r.maxTicks = r.sc.MaxTicks
+	if r.maxTicks == 0 {
+		r.maxTicks = 12000
 	}
 
-	if r.sc.HoldBeforeS > 0 {
-		r.hold(r.sc.HoldBeforeS)
-		r.event("hold", "", fmt.Sprintf("pre-flight ground hold %.0fs", r.sc.HoldBeforeS))
-	}
-
-	if err := r.takeoff(); err != nil {
+	r.hold(r.sc.HoldBeforeS, "pre-flight")
+	report, err := r.drone.Fly(r.route, clock{r})
+	if err != nil {
 		return nil, err
 	}
 
-	for _, name := range r.names {
-		m := r.meta[name]
-		for idx := range m.spec.Waypoints {
-			if r.tick >= maxTicks {
-				r.event("abort", "", "tick budget exhausted")
-				break
-			}
-			if err := r.visit(name, idx); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	r.returnHome()
-
-	if r.sc.HoldAfterS > 0 {
-		r.hold(r.sc.HoldAfterS)
-		r.event("hold", "", fmt.Sprintf("post-flight ground hold %.0fs", r.sc.HoldAfterS))
-	}
-
-	r.offloadAndSave()
+	r.hold(r.sc.HoldAfterS, "post-flight")
+	_ = r.drone.Offload(r.env, clock{r}, report) // failures become violations in Note
 
 	for _, c := range r.checkers {
 		c.Finish(r)
@@ -739,189 +688,92 @@ func (r *Runner) Run() (*Result, error) {
 	return res, nil
 }
 
-func (r *Runner) takeoff() error {
-	master := r.drone.Proxy.Master().Controller()
-	r.tickOnce(wakeTakeoff) // let the estimator acquire a fix
-	if err := master.SetModeNum(mavlink.ModeGuided); err != nil {
-		return err
-	}
-	if err := master.Arm(); err != nil {
-		return err
-	}
-	if err := master.Takeoff(core.TransitAltM); err != nil {
-		return err
-	}
-	for i := 0; i < int(60/TickS); i++ {
-		r.tickOnce(wakeTakeoff)
-		if r.drone.Sim.AltitudeAGL() > core.TransitAltM-0.6 {
-			break
-		}
-	}
-	if r.drone.Sim.AltitudeAGL() <= core.TransitAltM-0.6 {
-		return fmt.Errorf("simharness: takeoff did not complete (alt %.1f m)", r.drone.Sim.AltitudeAGL())
-	}
-	r.liftoff = r.tick
-	r.event("takeoff", "", fmt.Sprintf("airborne at %dm", core.TransitAltM))
+// clock is the runner as the executor's core.Clock.
+type clock struct{ *Runner }
 
-	// The portal hands out access once the drone is up (Figure 4).
-	for _, name := range r.names {
-		m := r.meta[name]
-		_ = r.orders.Update(m.orderID, func(o *cloud.Order) {
-			o.Status = cloud.OrderFlying
-			o.Access = cloud.AccessInfo{
-				VFCAddr: "vfc://" + name + ":5760",
-				SSHAddr: "ssh://" + name + ":22",
-				VPNKey:  "vpn-" + r.sc.Seed,
-			}
-		})
-	}
-	return nil
+// Tick advances one harness tick and reports whether the budget has room.
+func (c clock) Tick(p core.Phase) bool {
+	c.tickOnce(p)
+	return c.tick < c.maxTicks
 }
 
-// visit flies to one waypoint, grants it, and dwells.
-func (r *Runner) visit(name string, idx int) error {
-	vd, err := r.drone.VDC.Get(name)
-	if err != nil {
-		return err
-	}
-	wp := vd.Def.Waypoints[idx]
-	master := r.drone.Proxy.Master().Controller()
-
-	// Transit under the flight planner's control.
-	if err := master.SetModeNum(mavlink.ModeGuided); err != nil {
-		return err
-	}
-	if err := master.GotoPosition(wp.Position, 0); err != nil {
-		return err
-	}
-	r.event("transit", name, fmt.Sprintf("to waypoint %d", idx))
-	dist := geo.Distance3D(r.drone.Sim.Position(), wp.Position)
-	timeout := dist/2 + 30
-	reached := false
-	for elapsed := 0.0; elapsed < timeout; elapsed += TickS {
-		r.tickOnce(wakeTransit)
-		r.drone.VDC.TickTransit(TickS)
-		if geo.Distance3D(r.drone.Sim.Position(), wp.Position) < 2 {
-			reached = true
-			break
-		}
-	}
-	if !reached {
-		return fmt.Errorf("simharness: could not reach waypoint %s/%d", name, idx)
-	}
-
-	// The save/restore fault may have replaced the VirtualDrone object.
-	vd, err = r.drone.VDC.Get(name)
-	if err != nil {
-		return err
-	}
-	if err := r.drone.VDC.WaypointReached(name, idx); err != nil {
-		return err
-	}
-	m := r.meta[name]
-	if m.dwellTick < 0 {
-		m.dwellTick = r.tick
-	}
-	r.event("reached", name, fmt.Sprintf("waypoint %d granted", idx))
-
-	// Dwell: apps tick, the allotment is metered, the pilot flies.
-	dwellCap := m.spec.Waypoints[idx].DwellS
-	if dwellCap == 0 {
-		dwellCap = 20
-	}
-	dwellCap = dwellCap*3 + 30
-	lastEnergy := r.drone.Sim.EnergyUsedJ()
-	why := "dwell cap"
-	for elapsed := 0.0; elapsed < dwellCap; elapsed += TickS {
-		r.tickOnce(wakeDwell)
-		r.drone.VDC.TickActive(name, TickS)
-		energyNow := r.drone.Sim.EnergyUsedJ()
-		exhausted := r.drone.VDC.MeterActive(name, TickS, energyNow-lastEnergy)
-		lastEnergy = energyNow
-		if exhausted && !r.sabotageAllotment {
-			why = "allotment exhausted"
-			break
-		}
-		if vd.CompleteRequested() {
-			why = "app completed"
-			break
-		}
-	}
-	r.event("dwell-end", name, why)
-
-	if err := r.drone.VDC.WaypointLeft(name, idx); err != nil {
-		return err
-	}
-	r.event("left", name, fmt.Sprintf("waypoint %d revoked", idx))
-	return nil
+// dwellEnds renders core.DwellReason for the trace.
+var dwellEnds = [...]string{
+	core.DwellCap:           "dwell cap",
+	core.AllotmentExhausted: "allotment exhausted",
+	core.AppCompleted:       "app completed",
 }
 
-func (r *Runner) returnHome() {
-	master := r.drone.Proxy.Master().Controller()
-	if err := master.SetModeNum(mavlink.ModeRTL); err != nil {
-		r.event("rtl", "", "rtl refused: "+err.Error())
-		return
-	}
-	r.event("rtl", "", "returning to launch")
-	for elapsed := 0.0; elapsed < 240; elapsed += TickS {
-		r.tickOnce(wakeRTL)
-		if r.drone.Sim.OnGround() && !master.Armed() {
-			break
+// Note turns an executor milestone into its trace event, fault anchor,
+// order status, or violation.
+func (c clock) Note(m core.Milestone) {
+	r := c.Runner
+	switch m.Kind {
+	case core.Airborne:
+		r.liftoff = r.tick
+		r.event("takeoff", "", fmt.Sprintf("airborne at %dm", core.TransitAltM))
+		// The portal hands out access once the drone is up (Figure 4).
+		for _, name := range r.names {
+			_ = r.orders.Update(r.meta[name].orderID, func(o *cloud.Order) {
+				o.Status = cloud.OrderFlying
+				o.Access = cloud.AccessInfo{
+					VFCAddr: "vfc://" + name + ":5760",
+					SSHAddr: "ssh://" + name + ":22",
+					VPNKey:  "vpn-" + r.sc.Seed,
+				}
+			})
 		}
-	}
-	if r.drone.Sim.OnGround() {
-		r.event("landed", "", fmt.Sprintf("flight %.0fs, %.0fJ",
-			r.now(), r.drone.Sim.EnergyUsedJ()))
-	} else {
-		r.event("landed", "", "did not land within cap")
-	}
-}
-
-// offloadAndSave is the flight-end workflow: marked files go to cloud
-// storage, every virtual drone is checkpointed into the VDR, orders close.
-func (r *Runner) offloadAndSave() {
-	for _, name := range r.names {
-		vd, err := r.drone.VDC.Get(name)
-		if err != nil {
-			continue // already saved mid-mission and not restored
+	case core.Transiting:
+		r.event("transit", m.Task, fmt.Sprintf("to waypoint %d", m.Index))
+	case core.Reached:
+		if md := r.meta[m.Task]; md.dwellTick < 0 {
+			md.dwellTick = r.tick
 		}
-		m := r.meta[name]
-		for _, p := range vd.MarkedFiles() {
-			data, err := vd.Container.ReadFile(p)
-			if err != nil {
-				r.Violate("file-delivery", name, "marked file unreadable: "+p)
-				continue
-			}
-			dst := path.Join("/", name, p)
-			if err := r.env.Storage.Put(vd.Def.Owner, dst, data); err != nil {
-				r.Violate("file-delivery", name, "offload refused: "+err.Error())
-				continue
-			}
-			m.files = append(m.files, dst)
+		r.event("reached", m.Task, fmt.Sprintf("waypoint %d granted", m.Index))
+	case core.DwellEnd:
+		r.event("dwell-end", m.Task, dwellEnds[m.Reason])
+	case core.Left:
+		r.event("left", m.Task, fmt.Sprintf("waypoint %d revoked", m.Index))
+	case core.Abort:
+		r.event("abort", "", "tick budget exhausted")
+	case core.Returning:
+		if m.Err != nil {
+			r.event("rtl", "", "rtl refused: "+m.Err.Error())
+		} else {
+			r.event("rtl", "", "returning to launch")
 		}
-		sort.Strings(m.files)
-		if len(m.files) > 0 {
-			r.event("offload", name, fmt.Sprintf("%d files to cloud storage", len(m.files)))
+	case core.Landed:
+		if m.Err != nil {
+			r.event("landed", "", "did not land within cap")
+		} else {
+			r.event("landed", "", fmt.Sprintf("flight %.0fs, %.0fJ", r.now(), r.drone.Sim.EnergyUsedJ()))
 		}
-		completed := vd.Done()
-
-		entry, err := r.drone.VDC.Save(name)
-		if err != nil {
-			r.Violate("vdr-save", name, err.Error())
-			continue
+	case core.Breach:
+		r.event("breach", m.Task, "geofence breached; recovery started")
+	case core.Recovered:
+		r.event("recovered", m.Task, "mode="+strings.ToLower(mavlink.ModeName(r.drone.FC.Mode())))
+	case core.Offloaded:
+		if m.Err != nil {
+			r.Violate("file-delivery", m.Task, m.Err.Error())
+			return
 		}
-		if err := r.env.VDR.Save(entry); err != nil {
-			r.Violate("vdr-save", name, err.Error())
-			continue
+		md := r.meta[m.Task]
+		md.files = append(md.files, m.Files...)
+		sort.Strings(md.files)
+		if len(md.files) > 0 {
+			r.event("offload", m.Task, fmt.Sprintf("%d files to cloud storage", len(md.files)))
 		}
-		m.saved = true
-		r.event("saved", name, fmt.Sprintf("to VDR, completed=%v", completed))
-
+	case core.Saved:
+		if m.Err != nil {
+			r.Violate("vdr-save", m.Task, m.Err.Error())
+			return
+		}
+		r.event("saved", m.Task, fmt.Sprintf("to VDR, completed=%v", m.Completed))
 		status := cloud.OrderSaved
-		if completed {
+		if m.Completed {
 			status = cloud.OrderCompleted
 		}
-		_ = r.orders.Update(m.orderID, func(o *cloud.Order) { o.Status = status })
+		_ = r.orders.Update(r.meta[m.Task].orderID, func(o *cloud.Order) { o.Status = status })
 	}
 }
 

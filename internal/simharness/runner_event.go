@@ -30,6 +30,8 @@
 package simharness
 
 import (
+	"fmt"
+
 	"androne/internal/core"
 	"androne/internal/flight"
 	"androne/internal/mavproxy"
@@ -57,22 +59,19 @@ const stepsPerTick = int(TickS * flight.FastLoopHz)
 const (
 	wakeHoldEnd uint8 = iota // a ground-hold phase reaches its end tick
 	wakeFault                // a fault plan entry's exact due tick
-	wakeTakeoff              // takeoff climb progress probe
-	wakeTransit              // waypoint-arrival probe
-	wakeDwell                // dwell metering / allotment-expiry probe
-	wakeRTL                  // return-and-land progress probe
+	wakePhase                // + core.Phase: one flight tick of that phase
 )
 
-// tickOnce advances exactly one harness tick. In lockstep mode it steps
-// directly; in event mode it schedules a next-tick wakeup and advances
-// through the queue, so every active-phase tick flows through the same
-// scheduler machinery as the bulk leaps.
-func (r *Runner) tickOnce(kind uint8) {
+// tickOnce advances exactly one harness tick of flight phase p. In
+// lockstep mode it steps directly; in event mode it schedules a next-tick
+// wakeup and advances through the queue, so every active-phase tick flows
+// through the same scheduler machinery as the bulk leaps.
+func (r *Runner) tickOnce(p core.Phase) {
 	if r.mode != ModeEvent {
 		r.stepTick()
 		return
 	}
-	r.queue.Schedule(uint64(r.tick+1), kind, 0)
+	r.queue.Schedule(uint64(r.tick+1), wakePhase+uint8(p), 0)
 	r.advanceToNextWakeup()
 }
 
@@ -129,15 +128,14 @@ func (r *Runner) quiescent() bool {
 		}
 	}
 	for _, name := range r.names {
-		m := r.meta[name]
-		if m.pushTarget != nil || m.breachOpen {
+		if r.meta[name].pushTarget != nil {
 			return false
 		}
 		vd, err := r.drone.VDC.Get(name)
 		if err != nil {
 			continue // saved to the VDR and not restored; inert
 		}
-		if vd.VFC.State() == mavproxy.VFCActive || vd.VFC.Recovering() {
+		if open, _ := vd.Breaches(); open || vd.VFC.State() == mavproxy.VFCActive || vd.VFC.Recovering() {
 			return false
 		}
 	}
@@ -151,10 +149,14 @@ func holdTicks(seconds float64) int {
 }
 
 // hold parks the run for the given sim seconds — the duty-cycle idle
-// between flights. Lockstep pays for every tick; event mode schedules
-// the hold's end and the exact due ticks of any fault landing inside the
-// window, then leaps the gaps.
-func (r *Runner) hold(seconds float64) {
+// between flights — then traces a "<when> ground hold" event. Lockstep
+// pays for every tick; event mode schedules the hold's end and the exact
+// due ticks of any fault landing inside the window, then leaps the gaps.
+func (r *Runner) hold(seconds float64, when string) {
+	if seconds <= 0 {
+		return
+	}
+	defer r.event("hold", "", fmt.Sprintf("%s ground hold %.0fs", when, seconds))
 	n := holdTicks(seconds)
 	if n <= 0 {
 		return
@@ -208,27 +210,9 @@ func (r *Runner) scheduleFaultWakeups(end int) []sched.ID {
 // the fault's anchor clock is not running yet (pre-liftoff, or no dwell
 // grant) — such a fault cannot come due during the current hold.
 func (r *Runner) faultDueTick(f *faultState) (int, bool) {
-	var anchor int
-	switch f.From {
-	case "dwell":
-		name := f.Target
-		if name == "" {
-			if f.Kind == FaultLink && r.sc.Pilot != nil {
-				name = r.sc.Pilot.Target
-			} else {
-				name = r.names[0]
-			}
-		}
-		m := r.meta[name]
-		if m == nil || m.dwellTick < 0 {
-			return 0, false
-		}
-		anchor = m.dwellTick
-	default: // "start": relative to liftoff
-		if r.liftoff < 0 {
-			return 0, false
-		}
-		anchor = r.liftoff
+	anchor, ok := r.faultAnchor(f)
+	if !ok {
+		return 0, false
 	}
 	due := func(t int) bool { return float64(t-anchor)*TickS >= f.AtS }
 	t := anchor + int(f.AtS/TickS)

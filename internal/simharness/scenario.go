@@ -5,6 +5,10 @@
 // tick-driven simulation, injects faults from a declarative plan, and
 // checks the paper's cross-layer invariants after every tick.
 //
+// The flight itself is core's mission executor (Drone.Fly and
+// Drone.Offload, as in ExecuteRoute) on the runner's clock: each executor
+// tick is one harness tick, and each milestone becomes a trace event.
+//
 // Scenarios are declarative (Go structs or JSON): the virtual drones to
 // order (waypoints as metric offsets from home, apps, allotments), an
 // optional scripted GCS pilot on one virtual drone's VFC, and a timed
@@ -37,7 +41,7 @@ type Scenario struct {
 	// Sabotage deliberately breaks an enforcement layer so the matching
 	// invariant checker must fire: "whitelist" installs a template that
 	// wrongly admits arm/disarm on the first drone's VFC; "allotment"
-	// makes the runner ignore exhaustion instead of revoking control.
+	// breaks the VDC's meter so exhaustion never revokes control.
 	// Used to prove the checkers can fail; "" for real runs.
 	Sabotage string `json:"sabotage,omitempty"`
 	// MaxTicks caps the simulation (0 = default 12000 ticks = 20 min sim).
