@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: all build test race vet androne-vet vet-ip vet-effects vet-locks vet-smoke vet-stale sim telemetry fleet equivalence fleet10k-smoke scale-smoke cloud-smoke load-smoke planner-smoke perfbench-smoke fuzz cover check clean
+.PHONY: all build test race vet androne-vet vet-smoke vet-stale sim telemetry fleet equivalence bench-smoke load-smoke perfbench-smoke fuzz cover check clean
 
 all: build
 
@@ -29,7 +29,8 @@ vet: androne-vet
 # concurrency-liveness pair (lockorder, waitleak). The committed
 # VET_BASELINE.json gates total wall-clock at 3x, and the stale-allows
 # audit fails on suppressions nothing fires on anymore. See DESIGN.md
-# "Static analysis & concurrency invariants".
+# "Static analysis & concurrency invariants". Analyzer subsets, for
+# iterating on one family, are documented in cmd/androne-vet.
 androne-vet:
 	$(GO) run ./cmd/androne-vet -budget-file VET_BASELINE.json ./...
 
@@ -37,25 +38,6 @@ androne-vet:
 # firing on its line — dead suppressions are removed, not accumulated.
 vet-stale:
 	$(GO) run ./cmd/androne-vet -stale-allows ./...
-
-# The effect-summary contract subset alone: determinism of //vet:detpath
-# call trees (detguard) and allocation/lock freedom of //vet:hotpath call
-# trees (hotpath). See DESIGN.md "Effect summaries & contract analyzers".
-vet-effects:
-	$(GO) run ./cmd/androne-vet -ctxtimeout=false -errflow=false \
-		-lockorder=false -locksafe=false -nsguard=false -permguard=false \
-		-sendertaint=false -tickleak=false -waitleak=false \
-		-whitelistguard=false ./...
-
-# The concurrency-liveness pair alone, built on the lock-set engine:
-# deadlock freedom plus the flight-critical blocking contract (lockorder)
-# and goroutines that can block forever (waitleak). See DESIGN.md "Lock
-# ordering & goroutine liveness".
-vet-locks:
-	$(GO) run ./cmd/androne-vet -ctxtimeout=false -detguard=false \
-		-errflow=false -hotpath=false -locksafe=false -nsguard=false \
-		-permguard=false -sendertaint=false -tickleak=false \
-		-whitelistguard=false ./...
 
 # Sabotage smoke for the contract analyzers: the fixture suites carry
 # deliberately broken packages whose expected findings ("// want"
@@ -65,15 +47,6 @@ vet-smoke:
 	$(GO) test -count=1 -run 'TestDetGuard|TestHotPath|TestLockOrder|TestWaitLeak' \
 		./internal/analysis/detguard ./internal/analysis/hotpath \
 		./internal/analysis/lockorder ./internal/analysis/waitleak
-
-# The interprocedural subset alone (whole-program call graph + dataflow):
-# permission-dominance (permguard), sender-identity taint (sendertaint),
-# and security-relevant error propagation (errflow). See DESIGN.md
-# "Interprocedural analyses".
-vet-ip:
-	$(GO) run ./cmd/androne-vet -ctxtimeout=false -lockorder=false \
-		-locksafe=false -nsguard=false -tickleak=false -waitleak=false \
-		-whitelistguard=false ./...
 
 # End-to-end scenario harness (internal/simharness): every builtin scenario
 # through the CLI, the JSON examples, and proof that a sabotaged enforcement
@@ -126,34 +99,20 @@ equivalence:
 	$(GO) test -count=1 -run 'TestBulkAdvance' ./internal/core
 	$(GO) test -count=1 ./internal/sched
 
-# Reduced fleet10k gate: event-driven fleet throughput vs lockstep on the
-# one-hour-hold duty-cycle scenario. Enforces the >= 10x per-drone
-# speedup gate and cross-mode trace-hash equality at CI size.
-fleet10k-smoke: build
-	$(GO) run ./cmd/androne-bench -exp fleet10k -fleet10k-smoke
-
-# Abbreviated perf gate for the lock-free hot paths: parallel binder
-# transact at GOMAXPROCS 1 vs 8. On hosts with >= 8 CPUs the 8-CPU run
-# must beat the 1-CPU run; on smaller hosts the numbers print but the
-# gate is skipped (oversubscribed goroutines cannot show real scaling).
-scale-smoke: build
-	$(GO) run ./cmd/androne-bench -exp scale -scale-smoke
-
-# Reduced cloud service-plane gate: the multi-tenant load workload through
-# the admission-controlled portal at CI size, with the real SLO gates —
-# zero errors/violations, p99 under budget, dedup >= 2x on checkpoint
-# churn. BENCH_cloud.json at the repo root is the committed full-size run.
-cloud-smoke: build
-	$(GO) run ./cmd/androne-bench -exp cloud -cloud-smoke
-
-# Reduced planner kernel gate: the incremental annealing kernel against the
-# cloning baseline at CI sizes (>= 25x ns/move), bit-level incremental-vs-
-# naive cost parity, bit-identical restart winners at workers=1 vs a
-# parallel pool, and the planner-to-fleet campaign loop with its sabotage
-# negative control. BENCH_planner.json at the repo root is the committed
-# full-size run.
-planner-smoke: build
-	$(GO) run ./cmd/androne-bench -exp planner -planner-smoke
+# Every measured experiment at CI size, in one invocation, with the gates
+# of the full runs: scale (cpu8 > cpu1 on >= 8-CPU hosts, vfc-send at 0
+# allocs/op, fleet trace hashes identical at 1/8/64/256 drones), fleet10k
+# (event mode >= 10x lockstep per drone, cross-mode trace hashes, every
+# drone passing), cloud (zero errors and violations, p99 <= 250 ms, churn
+# dedup >= 2x) and planner (kernel >= 25x the cloning baseline's ns/move,
+# bit-level cost parity, bit-identical restarts, the campaign within
+# tolerance, the sabotage control tripped). Each experiment writes its
+# record into a fresh bench-out/ before its gates decide the exit status.
+# The BENCH_*.json records at the repo root are the committed full-size
+# runs (see cmd/androne-bench).
+bench-smoke: build
+	@rm -rf bench-out
+	$(GO) run ./cmd/androne-bench -exp scale,fleet10k,cloud,planner -smoke -out bench-out
 
 # A tiny androne-load run end to end through the CLI: proves the traffic
 # harness itself works (flags, in-process service boot, JSON output).
@@ -191,7 +150,7 @@ cover:
 		{ echo "total coverage $$total% fell below the $$floor% floor"; exit 1; }
 
 # Everything CI enforces, in CI's order.
-check: build vet vet-ip vet-locks vet-stale test race sim telemetry equivalence fleet fleet10k-smoke scale-smoke cloud-smoke planner-smoke load-smoke perfbench-smoke fuzz
+check: build vet vet-stale test race sim telemetry equivalence fleet bench-smoke load-smoke perfbench-smoke fuzz
 
 clean:
 	$(GO) clean ./...

@@ -1,18 +1,19 @@
-// The machine-readable performance baseline: testing.Benchmark over the
-// stack's instrumented hot paths, emitted as BENCH_baseline.json so later
-// changes can be diffed against it. Each instrumented op is measured with
+// The performance baseline: testing.Benchmark over the stack's
+// instrumented hot paths, recorded in BENCH_baseline.json so later changes
+// can be diffed against it. Each instrumented op is measured with
 // telemetry enabled and disabled; the derived overhead percentages are the
 // flight recorder's cost on that path (budget: <= 5%, see DESIGN.md).
+// The binder echo rig and the interleaved A/B estimator here are shared
+// with the scale experiment.
 
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,33 +25,18 @@ import (
 	"androne/internal/telemetry"
 )
 
-// benchOp is one measured operation.
+// benchOp is one testing.Benchmark measurement.
 type benchOp struct {
-	Op       string  `json:"op"`
-	NsPerOp  float64 `json:"ns-op"`
-	AllocsOp int64   `json:"allocs-op"`
-	BytesOp  int64   `json:"bytes-op"`
+	NsPerOp  float64
+	AllocsOp int64
+	BytesOp  int64
 }
 
-// benchOverhead is the enabled-vs-disabled cost of telemetry on one op.
-type benchOverhead struct {
-	Op          string  `json:"op"`
-	EnabledNs   float64 `json:"enabled-ns-op"`
-	DisabledNs  float64 `json:"disabled-ns-op"`
-	OverheadPct float64 `json:"overhead-pct"`
-}
-
-// benchBaseline is the BENCH_baseline.json document.
-type benchBaseline struct {
-	Ops      []benchOp       `json:"ops"`
-	Overhead []benchOverhead `json:"telemetry-overhead"`
-}
-
-// measureRounds is how many enabled/disabled testing.Benchmark pairs each
-// op is measured for; the reported ns/op is the least-perturbed pass of
-// each mode. These absolute figures carry run-to-run noise of several ns
-// (GC and ramp-up state differ between one-second runs), which is why the
-// overhead percentage is NOT derived from them — see overheadPctOf.
+// measureRounds is how many testing.Benchmark passes each op is measured
+// for; the reported ns/op is the least-perturbed pass. These absolute
+// figures carry run-to-run noise of several ns (GC and ramp-up state
+// differ between one-second runs), which is why the telemetry overhead is
+// NOT derived from them — see abRatio.
 const measureRounds = 3
 
 func measureOnce(f func(n int)) benchOp {
@@ -63,55 +49,6 @@ func measureOnce(f func(n int)) benchOp {
 		AllocsOp: res.AllocsPerOp(),
 		BytesOp:  res.AllocedBytesPerOp(),
 	}
-}
-
-// overheadPctOf measures the recorder's relative cost on one op with
-// fine-grained interleaved A/B segments: short enabled/disabled bursts
-// alternate every few milliseconds, so both modes sample the same noise
-// environment (CPU frequency, GC phase, background load), and the median
-// of the per-pair deltas isolates the true enabled-vs-disabled gap.
-// Comparing two independent one-second testing.Benchmark runs instead
-// shows apparent swings of +-10% on these ~100ns ops — far larger than
-// the recorder's real cost.
-// Within a pair, which mode runs first alternates pair to pair: the first
-// segment of a pair systematically differs from the second (it inherits
-// the GC debt and cache state of the previous pair), so a fixed order
-// would charge that asymmetry to one mode. The per-pair deltas therefore
-// form two clusters — true cost plus the position bias, and true cost
-// minus it — and the estimate is the average of the two clusters' medians,
-// cancelling the bias while staying robust to outlier segments.
-func overheadPctOf(f func(n int)) float64 {
-	const segIters = 100000
-	const segPairs = 20
-	f(segIters) // warm up caches and the benchmark path itself
-	run := func(en bool) float64 {
-		telemetry.SetEnabled(en)
-		t0 := time.Now()
-		f(segIters)
-		return float64(time.Since(t0).Nanoseconds()) / segIters
-	}
-	var onFirst, offFirst []float64
-	for s := 0; s < segPairs; s++ {
-		runtime.GC() // start each pair from a comparable heap state
-		var onNs, offNs float64
-		if s%2 == 0 {
-			onNs = run(true)
-			offNs = run(false)
-		} else {
-			offNs = run(false)
-			onNs = run(true)
-		}
-		if offNs > 0 {
-			pct := (onNs - offNs) / offNs * 100
-			if s%2 == 0 {
-				onFirst = append(onFirst, pct)
-			} else {
-				offFirst = append(offFirst, pct)
-			}
-		}
-	}
-	telemetry.SetEnabled(true)
-	return (median(onFirst) + median(offFirst)) / 2
 }
 
 func minOp(a, b benchOp) benchOp {
@@ -133,17 +70,63 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// baselineOps builds the benchmark set. Each setup runs once; the returned
-// closures run n iterations of the op, panicking on unexpected results
-// (this is a measurement tool; any failure is a setup bug).
-func baselineOps(seed string) (map[string]func(n int), []string, error) {
-	// Binder: an echo service behind a context manager, transacted on the
-	// user path (the ioctl the paper measures).
+// abRatio estimates cost(a)/cost(b) for two configurations of one
+// operation, each given as a func that runs one short segment and returns
+// its ns/op. Short a and b segments alternate every few milliseconds, so
+// both sample the same noise environment (CPU frequency, GC phase,
+// background load); comparing two independent one-second
+// testing.Benchmark runs instead shows apparent swings of +-10% on ~100 ns
+// ops. Which configuration runs first flips pair to pair: the first
+// segment of a pair systematically differs from the second (it inherits
+// the GC debt and cache state of the previous pair), so a fixed order
+// would charge that asymmetry to one side. The per-pair ratios therefore
+// form two clusters — the true ratio skewed each way by the position bias
+// — and the estimate is the average of the two clusters' medians,
+// cancelling the bias while staying robust to outlier segments.
+func abRatio(a, b func() float64, pairs int) float64 {
+	a() // warm up caches and both paths
+	b()
+	var aFirst, bFirst []float64
+	for s := 0; s < pairs; s++ {
+		runtime.GC() // start each pair from a comparable heap state
+		var an, bn float64
+		if s%2 == 0 {
+			an = a()
+			bn = b()
+		} else {
+			bn = b()
+			an = a()
+		}
+		if bn > 0 {
+			if s%2 == 0 {
+				aFirst = append(aFirst, an/bn)
+			} else {
+				bFirst = append(bFirst, an/bn)
+			}
+		}
+	}
+	return (median(aFirst) + median(bFirst)) / 2
+}
+
+// echoRig is a binder driver with one echo service and a pool of attached
+// client Procs, each holding a handle to it, so measurement segments reuse
+// identical state.
+type echoRig struct {
+	payload []byte
+	clients []echoClient
+}
+
+type echoClient struct {
+	p *binder.Proc
+	h binder.Handle
+}
+
+func newEchoRig(clients int) (*echoRig, error) {
 	drv := binder.NewDriver()
 	drv.SetRecorder(telemetry.NewRecorder())
 	ns, err := drv.CreateNamespace("bench")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	mgr := ns.Attach(1000) //vet:allow nsguard the bench measures the raw binder ioctl path itself
 	svcs := make(map[string]*binder.Node)
@@ -166,21 +149,72 @@ func baselineOps(seed string) (map[string]func(n int), []string, error) {
 		return binder.Reply{}, fmt.Errorf("unknown code %d", txn.Code)
 	})
 	if err := mgr.BecomeContextManager(mgrNode); err != nil { //vet:allow nsguard the bench measures the raw binder ioctl path itself
-		return nil, nil, err
+		return nil, err
 	}
-	client := ns.Attach(1000) //vet:allow nsguard the bench measures the raw binder ioctl path itself
-	echo := client.NewNode("echo", func(txn binder.Txn) (binder.Reply, error) {
+	owner := ns.Attach(1000) //vet:allow nsguard the bench measures the raw binder ioctl path itself
+	echo := owner.NewNode("echo", func(txn binder.Txn) (binder.Reply, error) {
 		return binder.Reply{Data: txn.Data}, nil
 	})
-	if _, _, err := client.Transact(0, binder.CodeAddService, []byte("echo"), []*binder.Node{echo}); err != nil { //vet:allow nsguard the bench measures the raw binder ioctl path itself
+	if _, _, err := owner.Transact(0, binder.CodeAddService, []byte("echo"), []*binder.Node{echo}); err != nil { //vet:allow nsguard the bench measures the raw binder ioctl path itself
+		return nil, err
+	}
+
+	r := &echoRig{payload: []byte("0123456789abcdef")}
+	for c := 0; c < clients; c++ {
+		p := ns.Attach(2000 + c) //vet:allow nsguard the bench measures the raw binder ioctl path itself
+		_, hs, err := p.Transact(0, binder.CodeGetService, []byte("echo"), nil)
+		if err != nil || len(hs) != 1 {
+			return nil, fmt.Errorf("resolving echo service for client %d: %v", c, err)
+		}
+		r.clients = append(r.clients, echoClient{p, hs[0]})
+	}
+	return r, nil
+}
+
+// transact runs n echo transactions from client c.
+func (r *echoRig) transact(c, n int) {
+	cl := r.clients[c]
+	for i := 0; i < n; i++ {
+		if _, _, err := cl.p.Transact(cl.h, binder.CodeUser, r.payload, nil); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// segment runs totalOps transactions split across `workers` concurrent
+// clients and returns the achieved ns/op (wall time over total ops).
+func (r *echoRig) segment(workers, totalOps int) float64 {
+	iters := totalOps / workers
+	var wg sync.WaitGroup
+	t0 := time.Now()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) { //vet:allow ctxtimeout bounded loop joined by wg.Wait below; a channel/context in the loop would pollute the measurement
+			defer wg.Done()
+			r.transact(w, iters)
+		}(w)
+	}
+	wg.Wait()
+	return float64(time.Since(t0).Nanoseconds()) / float64(iters*workers)
+}
+
+// cBench is the scratch counter of the telemetry-counter op. Counters
+// register process-wide once, and baselineOps runs once per experiment
+// that measures (baseline, scale).
+var cBench = telemetry.NewCounter("androne_bench_baseline_ops_total",
+	"Scratch counter for the bench baseline.")
+
+// baselineOps builds the benchmark set, keyed by metric-name prefix. Each
+// setup runs once; the returned closures run n iterations of the op,
+// panicking on unexpected results (this is a measurement tool; any
+// failure is a setup bug).
+func baselineOps(seed string) (map[string]func(n int), []string, error) {
+	// Binder: an echo service behind a context manager, transacted on the
+	// user path (the ioctl the paper measures).
+	rig, err := newEchoRig(1)
+	if err != nil {
 		return nil, nil, err
 	}
-	_, handles, err := client.Transact(0, binder.CodeGetService, []byte("echo"), nil)
-	if err != nil || len(handles) != 1 {
-		return nil, nil, fmt.Errorf("resolving echo service: %v", err)
-	}
-	echoHandle := handles[0]
-	payload := []byte("0123456789abcdef")
 
 	// VFC: an active connection forwarding an accepted whitelisted command
 	// into the flight controller.
@@ -208,41 +242,33 @@ func baselineOps(seed string) (map[string]func(n int), []string, error) {
 	rec := telemetry.NewRecorder()
 	kBench := telemetry.K("bench.op")
 	kDrone := telemetry.K("bench")
-	cBench := telemetry.NewCounter("androne_bench_baseline_ops_total",
-		"Scratch counter for the bench baseline.")
 
 	ops := map[string]func(n int){
-		"binder-transact": func(n int) {
-			for i := 0; i < n; i++ {
-				if _, _, err := client.Transact(echoHandle, binder.CodeUser, payload, nil); err != nil {
-					panic(err)
-				}
-			}
-		},
-		"vfc-send": func(n int) {
+		"binder.transact": func(n int) { rig.transact(0, n) },
+		"mavproxy.vfc_send": func(n int) {
 			for i := 0; i < n; i++ {
 				if vfc.Send(yaw) == nil {
 					panic("whitelisted command was not acknowledged")
 				}
 			}
 		},
-		"flight-fastloop": func(n int) {
+		"flight.fastloop": func(n int) {
 			for i := 0; i < n; i++ {
 				v.Sim.Step(flight.FastLoopDT)
 				v.Controller.Step(flight.FastLoopDT)
 			}
 		},
-		"telemetry-emit": func(n int) {
+		"telemetry.emit": func(n int) {
 			for i := 0; i < n; i++ {
 				rec.Emit(kDrone, kBench, int64(i), 0, "")
 			}
 		},
-		"telemetry-counter": func(n int) {
+		"telemetry.counter_inc": func(n int) {
 			for i := 0; i < n; i++ {
 				cBench.Inc()
 			}
 		},
-		"mavlink-roundtrip": func(n int) {
+		"mavlink.roundtrip": func(n int) {
 			for i := 0; i < n; i++ {
 				frame, err := mavlink.Encode(uint8(i), 1, 1, yaw)
 				if err != nil {
@@ -255,29 +281,27 @@ func baselineOps(seed string) (map[string]func(n int), []string, error) {
 		},
 	}
 	order := []string{
-		"binder-transact", "vfc-send", "flight-fastloop",
-		"telemetry-emit", "telemetry-counter", "mavlink-roundtrip",
+		"binder.transact", "mavproxy.vfc_send", "flight.fastloop",
+		"telemetry.emit", "telemetry.counter_inc", "mavlink.roundtrip",
 	}
 	return ops, order, nil
 }
 
-// instrumentedOps are the hot paths whose enabled-vs-disabled delta is the
+// instrumentedOps are the hot paths whose enabled-vs-disabled gap is the
 // recorder's overhead (the <= 5% budget applies to these).
-var instrumentedOps = []string{"binder-transact", "vfc-send", "flight-fastloop"}
+var instrumentedOps = []string{"binder.transact", "mavproxy.vfc_send", "flight.fastloop"}
 
-func baseline(out, seed string) error {
+func baseline(seed string) (*record, error) {
 	header("Performance baseline (testing.Benchmark over instrumented hot paths)")
 	ops, order, err := baselineOps(seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	doc := benchBaseline{}
-	enabled := make(map[string]benchOp)
-	disabled := make(map[string]benchOp)
+	rec := newRecord("baseline")
 	for _, name := range order {
 		on := benchOp{NsPerOp: math.Inf(1)}
-		off := benchOp{NsPerOp: math.Inf(1)}
+		off := on
 		for i := 0; i < measureRounds; i++ {
 			telemetry.SetEnabled(true)
 			on = minOp(on, measureOnce(ops[name]))
@@ -285,35 +309,25 @@ func baseline(out, seed string) error {
 			off = minOp(off, measureOnce(ops[name]))
 		}
 		telemetry.SetEnabled(true)
-
-		on.Op = name
-		enabled[name] = on
-		doc.Ops = append(doc.Ops, on)
-		off.Op = name + "-disabled"
-		disabled[name] = off
-		doc.Ops = append(doc.Ops, off)
-
-		fmt.Printf("  %-22s %10.1f ns/op %4d allocs/op   (telemetry off: %.1f ns/op)\n",
-			name, on.NsPerOp, on.AllocsOp, off.NsPerOp)
+		rec.add(name+"_ns", "ns", on.NsPerOp, "lower")
+		rec.add(name+"_ns@telemetry-off", "ns", off.NsPerOp, "lower")
+		rec.add(name+"_allocs", "allocs", float64(on.AllocsOp), "lower")
+		rec.add(name+"_bytes", "B", float64(on.BytesOp), "lower")
 	}
 	for _, name := range instrumentedOps {
-		on, off := enabled[name], disabled[name]
-		pct := overheadPctOf(ops[name])
-		doc.Overhead = append(doc.Overhead, benchOverhead{
-			Op: name, EnabledNs: on.NsPerOp, DisabledNs: off.NsPerOp, OverheadPct: pct,
-		})
-		fmt.Printf("  %-22s recorder overhead %+.1f%%\n", name, pct)
-	}
-
-	if out != "" {
-		raw, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
+		f := ops[name]
+		segment := func(enabled bool) func() float64 {
+			return func() float64 {
+				const iters = 100000
+				telemetry.SetEnabled(enabled)
+				t0 := time.Now()
+				f(iters)
+				return float64(time.Since(t0).Nanoseconds()) / iters
+			}
 		}
-		if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  baseline written to %s\n", out)
+		ratio := abRatio(segment(true), segment(false), 20)
+		telemetry.SetEnabled(true)
+		rec.add(name+"_telemetry_overhead_pct", "%", (ratio-1)*100, "lower")
 	}
-	return nil
+	return rec, nil
 }

@@ -7,7 +7,7 @@
 // an in-process service plane, so the numbers measure the service code,
 // not sockets.
 //
-// Gates (enforced at every size, including -cloud-smoke):
+// Gates (enforced at every size, including -smoke):
 //   - zero request errors and zero invariant violations from the churn
 //     scenarios (save/restore must survive the layered VDR unchanged);
 //   - tenant-facing p99 under the latency budget;
@@ -17,112 +17,61 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-
 	"androne/internal/loadgen"
 )
 
-// cloudOpts parameterizes the experiment; tests inject a tiny population
-// so the whole pipeline — run, gates, JSON document — finishes in seconds.
-type cloudOpts struct {
-	out         string
-	seed        string
-	cfg         loadgen.Config // zero Tenants means loadgen.DefaultConfig()
-	p99BudgetMS float64        // 0 means 250
-	dedupFloor  float64        // 0 means 2
-}
+const (
+	cloudP99BudgetMS = 250
+	cloudDedupFloor  = 2
+)
 
-// cloudDoc is the BENCH_cloud.json document.
-type cloudDoc struct {
-	Host            scaleHost      `json:"host"`
-	Tenants         int            `json:"tenants"`
-	OrdersPerTenant int            `json:"orders-per-tenant"`
-	ChurnRounds     int            `json:"churn-rounds"`
-	P99BudgetMS     float64        `json:"p99-budget-ms"`
-	DedupFloor      float64        `json:"dedup-floor"`
-	Result          loadgen.Result `json:"result"`
-	Gate            string         `json:"gate"`
-}
-
-// cloudBench runs the service-plane experiment and enforces its SLO gates.
-func cloudBench(o cloudOpts) error {
+// cloudBench runs the service-plane experiment on cfg's population and
+// enforces its SLO gates.
+func cloudBench(cfg loadgen.Config) (*record, error) {
 	header("Cloud service plane: multi-tenant load with SLO gates")
-	cfg := o.cfg
-	if cfg.Tenants == 0 {
-		cfg = loadgen.DefaultConfig()
-	}
-	if cfg.Seed == "" {
-		cfg.Seed = o.seed + "-cloud"
-	}
-	budget := o.p99BudgetMS
-	if budget == 0 {
-		budget = 250
-	}
-	floor := o.dedupFloor
-	if floor == 0 {
-		floor = 2
-	}
-
 	h, err := loadgen.New(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer h.Close()
 	res, err := h.Run()
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	doc := cloudDoc{
-		Host: scaleHost{
-			NumCPU:    runtime.NumCPU(),
-			GOOS:      runtime.GOOS,
-			GOARCH:    runtime.GOARCH,
-			GoVersion: runtime.Version(),
-		},
-		Tenants:         cfg.Tenants,
-		OrdersPerTenant: cfg.OrdersPerTenant,
-		ChurnRounds:     cfg.ChurnRounds,
-		P99BudgetMS:     budget,
-		DedupFloor:      floor,
-		Result:          *res,
-		Gate: fmt.Sprintf("zero errors/violations, p99 <= %.0f ms, churn dedup >= %.1fx",
-			budget, floor),
-	}
+	rec := newRecord("cloud")
+	rec.param("cloud.tenants", "tenants", float64(cfg.Tenants))
+	rec.param("cloud.orders_per_tenant", "orders", float64(cfg.OrdersPerTenant))
+	rec.param("cloud.churn_rounds", "rounds", float64(cfg.ChurnRounds))
+	rec.param("cloud.p99_budget_ms", "ms", cloudP99BudgetMS)
+	rec.param("cloud.dedup_floor", "x", cloudDedupFloor)
+	rec.param("cloud.portal.requests", "requests", float64(res.Requests))
+	rec.add("cloud.portal.shed", "requests", float64(res.Shed), "lower")
+	rec.add("cloud.portal.errors", "requests", float64(res.Errors), "lower")
+	rec.add("cloud.portal.shed_frac", "frac", res.ShedRate, "lower")
+	rec.add("cloud.portal.throughput_rps", "req/s", res.ThroughputRPS, "higher")
+	rec.add("cloud.portal.p50_ms", "ms", res.P50Ms, "lower")
+	rec.add("cloud.portal.p99_ms", "ms", res.P99Ms, "lower")
+	rec.add("cloud.portal.http_s", "s", res.HTTPSeconds, "lower")
+	rec.param("cloud.fly_rounds", "rounds", float64(res.FlyRounds))
+	rec.add("cloud.fly_s", "s", res.FlySeconds, "lower")
+	rec.param("cloud.vdr.churn_runs", "runs", float64(res.ChurnRuns))
+	rec.add("cloud.vdr.violations", "violations", float64(res.Violations), "lower")
+	rec.add("cloud.blob.dedup_ratio", "x", res.DedupRatio, "higher")
+	rec.param("cloud.blob.blobs", "blobs", float64(res.Blob.Blobs))
+	rec.add("cloud.blob.live_bytes", "B", float64(res.Blob.LiveBytes), "lower")
+	rec.add("cloud.blob.retained_bytes", "B", float64(res.Blob.RetainedBytes), "lower")
+	rec.param("cloud.blob.logical_bytes", "B", float64(res.Blob.LogicalBytes))
+	rec.add("cloud.blob.physical_bytes", "B", float64(res.Blob.PhysicalBytes), "lower")
+	rec.add("cloud.blob.dedup_hits", "blobs", float64(res.Blob.DedupHits), "higher")
+	rec.param("cloud.blob.gc_freed_bytes", "B", float64(res.Blob.GCFreedBytes))
 
-	fmt.Printf("  %d tenants, %d requests: p50 %.2f ms, p99 %.2f ms, %.0f req/s\n",
-		res.Tenants, res.Requests, res.P50Ms, res.P99Ms, res.ThroughputRPS)
-	fmt.Printf("  shed %d (%.1f%%), errors %d, fly rounds %d (%.1f s)\n",
-		res.Shed, 100*res.ShedRate, res.Errors, res.FlyRounds, res.FlySeconds)
-	fmt.Printf("  churn: %d scenario runs, %d violations, dedup %.2fx (%d KB logical over %d KB physical)\n",
-		res.ChurnRuns, res.Violations, res.DedupRatio,
-		res.Blob.LogicalBytes>>10, res.Blob.PhysicalBytes>>10)
-
-	if res.Errors > 0 {
-		return fmt.Errorf("cloud: %d request errors (want 0)", res.Errors)
-	}
-	if res.Violations > 0 {
-		return fmt.Errorf("cloud: %d invariant violations from churn scenarios (want 0)", res.Violations)
-	}
-	if res.P99Ms > budget {
-		return fmt.Errorf("cloud: p99 %.2f ms exceeds the %.0f ms budget", res.P99Ms, budget)
-	}
-	if res.DedupRatio < floor {
-		return fmt.Errorf("cloud: dedup ratio %.2fx is below the %.1fx floor", res.DedupRatio, floor)
-	}
-
-	if o.out != "" {
-		raw, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.out, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  cloud results written to %s\n", o.out)
-	}
-	return nil
+	rec.check("cloud.no_errors", res.Errors == 0, "%d request errors (want 0)", res.Errors)
+	rec.check("cloud.no_violations", res.Violations == 0,
+		"%d invariant violations from %d churn scenario runs (want 0)", res.Violations, res.ChurnRuns)
+	rec.check("cloud.p99_budget", res.P99Ms <= cloudP99BudgetMS,
+		"p99 %.2f ms (budget %d ms)", res.P99Ms, cloudP99BudgetMS)
+	rec.check("cloud.dedup_floor", res.DedupRatio >= cloudDedupFloor,
+		"churn dedup %.2fx (floor %dx)", res.DedupRatio, cloudDedupFloor)
+	return rec, nil
 }

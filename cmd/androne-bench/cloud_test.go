@@ -1,57 +1,42 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-
-	"androne/internal/loadgen"
-)
+import "testing"
 
 // TestCloudPipeline runs the full cloud experiment — workload, SLO gates,
-// JSON document — on a two-tenant population so it finishes in seconds.
-// The gates are the real ones: zero errors and violations, p99 under
-// budget, dedup >= 2x on the churn workload.
+// record — on a two-tenant population so it finishes in seconds. The
+// gates are the real ones: zero errors and violations, p99 under budget,
+// dedup >= 2x on the churn workload.
 func TestCloudPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("flies whole missions")
 	}
-	cfg := loadgen.DefaultConfig()
-	cfg.Tenants, cfg.OrdersPerTenant = 2, 1
-	cfg.BrowseRepeat, cfg.ChurnRounds = 5, 3
-	cfg.Seed = "cloud-pipeline-test"
+	rec, err := testCloud()
+	metric, gate := lookups(t, written(t, rec, err))
 
-	out := filepath.Join(t.TempDir(), "cloud.json")
-	if err := cloudBench(cloudOpts{out: out, seed: "cloud-test", cfg: cfg}); err != nil {
-		t.Fatal(err)
+	if metric("cloud.tenants") != 2 || metric("cloud.churn_rounds") != 3 {
+		t.Errorf("header: tenants %v churn %v", metric("cloud.tenants"), metric("cloud.churn_rounds"))
 	}
-
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
+	budget := metric("cloud.p99_budget_ms")
+	if budget != 250 || metric("cloud.dedup_floor") != 2 {
+		t.Errorf("default gates: p99 %v dedup %v", budget, metric("cloud.dedup_floor"))
 	}
-	var doc cloudDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
+	requests, errs, violations := metric("cloud.portal.requests"), metric("cloud.portal.errors"), metric("cloud.vdr.violations")
+	if requests == 0 || errs != 0 || violations != 0 {
+		t.Errorf("result: requests %v errors %v violations %v", requests, errs, violations)
 	}
-	if doc.Tenants != 2 || doc.ChurnRounds != 3 {
-		t.Errorf("doc header: tenants %d churn %d", doc.Tenants, doc.ChurnRounds)
+	if p99 := metric("cloud.portal.p99_ms"); p99 <= 0 || p99 > budget {
+		t.Errorf("p99 %.2f ms outside (0, %.0f]", p99, budget)
 	}
-	if doc.P99BudgetMS != 250 || doc.DedupFloor != 2 {
-		t.Errorf("default gates: p99 %v dedup %v", doc.P99BudgetMS, doc.DedupFloor)
+	if dedup := metric("cloud.blob.dedup_ratio"); dedup < 2 {
+		t.Errorf("dedup %.2fx below the floor (logical %v B, physical %v B)",
+			dedup, metric("cloud.blob.logical_bytes"), metric("cloud.blob.physical_bytes"))
 	}
-	r := doc.Result
-	if r.Requests == 0 || r.Errors != 0 || r.Violations != 0 {
-		t.Errorf("result: requests %d errors %d violations %d", r.Requests, r.Errors, r.Violations)
+	if rounds, rps := metric("cloud.fly_rounds"), metric("cloud.portal.throughput_rps"); rounds != 2 || rps <= 0 {
+		t.Errorf("fly rounds %v, throughput %.1f", rounds, rps)
 	}
-	if r.P99Ms <= 0 || r.P99Ms > doc.P99BudgetMS {
-		t.Errorf("p99 %.2f ms outside (0, %.0f]", r.P99Ms, doc.P99BudgetMS)
-	}
-	if r.DedupRatio < 2 {
-		t.Errorf("dedup %.2fx below the floor (blob %+v)", r.DedupRatio, r.Blob)
-	}
-	if r.FlyRounds != 2 || r.ThroughputRPS <= 0 {
-		t.Errorf("fly rounds %d, throughput %.1f", r.FlyRounds, r.ThroughputRPS)
+	for _, name := range []string{"cloud.no_errors", "cloud.no_violations", "cloud.p99_budget", "cloud.dedup_floor"} {
+		if g := gate(name); !g.Pass {
+			t.Errorf("gate %s failed: %s", name, g.Detail)
+		}
 	}
 }

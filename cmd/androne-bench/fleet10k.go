@@ -19,15 +19,15 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"runtime"
-	"time"
+	"slices"
 
 	"androne/internal/fleet"
 	"androne/internal/simharness"
 )
+
+// fleet10kDrones is the event-mode fleet size of the full run.
+const fleet10kDrones = 10000
 
 // fleet10kScenario is the duty-cycle builtin with the hold stretched to
 // an hour: ~36k parked ticks around a ~1.1k-tick flight.
@@ -40,65 +40,11 @@ func fleet10kScenario() *simharness.Scenario {
 	return sc
 }
 
-// fleet10kRow is one mode's leg of the comparison.
-type fleet10kRow struct {
-	Mode          string  `json:"mode"`
-	Drones        int     `json:"drones"`
-	WallMS        float64 `json:"wall-ms"`
-	PerDroneMS    float64 `json:"per-drone-ms"`
-	DronesPerSec  float64 `json:"drones-per-sec"`
-	SimSecsPerSec float64 `json:"sim-seconds-per-wall-second"`
-	AllPassed     bool    `json:"all-passed"`
-}
-
-// fleet10kDoc is the BENCH_fleet10k.json document.
-type fleet10kDoc struct {
-	Host        scaleHost   `json:"host"`
-	Scenario    string      `json:"scenario"`
-	HoldBeforeS float64     `json:"hold-before-s"`
-	HoldAfterS  float64     `json:"hold-after-s"`
-	Workers     int         `json:"workers"`
-	Lockstep    fleet10kRow `json:"lockstep"`
-	Event       fleet10kRow `json:"event"`
-	// SpeedupPerDrone is lockstep per-drone wall over event per-drone
-	// wall: how many more drones event mode sustains per unit wall-clock
-	// at equal scenario. The acceptance gate requires >= 10.
-	SpeedupPerDrone float64 `json:"speedup-per-drone"`
-	// HashesCrossChecked drones shared seeds across the two legs and had
-	// bit-identical trace hashes (the in-bench equivalence check).
-	HashesCrossChecked int    `json:"hashes-cross-checked"`
-	Gate               string `json:"gate"`
-}
-
-func fleet10kLeg(sc *simharness.Scenario, mode simharness.Mode, label string, drones, workers int, seed string) (fleet10kRow, *fleet.Summary, error) {
-	row := fleet10kRow{Mode: label, Drones: drones}
-	t0 := time.Now()
-	sum, err := fleet.Run(fleet.Config{
-		Drones: drones, Workers: workers, Seed: seed,
-		Custom: sc, Mode: mode,
-	})
-	if err != nil {
-		return row, nil, err
-	}
-	wall := time.Since(t0)
-	row.WallMS = float64(wall.Microseconds()) / 1000
-	row.PerDroneMS = row.WallMS / float64(drones)
-	row.DronesPerSec = float64(drones) / wall.Seconds()
-	var simS float64
-	for i := range sum.Results {
-		simS += float64(sum.Results[i].Ticks) * simharness.TickS
-	}
-	row.SimSecsPerSec = simS / wall.Seconds()
-	row.AllPassed = sum.Passed()
-	return row, sum, nil
-}
-
 // fleet10kOpts parameterizes the experiment: main runs the full or
 // smoke-sized duty-cycle-3600 comparison; tests inject a smaller
 // scenario and fleet so the whole pipeline — both legs, the hash
-// cross-check, the gate, the JSON document — runs in seconds.
+// cross-check, the gates, the record — runs in seconds.
 type fleet10kOpts struct {
-	out         string
 	seed        string
 	eventDrones int
 	lockDrones  int                  // 0 means the default sample of 8
@@ -109,89 +55,68 @@ type fleet10kOpts struct {
 // fleet10k runs the event-scheduler experiment. The gates (>= 10x
 // per-drone speedup, cross-checked hashes, all drones passing their
 // checkers) are enforced at every size.
-func fleet10k(o fleet10kOpts) error {
+func fleet10k(o fleet10kOpts) (*record, error) {
 	header("Fleet at scale: event-driven scheduler vs lockstep (duty-cycle, 1h hold)")
-	eventDrones := o.eventDrones
 	lockDrones := o.lockDrones
 	if lockDrones == 0 {
 		lockDrones = 8
 	}
-	if eventDrones < lockDrones {
-		lockDrones = eventDrones
-	}
+	lockDrones = min(lockDrones, o.eventDrones)
 	workers := o.workers
 	if workers == 0 {
-		workers = runtime.NumCPU()
-		if workers < 4 {
-			workers = 4
-		}
+		workers = max(runtime.NumCPU(), 4)
 	}
 	sc := o.sc
 	if sc == nil {
 		sc = fleet10kScenario()
 	}
-	doc := fleet10kDoc{
-		Host: scaleHost{
-			NumCPU:    runtime.NumCPU(),
-			GOOS:      runtime.GOOS,
-			GOARCH:    runtime.GOARCH,
-			GoVersion: runtime.Version(),
-		},
-		Scenario:    sc.Name,
-		HoldBeforeS: sc.HoldBeforeS,
-		HoldAfterS:  sc.HoldAfterS,
-		Workers:     workers,
-	}
+	rec := newRecord("fleet10k")
+	rec.param("fleet.hold_before_s", "s", sc.HoldBeforeS)
+	rec.param("fleet.hold_after_s", "s", sc.HoldAfterS)
+	rec.param("fleet.workers", "workers", float64(workers))
 
-	lockRow, lockSum, err := fleet10kLeg(sc, simharness.ModeLockstep, "lockstep", lockDrones, workers, o.seed+"-f10k")
-	if err != nil {
-		return err
+	// Both legs use the same fleet seed, so the event fleet's first drones
+	// replay the lockstep sample exactly.
+	legs := []struct {
+		mode   simharness.Mode
+		label  string
+		drones int
+		sum    *fleet.Summary
+		msPer  float64
+	}{
+		{mode: simharness.ModeLockstep, label: "lockstep", drones: lockDrones},
+		{mode: simharness.ModeEvent, label: "event", drones: o.eventDrones},
 	}
-	doc.Lockstep = lockRow
-	fmt.Printf("  lockstep %5d drones: %9.0f ms wall, %8.1f ms/drone, %7.2f drones/sec, %8.0f sim-s/s\n",
-		lockRow.Drones, lockRow.WallMS, lockRow.PerDroneMS, lockRow.DronesPerSec, lockRow.SimSecsPerSec)
-
-	evRow, evSum, err := fleet10kLeg(sc, simharness.ModeEvent, "event", eventDrones, workers, o.seed+"-f10k")
-	if err != nil {
-		return err
-	}
-	doc.Event = evRow
-	fmt.Printf("  event    %5d drones: %9.0f ms wall, %8.1f ms/drone, %7.2f drones/sec, %8.0f sim-s/s\n",
-		evRow.Drones, evRow.WallMS, evRow.PerDroneMS, evRow.DronesPerSec, evRow.SimSecsPerSec)
-
-	if !lockRow.AllPassed || !evRow.AllPassed {
-		return fmt.Errorf("fleet10k: a drone failed its invariant checkers (lockstep passed=%v event passed=%v)",
-			lockRow.AllPassed, evRow.AllPassed)
-	}
-
-	// In-bench equivalence: both legs used the same fleet seed, so the
-	// event fleet's first drones replay the lockstep sample exactly.
-	lh, eh := lockSum.Hashes(), evSum.Hashes()
-	for i := range lh {
-		if lh[i] != eh[i] {
-			return fmt.Errorf("fleet10k: drone %d trace hash differs between modes: %s vs %s",
-				i, lh[i][:12], eh[i][:12])
-		}
-	}
-	doc.HashesCrossChecked = len(lh)
-	fmt.Printf("  equivalence: %d shared-seed drones, trace hashes identical across modes\n", len(lh))
-
-	doc.SpeedupPerDrone = lockRow.PerDroneMS / evRow.PerDroneMS
-	doc.Gate = "event mode must sustain >= 10x more drones per unit wall-clock than lockstep at equal scenario"
-	fmt.Printf("  per-drone speedup: %.1fx (gate >= 10x)\n", doc.SpeedupPerDrone)
-	if doc.SpeedupPerDrone < 10 {
-		return fmt.Errorf("fleet10k: per-drone speedup %.1fx is below the 10x gate", doc.SpeedupPerDrone)
-	}
-
-	if o.out != "" {
-		raw, err := json.MarshalIndent(doc, "", "  ")
+	for i := range legs {
+		leg := &legs[i]
+		sum, wall, err := timedRun(fleet.Config{
+			Drones: leg.drones, Workers: workers, Seed: o.seed + "-f10k",
+			Custom: sc, Mode: leg.mode,
+		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := os.WriteFile(o.out, append(raw, '\n'), 0o644); err != nil {
-			return err
+		var ticks int
+		for j := range sum.Results {
+			ticks += sum.Results[j].Ticks
 		}
-		fmt.Printf("  fleet10k results written to %s\n", o.out)
+		leg.sum, leg.msPer = sum, ms(wall)/float64(leg.drones)
+		rec.param("fleet."+leg.label+"_drones", "drones", float64(leg.drones))
+		rec.add("fleet."+leg.label+"_wall_ms", "ms", ms(wall), "lower")
+		rec.add("fleet."+leg.label+"_ms_per_drone", "ms", leg.msPer, "lower")
+		rec.add("fleet."+leg.label+"_sim_s_per_s", "sim-s/s", float64(ticks)*simharness.TickS/wall.Seconds(), "higher")
 	}
-	return nil
+	lock, event := legs[0], legs[1]
+
+	rec.check("fleet.all_drones_passed", lock.sum.Passed() && event.sum.Passed(),
+		"lockstep passed=%v event passed=%v", lock.sum.Passed(), event.sum.Passed())
+	lh := lock.sum.Hashes()
+	rec.param("fleet.hashes_cross_checked", "drones", float64(len(lh)))
+	rec.check("fleet.cross_mode_hashes", slices.Equal(lh, event.sum.Hashes()[:len(lh)]),
+		"%s: trace hashes of %d shared-seed drones compared across modes", sc.Name, len(lh))
+	speedup := lock.msPer / event.msPer
+	rec.add("fleet.speedup_per_drone", "x", speedup, "higher")
+	rec.check("fleet.event_speedup", speedup >= 10,
+		"event mode sustains %.1fx more drones per unit wall-clock than lockstep (gate >= 10x)", speedup)
+	return rec, nil
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 
 	"androne/internal/simharness"
@@ -30,49 +28,29 @@ func TestFleet10kScenario(t *testing.T) {
 }
 
 // TestFleet10kPipeline runs the full experiment — both legs, the hash
-// cross-check, the speedup gate, the JSON document — on a shrunken
-// duty cycle so it finishes in seconds. The gate is the real one: event
-// mode must beat lockstep by >= 10x per drone even at this size.
+// cross-check, the speedup gate, the record — on a shrunken duty cycle so
+// it finishes in seconds. The gate is the real one: event mode must beat
+// lockstep by >= 10x per drone even at this size.
 func TestFleet10kPipeline(t *testing.T) {
-	sc := simharness.ByName("duty-cycle")
-	sc.Name = "duty-cycle-test"
-	sc.HoldBeforeS = 2400
-	sc.HoldAfterS = 30
-	sc.MaxTicks = 28000
+	rec, err := testFleet10k()
+	metric, gate := lookups(t, written(t, rec, err))
 
-	out := filepath.Join(t.TempDir(), "fleet10k.json")
-	err := fleet10k(fleet10kOpts{
-		out: out, seed: "fleet10k-test",
-		eventDrones: 3, lockDrones: 1, workers: 2, sc: sc,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if g := gate("fleet.cross_mode_hashes"); !strings.HasPrefix(g.Detail, "duty-cycle-test:") || metric("fleet.workers") != 2 {
+		t.Errorf("header: hash gate %q workers %v", g.Detail, metric("fleet.workers"))
 	}
-
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
+	if g := gate("fleet.all_drones_passed"); !g.Pass {
+		t.Errorf("a leg reported failing drones: %s", g.Detail)
 	}
-	var doc fleet10kDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
+	if lock, event := metric("fleet.lockstep_drones"), metric("fleet.event_drones"); lock != 1 || event != 3 {
+		t.Errorf("leg sizes: lockstep %v event %v", lock, event)
 	}
-	if doc.Scenario != "duty-cycle-test" || doc.Workers != 2 {
-		t.Errorf("doc header: scenario %q workers %d", doc.Scenario, doc.Workers)
+	if g := gate("fleet.cross_mode_hashes"); !g.Pass || metric("fleet.hashes_cross_checked") < 1 {
+		t.Errorf("no shared-seed drones were hash-checked across modes: %s", g.Detail)
 	}
-	if !doc.Lockstep.AllPassed || !doc.Event.AllPassed {
-		t.Error("a leg reported failing drones")
+	if sp := metric("fleet.speedup_per_drone"); sp < 10 || !gate("fleet.event_speedup").Pass {
+		t.Errorf("speedup %.1fx below the 10x gate", sp)
 	}
-	if doc.Lockstep.Drones != 1 || doc.Event.Drones != 3 {
-		t.Errorf("leg sizes: lockstep %d event %d", doc.Lockstep.Drones, doc.Event.Drones)
-	}
-	if doc.HashesCrossChecked < 1 {
-		t.Error("no shared-seed drones were hash-checked across modes")
-	}
-	if doc.SpeedupPerDrone < 10 {
-		t.Errorf("speedup %.1fx below the 10x gate", doc.SpeedupPerDrone)
-	}
-	if doc.Lockstep.WallMS <= 0 || doc.Event.WallMS <= 0 || doc.Event.SimSecsPerSec <= 0 {
-		t.Errorf("timing fields not populated: %+v", doc)
+	if metric("fleet.lockstep_wall_ms") <= 0 || metric("fleet.event_wall_ms") <= 0 || metric("fleet.event_sim_s_per_s") <= 0 {
+		t.Errorf("timing metrics not populated: %+v", rec.Metrics)
 	}
 }

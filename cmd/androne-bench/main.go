@@ -6,39 +6,31 @@
 //
 //	androne-bench -exp all
 //	androne-bench -exp fig11 -loops 1000000
+//	androne-bench -exp baseline,scale,fleet10k,cloud,planner -out .
+//	androne-bench -exp scale,fleet10k,cloud,planner -smoke -out bench-out
 //
-// Experiments: table1, fig10, fig11, fig12, fig13, net, aed, sitl, all.
+// Experiments: aed, baseline, cloud, fig10, fig11, fig12, fig13, fleet10k,
+// gcs, jitter, net, planner, scale, sitl, table1. "all" runs the paper's
+// own: table1, fig10–fig13, net, gcs, jitter, aed and sitl.
 //
-// The extra "baseline" experiment (not part of "all") benchmarks the
-// stack's instrumented hot paths with telemetry on and off and writes the
-// machine-readable result to -baseline-out (BENCH_baseline.json at the repo
-// root is the committed reference).
-//
-// The extra "scale" experiment (also not part of "all") measures parallel
-// binder transact throughput at -cpu 1/4/8, the vfc-send allocation
-// budget, and fleet replay determinism at 1/8/64/256 drones, writing
-// -scale-out (BENCH_scale.json at the repo root is the committed
-// reference). With -scale-smoke it runs the abbreviated CI gate instead.
-//
-// The extra "fleet10k" experiment (also not part of "all") compares
-// event-driven and lockstep fleet throughput on a duty-cycled scenario,
-// cross-checks trace hashes between the modes, and writes -fleet10k-out
-// (BENCH_fleet10k.json at the repo root is the committed reference).
-// With -fleet10k-smoke it runs a reduced CI-sized fleet with the same
-// gates.
-//
-// The extra "cloud" experiment (also not part of "all") drives a
-// multi-tenant load workload through the admission-controlled service
-// plane and enforces the SLO gates (p99 latency budget, dedup floor on
-// checkpoint churn), writing -cloud-out (BENCH_cloud.json at the repo
-// root is the committed reference). With -cloud-smoke it runs a reduced
-// CI-sized population with the same gates.
+// The other five are measured experiments, each returning one record (see
+// record.go): baseline (telemetry overhead on the instrumented hot paths),
+// scale (parallel binder transact, the vfc-send allocation budget and
+// fleet replay determinism), fleet10k (event-driven vs lockstep fleet
+// throughput), cloud (multi-tenant load through the service plane under
+// its SLO gates) and planner (the incremental annealing kernel vs the
+// cloning baseline, and the planner-to-fleet campaign). Each record is
+// printed, written to -out DIR as BENCH_<experiment>.json when -out is
+// set (the committed records at the repo root are full-size runs), and
+// fails the run if any of its gates failed. -smoke runs the measured
+// experiments at CI size with the same gates.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -57,81 +49,118 @@ import (
 
 var home = geo.Position{LatLon: geo.LatLon{Lat: 43.6084298, Lon: -85.8110359}, Alt: 0}
 
+// paper lists what "all" runs: the paper's own tables and figures.
+var paper = []string{"table1", "fig10", "fig11", "fig12", "fig13", "net", "gcs", "jitter", "aed", "sitl"}
+
+// options carries the flag values the experiments read when they run.
+type options struct {
+	loops, netN int
+	seed        string
+	smoke       bool
+}
+
+// experiments maps each -exp name to its run. The paper's experiments
+// print their table and return no record.
+func experiments(o *options) map[string]func() (*record, error) {
+	printOnly := func(f func() error) func() (*record, error) {
+		return func() (*record, error) { return nil, f() }
+	}
+	return map[string]func() (*record, error){
+		"table1": printOnly(table1),
+		"fig10":  printOnly(fig10),
+		"fig11":  printOnly(func() error { return fig11(o.loops, o.seed) }),
+		"fig12":  printOnly(fig12),
+		"fig13":  printOnly(fig13),
+		"net":    printOnly(func() error { return network(o.netN, o.seed) }),
+		"gcs":    printOnly(func() error { return gcsExperiment(o.seed) }),
+		"jitter": printOnly(func() error { return jitter(o.seed) }),
+		"aed":    printOnly(func() error { return aed(o.seed) }),
+		"sitl":   printOnly(func() error { return sitlFlight(o.seed) }),
+
+		"baseline": func() (*record, error) { return baseline(o.seed) },
+		"scale":    func() (*record, error) { return scale(o.seed, o.smoke, scaleFleetDrones) },
+		"fleet10k": func() (*record, error) {
+			f := fleet10kOpts{seed: o.seed, eventDrones: fleet10kDrones}
+			if o.smoke {
+				f.eventDrones, f.lockDrones = 128, 2
+			}
+			return fleet10k(f)
+		},
+		"cloud": func() (*record, error) {
+			cfg := loadgen.DefaultConfig()
+			if o.smoke {
+				cfg.Tenants, cfg.OrdersPerTenant = 3, 1
+				cfg.BrowseRepeat, cfg.ChurnRounds = 10, 3
+				cfg.Seed = o.seed + "-cloud-smoke"
+			}
+			return cloudBench(cfg)
+		},
+		"planner": func() (*record, error) {
+			p := plannerOpts{seed: o.seed}
+			if o.smoke {
+				p = plannerSmokeOpts(p)
+			}
+			return plannerBench(p)
+		},
+	}
+}
+
+// sortedNames lists run's experiment names in order.
+func sortedNames(run map[string]func() (*record, error)) []string {
+	names := make([]string, 0, len(run))
+	for name := range run {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// selectExperiments resolves -exp: "all" or a comma-separated list of
+// run's names.
+func selectExperiments(exp string, run map[string]func() (*record, error)) ([]string, error) {
+	if exp == "all" {
+		return paper, nil
+	}
+	todo := strings.Split(exp, ",")
+	for _, e := range todo {
+		if _, ok := run[e]; !ok {
+			return nil, fmt.Errorf("unknown experiment %q (have all, %s)", e, strings.Join(sortedNames(run), ", "))
+		}
+	}
+	return todo, nil
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|fig10|fig11|fig12|fig13|net|aed|sitl|all")
-	loops := flag.Int("loops", 400000, "cyclictest loops per scenario")
-	netN := flag.Int("net-commands", 150000, "MAVLink commands for the network experiment")
-	seed := flag.String("seed", "androne", "deterministic seed")
-	baselineOut := flag.String("baseline-out", "", "write the baseline experiment's JSON here")
-	scaleOut := flag.String("scale-out", "", "write the scale experiment's JSON here")
-	scaleSmokeFlag := flag.Bool("scale-smoke", false, "run the abbreviated scale gate for CI instead of the full experiment")
-	fleet10kOut := flag.String("fleet10k-out", "", "write the fleet10k experiment's JSON here")
-	fleet10kDrones := flag.Int("fleet10k-drones", 10000, "event-mode fleet size for the fleet10k experiment")
-	fleet10kSmokeFlag := flag.Bool("fleet10k-smoke", false, "run the reduced fleet10k gate for CI instead of the full experiment")
-	cloudOut := flag.String("cloud-out", "", "write the cloud experiment's JSON here")
-	cloudSmokeFlag := flag.Bool("cloud-smoke", false, "run the reduced cloud service-plane gate for CI instead of the full experiment")
-	plannerOut := flag.String("planner-out", "", "write the planner experiment's JSON here")
-	plannerSmokeFlag := flag.Bool("planner-smoke", false, "run the reduced planner kernel gate for CI instead of the full experiment")
+	var o options
+	run := experiments(&o)
+	exp := flag.String("exp", "all", "comma-separated experiments, or all (the paper's): "+strings.Join(sortedNames(run), "|"))
+	flag.IntVar(&o.loops, "loops", 400000, "cyclictest loops per scenario")
+	flag.IntVar(&o.netN, "net-commands", 150000, "MAVLink commands for the network experiment")
+	flag.StringVar(&o.seed, "seed", "androne", "deterministic seed")
+	flag.BoolVar(&o.smoke, "smoke", false, "run the measured experiments at CI size, with the same gates")
+	out := flag.String("out", "", "write each measured experiment's record to `DIR`/BENCH_<experiment>.json")
 	flag.Parse()
 
-	run := map[string]func() error{
-		"table1":   table1,
-		"fig10":    fig10,
-		"fig11":    func() error { return fig11(*loops, *seed) },
-		"fig12":    fig12,
-		"fig13":    fig13,
-		"net":      func() error { return network(*netN, *seed) },
-		"gcs":      func() error { return gcsExperiment(*seed) },
-		"jitter":   func() error { return jitter(*seed) },
-		"aed":      func() error { return aed(*seed) },
-		"sitl":     func() error { return sitlFlight(*seed) },
-		"baseline": func() error { return baseline(*baselineOut, *seed) },
-		"scale":    func() error { return scale(*scaleOut, *seed, *scaleSmokeFlag) },
-		"fleet10k": func() error {
-			o := fleet10kOpts{out: *fleet10kOut, seed: *seed, eventDrones: *fleet10kDrones}
-			if *fleet10kSmokeFlag {
-				o.eventDrones, o.lockDrones = 128, 2
-			}
-			return fleet10k(o)
-		},
-		"cloud": func() error {
-			o := cloudOpts{out: *cloudOut, seed: *seed}
-			if *cloudSmokeFlag {
-				o.cfg = loadgen.DefaultConfig()
-				o.cfg.Tenants, o.cfg.OrdersPerTenant = 3, 1
-				o.cfg.BrowseRepeat, o.cfg.ChurnRounds = 10, 3
-				o.cfg.Seed = *seed + "-cloud-smoke"
-			}
-			return cloudBench(o)
-		},
-		"planner": func() error {
-			o := plannerOpts{out: *plannerOut, seed: *seed}
-			if *plannerSmokeFlag {
-				o = plannerSmokeOpts(o)
-			}
-			return plannerBench(o)
-		},
+	todo, err := selectExperiments(*exp, run)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	names := []string{"table1", "fig10", "fig11", "fig12", "fig13", "net", "gcs", "jitter", "aed", "sitl"}
-
-	var todo []string
-	if *exp == "all" {
-		todo = names
-	} else {
-		for _, e := range strings.Split(*exp, ",") {
-			if _, ok := run[e]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s)\n", e, strings.Join(names, ", "))
-				os.Exit(2)
-			}
-			todo = append(todo, e)
-		}
-	}
+	failed := false
 	for _, e := range todo {
-		if err := run[e](); err != nil {
+		rec, err := run[e]()
+		if err == nil && rec != nil {
+			rec.Smoke = o.smoke
+			err = finish(rec, *out)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e, err)
-			os.Exit(1)
+			failed = true
 		}
 		fmt.Println()
+	}
+	if failed {
+		os.Exit(1)
 	}
 }
 

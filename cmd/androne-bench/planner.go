@@ -18,9 +18,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
 	"runtime"
 	"time"
@@ -70,64 +68,18 @@ func benchRNG(seed string) func() float64 {
 	}
 }
 
-// plannerSizeRow is one instance size's ns/move comparison.
-type plannerSizeRow struct {
-	Stops             int     `json:"stops"`
-	BaselineIters     int     `json:"baseline-iters"`
-	KernelIters       int     `json:"kernel-iters"`
-	BaselineNsPerMove float64 `json:"baseline-ns-per-move"`
-	KernelNsPerMove   float64 `json:"kernel-ns-per-move"`
-	Speedup           float64 `json:"speedup"`
-	ParityMoves       int     `json:"parity-moves,omitempty"`
-}
-
-// plannerRestart records the parallel-restart leg.
-type plannerRestart struct {
-	Stops        int     `json:"stops"`
-	Restarts     int     `json:"restarts"`
-	Iterations   int     `json:"iterations"`
-	SerialMS     float64 `json:"serial-ms"`
-	ParallelMS   float64 `json:"parallel-ms"`
-	Workers      int     `json:"workers"`
-	Speedup      float64 `json:"speedup"`
-	BitIdentical bool    `json:"bit-identical"`
-}
-
-// plannerCampaign records the planner-to-fleet loop leg.
-type plannerCampaign struct {
-	Deliveries       int     `json:"deliveries"`
-	Flights          int     `json:"flights"`
-	Replans          int     `json:"replans"`
-	WaypointsFlown   int     `json:"waypoints-flown"`
-	MaxDeviationFrac float64 `json:"max-deviation-frac"`
-	ToleranceFrac    float64 `json:"tolerance-frac"`
-	SabotageTripped  bool    `json:"sabotage-tripped"`
-}
-
-// plannerDoc is the BENCH_planner.json document.
-type plannerDoc struct {
-	Host     scaleHost        `json:"host"`
-	Sizes    []plannerSizeRow `json:"sizes"`
-	Restart  plannerRestart   `json:"restart"`
-	Campaign plannerCampaign  `json:"campaign"`
-	Gate     string           `json:"gate"`
-}
-
 // plannerOpts parameterizes the experiment: main runs the full (100/1000/
 // 5000 stops) or smoke-sized comparison; tests inject smaller sizes so the
-// whole pipeline runs in seconds.
+// whole pipeline runs in seconds. The second size's speedup is gated.
 type plannerOpts struct {
-	out        string
 	seed       string
 	sizes      []int // nil means 100/1000/5000
-	gateAt     int   // size index whose speedup is gated; default: the 1000-stop row
 	minSpeedup float64
 	campaignN  int // deliveries; 0 means 6
 }
 
 func plannerSmokeOpts(o plannerOpts) plannerOpts {
 	o.sizes = []int{100, 400}
-	o.gateAt = 1
 	o.campaignN = 4
 	return o
 }
@@ -136,15 +88,11 @@ func plannerSmokeOpts(o plannerOpts) plannerOpts {
 // >= 25x ns/move over the cloning baseline at the gated size, bit-level
 // incremental-vs-naive cost parity, bit-identical restart winners at any
 // worker count, and the campaign loop including its sabotage control.
-func plannerBench(o plannerOpts) error {
+func plannerBench(o plannerOpts) (*record, error) {
 	header("Fleet-scale flight planner: incremental kernel vs cloning baseline")
 	sizes := o.sizes
 	if sizes == nil {
 		sizes = []int{100, 1000, 5000}
-	}
-	gateAt := o.gateAt
-	if gateAt == 0 && len(sizes) > 1 {
-		gateAt = 1
 	}
 	if o.minSpeedup == 0 {
 		o.minSpeedup = 25
@@ -152,17 +100,9 @@ func plannerBench(o plannerOpts) error {
 	if o.campaignN == 0 {
 		o.campaignN = 6
 	}
-	doc := plannerDoc{
-		Host: scaleHost{
-			NumCPU:    runtime.NumCPU(),
-			GOOS:      runtime.GOOS,
-			GOARCH:    runtime.GOARCH,
-			GoVersion: runtime.Version(),
-		},
-		Gate: fmt.Sprintf("kernel >= %.0fx baseline ns/move at %d stops; bit-level cost parity; bit-identical restarts; campaign within tolerance and sabotage tripped",
-			o.minSpeedup, sizes[gateAt]),
-	}
+	rec := newRecord("planner")
 
+	var gated float64 // the second size's speedup
 	for si, n := range sizes {
 		tasks := plannerTasks(n, o.seed+"-pl")
 		cfg := planner.DefaultConfig(home)
@@ -187,113 +127,105 @@ func plannerBench(o plannerOpts) error {
 		cfg.KernelAnneal(tasks)
 		kernNs := float64(time.Since(t0).Nanoseconds()) / float64(kernIters)
 
-		row := plannerSizeRow{
-			Stops: n, BaselineIters: baseIters, KernelIters: kernIters,
-			BaselineNsPerMove: baseNs, KernelNsPerMove: kernNs,
-			Speedup: baseNs / kernNs,
+		at := fmt.Sprintf("@%d", n)
+		rec.param("planner.baseline_iters"+at, "moves", float64(baseIters))
+		rec.param("planner.kernel_iters"+at, "moves", float64(kernIters))
+		rec.add("planner.baseline_ns_per_move"+at, "ns", baseNs, "lower")
+		rec.add("planner.kernel_ns_per_move"+at, "ns", kernNs, "lower")
+		rec.add("planner.kernel_speedup"+at, "x", baseNs/kernNs, "higher")
+		if si == 1 {
+			gated = baseNs / kernNs
 		}
 
 		// Parity gate on the smallest size: after every unconditionally
 		// accepted move the incremental cost must equal a from-scratch
 		// recomputation bit-for-bit.
 		if si == 0 {
-			moves := 2000
-			if got, err := cfg.KernelParity(tasks, moves); err != nil {
-				return fmt.Errorf("planner: parity gate failed after %d moves: %w", got, err)
-			}
-			row.ParityMoves = moves
+			const moves = 2000
+			got, err := cfg.KernelParity(tasks, moves)
+			rec.check("planner.cost_parity", err == nil,
+				"%d of %d moves at %d stops match the naive recomputation bit-for-bit: %s", got, moves, n, outcome(err))
 		}
-
-		doc.Sizes = append(doc.Sizes, row)
-		fmt.Printf("  %5d stops: baseline %8.0f ns/move (%d iters), kernel %6.1f ns/move (%d iters), %7.1fx\n",
-			n, baseNs, baseIters, kernNs, kernIters, row.Speedup)
 	}
-	gated := doc.Sizes[gateAt]
-	if gated.Speedup < o.minSpeedup {
-		return fmt.Errorf("planner: speedup %.1fx at %d stops is below the %.0fx gate",
-			gated.Speedup, gated.Stops, o.minSpeedup)
-	}
+	rec.check("planner.kernel_speedup", gated >= o.minSpeedup,
+		"kernel %.1fx baseline ns/move at %d stops (gate >= %.0fx)", gated, sizes[1], o.minSpeedup)
 
 	// Parallel restarts: same plan bit-for-bit at workers=1 and a parallel
 	// pool (NumCPU, but at least 4 so interleaving is exercised even on
 	// small hosts).
-	parWorkers := runtime.NumCPU()
-	if parWorkers < 4 {
-		parWorkers = 4
-	}
-	rst := plannerRestart{Stops: 200, Restarts: 8, Iterations: 4000, Workers: parWorkers}
-	rTasks := plannerTasks(rst.Stops, o.seed+"-rst")
+	const rstStops, restarts, rstIters = 200, 8, 4000
+	parWorkers := max(runtime.NumCPU(), 4)
+	rTasks := plannerTasks(rstStops, o.seed+"-rst")
 	rcfg := planner.DefaultConfig(home)
 	rcfg.FleetSize = 4
 	rcfg.Seed = o.seed + "-rst"
-	rcfg.Restarts = rst.Restarts
-	rcfg.Iterations = rst.Iterations
+	rcfg.Restarts = restarts
+	rcfg.Iterations = rstIters
 	rcfg.Workers = 1
 	t0 := time.Now()
 	serial, err := rcfg.Plan(rTasks)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rst.SerialMS = float64(time.Since(t0).Microseconds()) / 1000
-	rcfg.Workers = rst.Workers
+	serialWall := time.Since(t0)
+	rcfg.Workers = parWorkers
 	t0 = time.Now()
 	par, err := rcfg.Plan(rTasks)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rst.ParallelMS = float64(time.Since(t0).Microseconds()) / 1000
-	rst.Speedup = rst.SerialMS / rst.ParallelMS
-	rst.BitIdentical = reflect.DeepEqual(serial, par)
-	doc.Restart = rst
-	fmt.Printf("  restarts: %d chains, serial %.1f ms, %d workers %.1f ms (%.1fx), bit-identical %v\n",
-		rst.Restarts, rst.SerialMS, rst.Workers, rst.ParallelMS, rst.Speedup, rst.BitIdentical)
-	if !rst.BitIdentical {
-		return fmt.Errorf("planner: restart winner differs between workers=1 and workers=%d", rst.Workers)
-	}
+	parWall := time.Since(t0)
+	rec.param("planner.restart_stops", "stops", rstStops)
+	rec.param("planner.restarts", "chains", restarts)
+	rec.param("planner.restart_iters", "moves", rstIters)
+	rec.param("planner.restart_workers", "workers", float64(parWorkers))
+	rec.add("planner.restart_serial_ms", "ms", ms(serialWall), "lower")
+	rec.add("planner.restart_parallel_ms", "ms", ms(parWall), "lower")
+	rec.add("planner.restart_speedup", "x", ms(serialWall)/ms(parWall), "higher")
+	rec.check("planner.restart_bit_identical", reflect.DeepEqual(serial, par),
+		"restart winner at workers=1 vs workers=%d", parWorkers)
 
 	// Campaign loop: plan, fly, check planned-vs-debited energy, re-plan
 	// around an injected drone loss — then the sabotage negative control.
+	const tolerance = 0.35
 	ccfg := campaign.Config{
-		Planner:    planner.DefaultConfig(home),
-		Deliveries: campaign.RingDeliveries(o.campaignN, o.seed+"-camp", home),
-		Seed:       o.seed + "-camp",
-		Fault:      &campaign.Fault{Route: 0, AfterStops: 1},
+		Planner:       planner.DefaultConfig(home),
+		Deliveries:    campaign.RingDeliveries(o.campaignN, o.seed+"-camp", home),
+		Seed:          o.seed + "-camp",
+		Fault:         &campaign.Fault{Route: 0, AfterStops: 1},
+		ToleranceFrac: tolerance,
 	}
 	ccfg.Planner.FleetSize = 2
 	ccfg.Planner.Iterations = 2000
 	ccfg.Planner.Restarts = 2
 	ccfg.Planner.Seed = o.seed + "-camp"
 	res, err := ccfg.Run()
-	if err != nil {
-		return fmt.Errorf("planner: campaign leg failed: %w", err)
+	if res == nil {
+		return nil, fmt.Errorf("campaign leg failed: %w", err)
 	}
-	camp := plannerCampaign{
-		Deliveries: o.campaignN, Flights: len(res.Flights), Replans: res.Replans,
-		WaypointsFlown: res.WaypointsVisited, MaxDeviationFrac: res.MaxDeviationFrac,
-		ToleranceFrac: 0.35,
-	}
-	fmt.Printf("  campaign: %d flights over %d waypoints, %d replan(s), max energy deviation %.1f%% (tolerance %.0f%%)\n",
-		camp.Flights, camp.WaypointsFlown, camp.Replans, camp.MaxDeviationFrac*100, camp.ToleranceFrac*100)
+	rec.param("campaign.deliveries", "deliveries", float64(o.campaignN))
+	rec.param("campaign.tolerance_frac", "frac", tolerance)
+	rec.param("campaign.flights", "flights", float64(len(res.Flights)))
+	rec.param("campaign.replans", "replans", float64(res.Replans))
+	rec.param("campaign.waypoints_flown", "waypoints", float64(res.WaypointsVisited))
+	rec.add("campaign.max_energy_deviation_frac", "frac", res.MaxDeviationFrac, "lower")
+	rec.check("campaign.energy_within_tolerance", err == nil,
+		"max planned-vs-debited deviation %.1f%% (tolerance %.0f%%): %s",
+		res.MaxDeviationFrac*100, tolerance*100, outcome(err))
 
 	sab := ccfg
 	sab.Fault = nil
 	sab.Sabotage = true
-	if _, err := sab.Run(); err == nil {
-		return fmt.Errorf("planner: sabotaged campaign passed the energy checker — the gate has no teeth")
-	}
-	camp.SabotageTripped = true
-	doc.Campaign = camp
-	fmt.Printf("  sabotage control: broken-model plan tripped the planned-vs-debited checker\n")
+	_, err = sab.Run()
+	rec.check("campaign.sabotage_tripped", err != nil,
+		"a broken-model plan must trip the planned-vs-debited checker: %s", outcome(err))
+	return rec, nil
+}
 
-	if o.out != "" {
-		raw, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.out, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  planner results written to %s\n", o.out)
+// outcome renders a leg's error for a gate detail.
+func outcome(err error) string {
+	if err == nil {
+		return "ok"
 	}
-	return nil
+	return err.Error()
 }

@@ -1,62 +1,52 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // TestPlannerPipeline runs the full planner experiment — ns/move at both
 // sizes, the parity gate, the restart determinism gate, the campaign loop
-// and its sabotage control, the JSON document — at test scale. The gates
-// are the real ones: the kernel must beat the cloning baseline by >= 25x
-// ns/move even on the small instances, and the sabotaged campaign must be
-// caught.
+// and its sabotage control, the record — at test scale. The gates are the
+// real ones: the kernel must beat the cloning baseline by >= 25x ns/move
+// even on the small instances, and the sabotaged campaign must be caught.
 func TestPlannerPipeline(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "planner.json")
-	err := plannerBench(plannerOpts{
-		out: out, seed: "planner-test",
-		sizes: []int{60, 200}, gateAt: 1, campaignN: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec, err := testPlanner(0)
+	metric, gate := lookups(t, written(t, rec, err))
 
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
+	rows := 0
+	for _, m := range rec.Metrics {
+		if strings.HasPrefix(m.Name, "planner.kernel_ns_per_move@") {
+			rows++
+		}
 	}
-	var doc plannerDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
+	if rows != 2 || metric("planner.kernel_ns_per_move@60") <= 0 || metric("planner.kernel_ns_per_move@200") <= 0 {
+		t.Fatalf("unexpected size rows: %+v", rec.Metrics)
 	}
-	if len(doc.Sizes) != 2 || doc.Sizes[0].Stops != 60 || doc.Sizes[1].Stops != 200 {
-		t.Fatalf("unexpected size rows: %+v", doc.Sizes)
+	if g := gate("planner.cost_parity"); !g.Pass || !strings.HasPrefix(g.Detail, "2000 of 2000 moves at 60 stops") {
+		t.Fatalf("parity gate did not run: %+v", g)
 	}
-	if doc.Sizes[0].ParityMoves == 0 {
-		t.Fatal("parity gate did not run")
+	if sp := metric("planner.kernel_speedup@200"); sp < 25 || !gate("planner.kernel_speedup").Pass {
+		t.Fatalf("gated speedup %.1fx below 25x", sp)
 	}
-	if doc.Sizes[1].Speedup < 25 {
-		t.Fatalf("gated speedup %.1fx below 25x", doc.Sizes[1].Speedup)
-	}
-	if !doc.Restart.BitIdentical {
+	if !gate("planner.restart_bit_identical").Pass {
 		t.Fatal("restart leg not bit-identical")
 	}
-	if !doc.Campaign.SabotageTripped {
+	if !gate("campaign.sabotage_tripped").Pass {
 		t.Fatal("sabotage control did not trip")
 	}
-	if doc.Campaign.Replans != 1 {
-		t.Fatalf("campaign replans = %d, want 1", doc.Campaign.Replans)
+	if r := metric("campaign.replans"); r != 1 {
+		t.Fatalf("campaign replans = %v, want 1", r)
 	}
-	if doc.Campaign.MaxDeviationFrac <= 0 || doc.Campaign.MaxDeviationFrac > doc.Campaign.ToleranceFrac {
-		t.Fatalf("campaign deviation %.2f outside (0, %.2f]", doc.Campaign.MaxDeviationFrac, doc.Campaign.ToleranceFrac)
+	dev, tol := metric("campaign.max_energy_deviation_frac"), metric("campaign.tolerance_frac")
+	if dev <= 0 || dev > tol || !gate("campaign.energy_within_tolerance").Pass {
+		t.Fatalf("campaign deviation %.2f outside (0, %.2f]", dev, tol)
 	}
 }
 
 // TestPlannerTasksDeterministic pins the instance generator: same seed,
 // same tasks; the requested count is exact (stops == tasks, one waypoint
-// each) so the "stops" axis in BENCH_planner.json means what it says.
+// each) so the "@stops" settings in BENCH_planner.json means what it says.
 func TestPlannerTasksDeterministic(t *testing.T) {
 	a := plannerTasks(50, "gen")
 	b := plannerTasks(50, "gen")

@@ -3,375 +3,135 @@
 // Transact and VFC.Send read their tables through atomic snapshots
 // instead of Driver.mu. Three sections:
 //
-//   - binder-transact-parallel: throughput of concurrent Transact calls
+//   - binder.transact_parallel: throughput of concurrent Transact calls
 //     (one attached Proc per worker) at GOMAXPROCS 1, 4, and 8, with the
-//     cpu1→cpuN speedup estimated by the same interleaved A/B pairing the
-//     baseline experiment uses for telemetry overhead — alternating short
-//     segments so both configurations sample the same noise environment.
-//   - vfc-send: ns/op and allocs/op of the accepted-command path (the
-//     allocation budget is 0; internal/mavproxy pins it with a test).
+//     cpu1→cpuN speedup estimated by the interleaved A/B pairing the
+//     baseline experiment uses for telemetry overhead;
+//   - mavproxy.vfc_send: ns/op and allocs/op of the accepted-command path
+//     (the allocation budget is 0; internal/mavproxy pins it with a test);
 //   - fleet: wall-clock of N-drone fleet runs at workers=1 vs
 //     workers=NumCPU (min 4), with per-drone trace-hash equality — the
 //     determinism replay at benchmark scale. The 256-drone row is the
-//     acceptance run; CI repeats it under -race via the fleet test.
+//     acceptance run; `make fleet` repeats it under -race.
 //
 // Honesty note: speedup above NumCPU is physically impossible — the host
-// section records the CPU count so readers can judge which cpu rows were
-// oversubscribed. The -scale-smoke gate only enforces cpu8 > cpu1 when
-// the host actually has 8 CPUs.
+// block records the CPU count and a note, and the cpu8 > cpu1 gate only
+// compares when the host actually has 8 CPUs.
 
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
-	"sync"
+	"slices"
 	"time"
 
-	"androne/internal/binder"
 	"androne/internal/fleet"
-	"androne/internal/telemetry"
 )
 
-// scaleCPUs are the GOMAXPROCS settings the parallel section measures.
-var scaleCPUs = []int{1, 4, 8}
+// scaleFleetDrones are the fleet sizes of the replay rows.
+var scaleFleetDrones = []int{1, 8, 64, 256}
 
-// scaleHost records where the numbers came from.
-type scaleHost struct {
-	NumCPU    int    `json:"num-cpu"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	GoVersion string `json:"go-version"`
-	Note      string `json:"note,omitempty"`
-}
-
-// scaleCPUPoint is parallel transact throughput at one GOMAXPROCS.
-type scaleCPUPoint struct {
-	CPUs      int     `json:"cpus"`
-	Workers   int     `json:"workers"`
-	NsPerOp   float64 `json:"ns-op"`
-	OpsPerSec float64 `json:"ops-per-sec"`
-}
-
-// scaleSpeedup is the interleaved A/B estimate of cpu1→cpuN speedup.
-type scaleSpeedup struct {
-	CPUs    int     `json:"cpus"`
-	Speedup float64 `json:"speedup-vs-cpu1"`
-}
-
-// scaleFleetRow is one fleet size, run serial and parallel.
-type scaleFleetRow struct {
-	Drones          int     `json:"drones"`
-	Scenario        string  `json:"scenario"`
-	SerialMS        float64 `json:"workers-1-wall-ms"`
-	ParallelWorkers int     `json:"parallel-workers"`
-	ParallelMS      float64 `json:"parallel-wall-ms"`
-	HashesIdentical bool    `json:"trace-hashes-identical"`
-	AllPassed       bool    `json:"all-passed"`
-}
-
-// scaleDoc is the BENCH_scale.json document.
-type scaleDoc struct {
-	Host           scaleHost       `json:"host"`
-	BinderParallel []scaleCPUPoint `json:"binder-transact-parallel"`
-	Speedups       []scaleSpeedup  `json:"binder-transact-speedup"`
-	VFCSend        benchOp         `json:"vfc-send"`
-	Fleet          []scaleFleetRow `json:"fleet"`
-	// FleetRaceReplay names the race-instrumented acceptance replay: the
-	// bench itself runs without -race, so the data-race proof of the same
-	// 256-drone comparison lives in the fleet test, which CI runs with
-	// this command.
-	FleetRaceReplay string `json:"fleet-race-replay"`
-}
-
-// transactRig is a driver with one echo service and a pool of attached
-// client Procs, one per potential worker, so measurement segments reuse
-// identical state.
-type transactRig struct {
-	payload []byte
-	workers []struct {
-		p *binder.Proc
-		h binder.Handle
-	}
-}
-
-func newTransactRig(maxWorkers int) (*transactRig, error) {
-	drv := binder.NewDriver()
-	drv.SetRecorder(telemetry.NewRecorder())
-	ns, err := drv.CreateNamespace("scale")
-	if err != nil {
-		return nil, err
-	}
-	mgr := ns.Attach(1000) //vet:allow nsguard the bench measures the raw binder ioctl path itself
-	svcs := make(map[string]*binder.Node)
-	mgrNode := mgr.NewNode("servicemanager:scale", func(txn binder.Txn) (binder.Reply, error) {
-		switch txn.Code {
-		case binder.CodeAddService:
-			node, err := mgr.NodeFor(txn.Objects[0])
-			if err != nil {
-				return binder.Reply{}, err
-			}
-			svcs[string(txn.Data)] = node
-			return binder.Reply{}, nil
-		case binder.CodeGetService:
-			node, ok := svcs[string(txn.Data)]
-			if !ok {
-				return binder.Reply{}, fmt.Errorf("no such service %q", txn.Data)
-			}
-			return binder.Reply{Objects: []*binder.Node{node}}, nil
-		}
-		return binder.Reply{}, fmt.Errorf("unknown code %d", txn.Code)
-	})
-	if err := mgr.BecomeContextManager(mgrNode); err != nil { //vet:allow nsguard the bench measures the raw binder ioctl path itself
-		return nil, err
-	}
-	owner := ns.Attach(1000) //vet:allow nsguard the bench measures the raw binder ioctl path itself
-	echo := owner.NewNode("echo", func(txn binder.Txn) (binder.Reply, error) {
-		return binder.Reply{Data: txn.Data}, nil
-	})
-	if _, _, err := owner.Transact(0, binder.CodeAddService, []byte("echo"), []*binder.Node{echo}); err != nil { //vet:allow nsguard the bench measures the raw binder ioctl path itself
-		return nil, err
-	}
-
-	r := &transactRig{payload: []byte("0123456789abcdef")}
-	for w := 0; w < maxWorkers; w++ {
-		p := ns.Attach(2000 + w) //vet:allow nsguard the bench measures the raw binder ioctl path itself
-		_, hs, err := p.Transact(0, binder.CodeGetService, []byte("echo"), nil)
-		if err != nil || len(hs) != 1 {
-			return nil, fmt.Errorf("resolving echo service for worker %d: %v", w, err)
-		}
-		r.workers = append(r.workers, struct {
-			p *binder.Proc
-			h binder.Handle
-		}{p, hs[0]})
-	}
-	return r, nil
-}
-
-// segment runs totalOps transactions split across `workers` concurrent
-// Procs and returns the achieved ns/op (wall time over total ops).
-func (r *transactRig) segment(workers, totalOps int) float64 {
-	iters := totalOps / workers
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) { //vet:allow ctxtimeout bounded loop joined by wg.Wait below; a channel/context in the loop would pollute the measurement
-			defer wg.Done()
-			tw := r.workers[w]
-			for i := 0; i < iters; i++ {
-				if _, _, err := tw.p.Transact(tw.h, binder.CodeUser, r.payload, nil); err != nil {
-					panic(err)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return float64(time.Since(t0).Nanoseconds()) / float64(iters*workers)
-}
-
-// measureParallel reports the best-of-rounds throughput at one
-// GOMAXPROCS setting, with worker count matching CPU count (the same
-// shape b.RunParallel uses).
-func (r *transactRig) measureParallel(cpus, totalOps, rounds int) scaleCPUPoint {
+// parallelNs reports the best-of-rounds ns/op at one GOMAXPROCS setting,
+// with worker count matching CPU count (the shape b.RunParallel uses).
+func (r *echoRig) parallelNs(cpus, totalOps, rounds int) float64 {
 	prev := runtime.GOMAXPROCS(cpus)
 	defer runtime.GOMAXPROCS(prev)
 	best := math.Inf(1)
 	for i := 0; i < rounds; i++ {
-		if ns := r.segment(cpus, totalOps); ns < best {
-			best = ns
-		}
+		best = math.Min(best, r.segment(cpus, totalOps))
 	}
-	return scaleCPUPoint{
-		CPUs:      cpus,
-		Workers:   cpus,
-		NsPerOp:   best,
-		OpsPerSec: 1e9 / best,
-	}
+	return best
 }
 
-// speedupOf estimates the cpu1→cpuN throughput ratio with interleaved
-// A/B pairs, exactly as overheadPctOf does for telemetry cost: short
-// alternating segments sample the same noise environment, the order
-// within a pair flips pair to pair, and the estimate is the average of
-// the two order-clusters' medians.
-func (r *transactRig) speedupOf(cpus, totalOps, pairs int) float64 {
-	prev := runtime.GOMAXPROCS(runtime.NumCPU())
+// speedup estimates the cpu1→cpuN throughput ratio with abRatio.
+func (r *echoRig) speedup(cpus, totalOps, pairs int) float64 {
+	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
-	run := func(n int) float64 {
-		runtime.GOMAXPROCS(n)
-		return r.segment(n, totalOps)
-	}
-	run(1) // warm up
-	run(cpus)
-	var aFirst, bFirst []float64
-	for s := 0; s < pairs; s++ {
-		runtime.GC()
-		var oneNs, nNs float64
-		if s%2 == 0 {
-			oneNs = run(1)
-			nNs = run(cpus)
-		} else {
-			nNs = run(cpus)
-			oneNs = run(1)
-		}
-		if nNs > 0 {
-			ratio := oneNs / nNs
-			if s%2 == 0 {
-				aFirst = append(aFirst, ratio)
-			} else {
-				bFirst = append(bFirst, ratio)
-			}
+	at := func(n int) func() float64 {
+		return func() float64 {
+			runtime.GOMAXPROCS(n)
+			return r.segment(n, totalOps)
 		}
 	}
-	return (median(aFirst) + median(bFirst)) / 2
+	return abRatio(at(1), at(cpus), pairs)
 }
 
-// fleetRow runs one fleet size serial and parallel and compares hashes.
-func fleetRow(drones, parallelWorkers int, scenario, seed string) (scaleFleetRow, error) {
-	row := scaleFleetRow{Drones: drones, Scenario: scenario, ParallelWorkers: parallelWorkers}
+// timedRun runs one fleet and reports its wall-clock.
+func timedRun(cfg fleet.Config) (*fleet.Summary, time.Duration, error) {
 	t0 := time.Now()
-	serial, err := fleet.Run(fleet.Config{Drones: drones, Workers: 1, Seed: seed, Scenario: scenario})
-	if err != nil {
-		return row, err
-	}
-	row.SerialMS = float64(time.Since(t0).Microseconds()) / 1000
-
-	t0 = time.Now()
-	par, err := fleet.Run(fleet.Config{Drones: drones, Workers: parallelWorkers, Seed: seed, Scenario: scenario})
-	if err != nil {
-		return row, err
-	}
-	row.ParallelMS = float64(time.Since(t0).Microseconds()) / 1000
-
-	row.HashesIdentical = true
-	sh, ph := serial.Hashes(), par.Hashes()
-	for i := range sh {
-		if sh[i] != ph[i] {
-			row.HashesIdentical = false
-		}
-	}
-	row.AllPassed = serial.Passed() && par.Passed()
-	return row, nil
+	sum, err := fleet.Run(cfg)
+	return sum, time.Since(t0), err
 }
 
-// scale runs the fleet-scaling experiment. When smoke is true it runs
-// the abbreviated CI gate instead: quick parallel segments, failing if
-// cpu8 is not faster than cpu1 — enforced only on hosts with >= 8 CPUs,
-// because the comparison is meaningless on fewer.
-func scale(out, seed string, smoke bool) error {
-	if smoke {
-		return scaleSmoke()
-	}
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// scale runs the fleet-scaling experiment over the given fleet sizes.
+// smoke shortens only the binder-parallel measurement (cpu 1 and 8, fewer
+// ops and rounds, no A/B speedup); every gate runs in both forms.
+func scale(seed string, smoke bool, fleetDrones []int) (*record, error) {
 	header("Fleet scaling: parallel binder transact, vfc-send, fleet replay")
+	rec := newRecord("scale")
 
-	maxCPU := scaleCPUs[len(scaleCPUs)-1]
-	rig, err := newTransactRig(maxCPU)
+	cpus, totalOps, rounds := []int{1, 4, 8}, 100000, measureRounds
+	if smoke {
+		cpus, totalOps, rounds = []int{1, 8}, 50000, 2
+	}
+	rig, err := newEchoRig(cpus[len(cpus)-1])
 	if err != nil {
-		return err
+		return nil, err
 	}
-	doc := scaleDoc{Host: scaleHost{
-		NumCPU:    runtime.NumCPU(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		GoVersion: runtime.Version(),
-	}}
-	if runtime.NumCPU() < maxCPU {
-		doc.Host.Note = fmt.Sprintf(
-			"host has %d CPU(s): cpu settings above that oversubscribe cores, so parallel speedup is not measurable here; the cpu8>cpu1 gate only applies on >=8-CPU hosts",
-			runtime.NumCPU())
-		fmt.Printf("  note: %s\n", doc.Host.Note)
+	ns := make(map[int]float64)
+	for _, c := range cpus {
+		ns[c] = rig.parallelNs(c, totalOps, rounds)
+		rec.add(fmt.Sprintf("binder.transact_parallel_ns@cpu%d", c), "ns", ns[c], "lower")
 	}
-
-	const totalOps = 100000
-	for _, cpus := range scaleCPUs {
-		pt := rig.measureParallel(cpus, totalOps, measureRounds)
-		doc.BinderParallel = append(doc.BinderParallel, pt)
-		fmt.Printf("  binder-transact -cpu %d: %8.1f ns/op  %12.0f ops/sec (%d workers)\n",
-			pt.CPUs, pt.NsPerOp, pt.OpsPerSec, pt.Workers)
+	if !smoke {
+		for _, c := range cpus[1:] {
+			rec.add(fmt.Sprintf("binder.transact_speedup@cpu%d", c), "x", rig.speedup(c, totalOps, 20), "higher")
+		}
 	}
-	for _, cpus := range scaleCPUs[1:] {
-		sp := rig.speedupOf(cpus, totalOps, 20)
-		doc.Speedups = append(doc.Speedups, scaleSpeedup{CPUs: cpus, Speedup: sp})
-		fmt.Printf("  binder-transact speedup cpu1 -> cpu%d: %.2fx (interleaved A/B)\n", cpus, sp)
+	if n := runtime.NumCPU(); n < 8 {
+		rec.Host.Note = fmt.Sprintf(
+			"host has %d CPU(s): cpu settings above that oversubscribe cores, so parallel speedup is not measurable here; the cpu8>cpu1 gate only applies on >=8-CPU hosts", n)
+		rec.check("binder.cpu8_beats_cpu1", true, "skipped: host has %d CPU(s) < 8", n)
+	} else {
+		rec.check("binder.cpu8_beats_cpu1", ns[8] < ns[1], "cpu8 %.1f ns/op vs cpu1 %.1f ns/op", ns[8], ns[1])
 	}
 
-	// vfc-send: serial ns/op and the 0-alloc budget.
 	ops, _, err := baselineOps(seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	best := benchOp{NsPerOp: math.Inf(1)}
 	for i := 0; i < measureRounds; i++ {
-		best = minOp(best, measureOnce(ops["vfc-send"]))
+		best = minOp(best, measureOnce(ops["mavproxy.vfc_send"]))
 	}
-	best.Op = "vfc-send"
-	doc.VFCSend = best
-	fmt.Printf("  vfc-send: %.1f ns/op, %d allocs/op, %d B/op\n",
-		best.NsPerOp, best.AllocsOp, best.BytesOp)
-	if best.AllocsOp != 0 {
-		return fmt.Errorf("vfc-send allocates %d/op, budget is 0", best.AllocsOp)
-	}
+	rec.add("mavproxy.vfc_send_ns", "ns", best.NsPerOp, "lower")
+	rec.add("mavproxy.vfc_send_allocs", "allocs", float64(best.AllocsOp), "lower")
+	rec.add("mavproxy.vfc_send_bytes", "B", float64(best.BytesOp), "lower")
+	rec.check("mavproxy.vfc_send_zero_alloc", best.AllocsOp == 0, "%d allocs/op (budget 0)", best.AllocsOp)
 
-	// Fleet replay at benchmark scale. The 256-drone row is the
-	// acceptance run; CI repeats it under -race via the fleet test.
-	parallelWorkers := runtime.NumCPU()
-	if parallelWorkers < 4 {
-		parallelWorkers = 4
-	}
-	for _, drones := range []int{1, 8, 64, 256} {
-		row, err := fleetRow(drones, parallelWorkers, "survey-baseline", seed+"-fleet")
+	workers := max(runtime.NumCPU(), 4)
+	rec.param("fleet.parallel_workers", "workers", float64(workers))
+	for _, drones := range fleetDrones {
+		cfg := fleet.Config{Drones: drones, Workers: 1, Seed: seed + "-fleet", Scenario: "survey-baseline"}
+		serial, serialWall, err := timedRun(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		doc.Fleet = append(doc.Fleet, row)
-		fmt.Printf("  fleet %3d drones: workers=1 %8.0f ms, workers=%d %8.0f ms, hashes identical %v, all passed %v\n",
-			row.Drones, row.SerialMS, row.ParallelWorkers, row.ParallelMS, row.HashesIdentical, row.AllPassed)
-		if !row.HashesIdentical {
-			return fmt.Errorf("fleet of %d: traces differ between worker counts", drones)
-		}
-	}
-
-	doc.FleetRaceReplay = "ANDRONE_FLEET_DRONES=256 go test -race -run TestFleetDeterminism ./internal/fleet"
-
-	if out != "" {
-		raw, err := json.MarshalIndent(doc, "", "  ")
+		cfg.Workers = workers
+		par, parWall, err := timedRun(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  scale results written to %s\n", out)
+		rec.add(fmt.Sprintf("fleet.serial_ms@%d", drones), "ms", ms(serialWall), "lower")
+		rec.add(fmt.Sprintf("fleet.parallel_ms@%d", drones), "ms", ms(parWall), "lower")
+		rec.check(fmt.Sprintf("fleet.trace_hashes_identical@%d", drones),
+			slices.Equal(serial.Hashes(), par.Hashes()),
+			"survey-baseline at workers=1 vs workers=%d; all drones passed %v",
+			workers, serial.Passed() && par.Passed())
 	}
-	return nil
-}
-
-// scaleSmoke is the CI perf gate: on a host with >= 8 CPUs, parallel
-// binder transact at cpu8 must beat cpu1 (the whole point of the
-// snapshot refactor); elsewhere it verifies the paths run and skips the
-// comparison.
-func scaleSmoke() error {
-	header("Fleet scaling smoke (CI gate)")
-	rig, err := newTransactRig(8)
-	if err != nil {
-		return err
-	}
-	const totalOps = 50000
-	one := rig.measureParallel(1, totalOps, 2)
-	eight := rig.measureParallel(8, totalOps, 2)
-	fmt.Printf("  binder-transact: cpu1 %.1f ns/op, cpu8 %.1f ns/op\n", one.NsPerOp, eight.NsPerOp)
-	if runtime.NumCPU() < 8 {
-		fmt.Printf("  host has %d CPU(s) < 8: speedup gate skipped (not measurable)\n", runtime.NumCPU())
-		return nil
-	}
-	if eight.NsPerOp >= one.NsPerOp {
-		return fmt.Errorf("binder-transact at cpu8 (%.1f ns/op) is not faster than cpu1 (%.1f ns/op)",
-			eight.NsPerOp, one.NsPerOp)
-	}
-	fmt.Printf("  speedup %.2fx: gate passed\n", one.NsPerOp/eight.NsPerOp)
-	return nil
+	return rec, nil
 }

@@ -19,7 +19,23 @@
 // Packages default to ./... relative to the enclosing module. Exit status
 // is 1 if any diagnostic is reported, 2 on operational failure. Individual
 // analyzers are toggled with -<name>=false; a diagnostic is suppressed by a
-// //vet:allow <name> [reason] comment on its source line.
+// //vet:allow <name> [reason] comment on its source line. A plain run
+// already covers every analyzer; a subset is for iterating on one family:
+//
+//	# the interprocedural subset (permguard, sendertaint, errflow)
+//	androne-vet -ctxtimeout=false -detguard=false -hotpath=false \
+//		-lockorder=false -locksafe=false -nsguard=false -tickleak=false \
+//		-waitleak=false -whitelistguard=false ./...
+//
+//	# the effect-summary contract subset (detguard, hotpath)
+//	androne-vet -ctxtimeout=false -errflow=false -lockorder=false \
+//		-locksafe=false -nsguard=false -permguard=false -sendertaint=false \
+//		-tickleak=false -waitleak=false -whitelistguard=false ./...
+//
+//	# the concurrency-liveness pair (lockorder, waitleak)
+//	androne-vet -ctxtimeout=false -detguard=false -errflow=false \
+//		-hotpath=false -locksafe=false -nsguard=false -permguard=false \
+//		-sendertaint=false -tickleak=false -whitelistguard=false ./...
 //
 // -stale-allows audits the suppressions instead: it reports every
 // //vet:allow comment naming an active analyzer that no longer fires on
