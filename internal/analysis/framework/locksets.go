@@ -692,7 +692,6 @@ func canonicalLockID(info *types.Info, e ast.Expr) (LockID, bool) {
 // rule exempts them from the tenant-overlap ban.
 var SanctionedHotPathLocks = map[LockID]bool{
 	"androne/internal/mavproxy.VFC.mu":        true, // VFC serial endpoint
-	"androne/internal/flight.Controller.mu":   true, // flight fast-loop owner lock
 	"androne/internal/telemetry.Recorder.gmu": true, // global ring
 	"androne/internal/telemetry.Recorder.rmu": true, // black-box archive
 	"androne/internal/telemetry.stripe.mu":    true, // per-drone ring stripes

@@ -6,8 +6,8 @@
 // doc-comment directive are contract roots: the root and everything it
 // transitively calls through static edges must not allocate and must not
 // block on locks outside the sanctioned owner-lock idioms (the VFC serial
-// endpoint, the flight controller's own mutex, the telemetry recorder's
-// ring and stripe locks — the same set locksafe models as leaf-ordered).
+// endpoint, the telemetry recorder's ring and stripe locks — the same set
+// locksafe models as leaf-ordered).
 //
 // The analyzer consumes the framework's effect-summary engine. Interface
 // call edges are deliberately NOT followed: the hot paths treat dynamic

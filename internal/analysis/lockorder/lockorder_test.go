@@ -33,10 +33,10 @@ func TestLockOrderCrossPackage(t *testing.T) {
 // TestLockOrderCriticalPath proves the flight-critical blocking contract:
 // hot-path acquisitions of tenant-shared locks are convicted (binder
 // Handler entries and portal HTTP handlers both count as tenant), while
-// hot-only locks and the sanctioned flight owner lock stay silent.
+// hot-only locks and a sanctioned hot-path lock (the VFC's) stay silent.
 func TestLockOrderCriticalPath(t *testing.T) {
 	analysistest.Run(t, "testdata", lockorder.Analyzer,
 		"critbad",
-		"androne/internal/flight",
+		"androne/internal/mavproxy",
 	)
 }

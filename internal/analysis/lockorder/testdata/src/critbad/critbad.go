@@ -2,7 +2,7 @@
 // //vet:hotpath-rooted function acquiring a lock that tenant-reachable
 // code (a binder transaction handler, a portal HTTP handler) also holds
 // is convicted unless the lock is on the sanctioned hot-path list. The
-// hot-only mutex and the sanctioned flight lock prove the silent side.
+// hot-only mutex and the sanctioned VFC lock prove the silent side.
 package critbad
 
 import (
@@ -10,7 +10,7 @@ import (
 	"sync"
 
 	"androne/internal/binder"
-	"androne/internal/flight"
+	"androne/internal/mavproxy"
 )
 
 // Engine's mu is shared between the hot loop and the binder handler; omu
@@ -23,7 +23,7 @@ type Engine struct {
 
 var (
 	eng Engine
-	ctl flight.Controller
+	ctl mavproxy.VFC
 )
 
 //vet:hotpath fixture: the flight-critical loop
@@ -33,7 +33,7 @@ func Step() {
 	eng.mu.Unlock()
 	eng.omu.Lock() // hot-only, no tenant overlap: silent
 	eng.omu.Unlock()
-	ctl.Step() // sanctioned flight lock: silent
+	ctl.Send() // sanctioned VFC lock: silent
 }
 
 // HandleStat matches the binder Handler signature, so it is a tenant

@@ -38,20 +38,16 @@ func RegisterAll(vdc *core.VDC) {
 }
 
 // captureFrame grabs one camera frame through the shared CameraService.
-func captureFrame(client *android.Client) (*devices.Frame, error) {
+func captureFrame(client *android.Client) (devices.Frame, error) {
 	h, err := client.GetService(devcon.SvcCamera)
 	if err != nil {
-		return nil, err
+		return devices.Frame{}, err
 	}
 	out, _, err := client.Call(h, devcon.CmdCapture, nil)
 	if err != nil {
-		return nil, err
+		return devices.Frame{}, err
 	}
-	var f devices.Frame
-	if err := json.Unmarshal(out, &f); err != nil {
-		return nil, err
-	}
-	return &f, nil
+	return devices.DecodeFrame(out)
 }
 
 // vfcPosition extracts the drone position from VFC telemetry.
@@ -266,17 +262,7 @@ func (s *Survey) Tick(dt float64) {
 		return
 	}
 	// Record a frame roughly every tick while sweeping.
-	if f, err := captureFrame(s.appClient()); err == nil {
-		s.mu.Lock()
-		s.frames++
-		n := s.frames
-		s.mu.Unlock()
-		rec := fmt.Sprintf("frame %d seq %d at %.7f,%.7f alt %.1f\n", n, f.Seq, f.Position.Lat, f.Position.Lon, f.Position.Alt)
-		if prev, err := s.ctx.VD.Container.ReadFile(s.outputPath()); err == nil {
-			rec = string(prev) + rec
-		}
-		s.ctx.VD.Container.WriteFile(s.outputPath(), []byte(rec))
-	}
+	s.recordFrame()
 	if geo.Distance3D(pos, target) < 3 {
 		s.mu.Lock()
 		s.pathIdx++
@@ -303,20 +289,25 @@ func (s *Survey) tickMission(path []geo.Position, missionUp bool) {
 	if !ok {
 		return
 	}
-	if f, err := captureFrame(s.appClient()); err == nil {
-		s.mu.Lock()
-		s.frames++
-		n := s.frames
-		s.mu.Unlock()
-		rec := fmt.Sprintf("frame %d seq %d at %.7f,%.7f alt %.1f\n", n, f.Seq, f.Position.Lat, f.Position.Lon, f.Position.Alt)
-		if prev, err := s.ctx.VD.Container.ReadFile(s.outputPath()); err == nil {
-			rec = string(prev) + rec
-		}
-		s.ctx.VD.Container.WriteFile(s.outputPath(), []byte(rec))
-	}
+	s.recordFrame()
 	if geo.Distance3D(pos, path[len(path)-1]) < 3 {
 		s.finishWaypoint()
 	}
+}
+
+// recordFrame captures a frame and appends its georeferenced record to
+// the waypoint's survey log.
+func (s *Survey) recordFrame() {
+	f, err := captureFrame(s.appClient())
+	if err != nil {
+		return
+	}
+	s.mu.Lock()
+	s.frames++
+	n := s.frames
+	s.mu.Unlock()
+	rec := fmt.Appendf(nil, "frame %d seq %d at %.7f,%.7f alt %.1f\n", n, f.Seq, f.Position.Lat, f.Position.Lon, f.Position.Alt)
+	s.ctx.VD.Container.AppendFile(s.outputPath(), rec)
 }
 
 func (s *Survey) outputPath() string {

@@ -169,12 +169,9 @@ func (t *TrafficWatch) Tick(dt float64) {
 	t.frames++
 	n := t.frames
 	t.mu.Unlock()
-	rec := fmt.Sprintf("traffic frame %d at %.7f,%.7f\n", n, f.Position.Lat, f.Position.Lon)
+	rec := fmt.Appendf(nil, "traffic frame %d at %.7f,%.7f\n", n, f.Position.Lat, f.Position.Lon)
 	path := fmt.Sprintf("/data/%s/traffic.log", TrafficWatchPackage)
-	if prev, err := t.ctx.VD.Container.ReadFile(path); err == nil {
-		rec = string(prev) + rec
-	}
-	t.ctx.VD.Container.WriteFile(path, []byte(rec))
+	t.ctx.VD.Container.AppendFile(path, rec)
 	_ = t.ctx.SDK.MarkFileForUser(path)
 }
 

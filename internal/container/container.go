@@ -317,6 +317,25 @@ func (c *Container) WriteFile(path string, data []byte) {
 	c.upper[path] = append([]byte(nil), data...)
 }
 
+// AppendFile appends data to path, leaving the bytes a ReadFile, a
+// concatenation and a WriteFile would: a missing or whited-out path
+// starts empty, and a file only in the image is copied up first. The
+// writable layer's slices never leave the container — ReadFile,
+// DiffLayer, Checkpoint and Restore all copy — so a file already in it
+// grows in place, and a log that apps append to costs amortised O(len(data)).
+func (c *Container) AppendFile(path string, data []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cur, ok := c.upper[path]
+	if _, deleted := c.upper[whiteout+path]; !ok && !deleted {
+		if b, inImage := c.image.lookup(path); inImage {
+			cur = append(make([]byte, 0, len(b)+len(data)), b...)
+		}
+	}
+	delete(c.upper, whiteout+path)
+	c.upper[path] = append(cur, data...)
+}
+
 // RemoveFile deletes a path from the container's view. Files from the image
 // are masked with a whiteout marker.
 func (c *Container) RemoveFile(path string) error {

@@ -153,6 +153,101 @@ func TestContainerWhiteout(t *testing.T) {
 	}
 }
 
+// TestAppendFileMatchesReadConcatWrite holds AppendFile to the bytes a
+// ReadFile, a concatenation and a WriteFile leave — for a new file, a
+// file only in the image, and a whited-out image file — and checks that
+// appending never writes into memory a reader or checkpoint still holds.
+func TestAppendFileMatchesReadConcatWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name, path string
+		whiteout   bool
+	}{
+		{"new file", "/data/app/survey.log", false},
+		{"image file", "/etc/hosts", false},
+		{"whited-out path", "/etc/hosts", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := NewStore()
+			img := baseImage(store)
+			rt := NewRuntime(store, 880)
+			old, _ := rt.Create("old", img.Name, Limits{MemoryMB: 185})
+			c, _ := rt.Create("new", img.Name, Limits{MemoryMB: 185})
+			if tc.whiteout {
+				for _, x := range []*Container{old, c} {
+					if err := x.RemoveFile(tc.path); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Every ReadFile result and checkpoint taken along the way,
+			// with a private copy of what each held when taken.
+			var held [][]byte
+			var saw []string
+			for i := 0; i < 40; i++ {
+				rec := []byte(fmt.Sprintf("frame %d\n", i))
+				prev, err := old.ReadFile(tc.path)
+				if err == nil {
+					rec = append(prev, rec...)
+				}
+				old.WriteFile(tc.path, rec)
+
+				if b, err := c.ReadFile(tc.path); err == nil {
+					held, saw = append(held, b), append(saw, string(b))
+				}
+				ck, err := c.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				held, saw = append(held, ck), append(saw, string(ck))
+				c.AppendFile(tc.path, []byte(fmt.Sprintf("frame %d\n", i)))
+
+				want, _ := old.ReadFile(tc.path)
+				got, err := c.ReadFile(tc.path)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("append %d: %q, %v; read-concat-write gives %q", i, got, err, want)
+				}
+				if old.DiffLayer().Digest() != c.DiffLayer().Digest() {
+					t.Fatalf("append %d: the writable layers differ", i)
+				}
+			}
+			for i, b := range held {
+				if string(b) != saw[i] {
+					t.Fatalf("a later append wrote into an earlier read or checkpoint: %q, was %q", b, saw[i])
+				}
+			}
+			// The image itself is untouched.
+			fresh, _ := rt.Create("fresh", img.Name, Limits{MemoryMB: 185})
+			if got, _ := fresh.ReadFile("/etc/hosts"); string(got) != "127.0.0.1 localhost" {
+				t.Fatalf("image file changed: %q", got)
+			}
+		})
+	}
+}
+
+// TestAppendFileKeepsEarlierReads pins the aliasing rule directly: a slice
+// from ReadFile is a snapshot, whatever spare capacity the file has.
+func TestAppendFileKeepsEarlierReads(t *testing.T) {
+	store := NewStore()
+	img := baseImage(store)
+	c, _ := NewRuntime(store, 880).Create("vd1", img.Name, Limits{MemoryMB: 185})
+	for i := 0; i < 10; i++ {
+		c.AppendFile("/log", []byte("ab"))
+	}
+	before, err := c.ReadFile("/log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := string(before)
+	c.AppendFile("/log", []byte("cd"))
+	before = append(before, 'X') // a reader growing its copy must not reach the file
+	if string(before[:len(snapshot)]) != snapshot {
+		t.Fatalf("earlier read changed: %q", before)
+	}
+	if got, _ := c.ReadFile("/log"); string(got) != snapshot+"cd" {
+		t.Fatalf("file = %q, want %q", got, snapshot+"cd")
+	}
+}
+
 func TestRemoveMissingFile(t *testing.T) {
 	store := NewStore()
 	img := baseImage(store)

@@ -14,10 +14,6 @@
 //     lock during Start.
 //   - Drone persistence: the virtual drone's state lock wraps the energy
 //     allotment lock while snapshotting.
-//   - Flight: the controller's owner lock wraps the opt-in flight log's
-//     lock in the fast loop (both short, leaf-ordered critical sections;
-//     the controller lock is also on the sanctioned hot-path list). Drones
-//     attach the lock-free AED monitor instead of a log.
 //   - Cloud VDR: the repository's manifest lock wraps the content-
 //     addressed blob store's lock while a save puts and unrefs layers, so
 //     the quota check and the layer swap commit atomically.
@@ -36,9 +32,6 @@
 //
 //vet:lockrank 60 androne/internal/core.VirtualDrone.mu drone state wraps the energy allotment
 //vet:lockrank 70 androne/internal/energy.Allotment.mu energy accounting leaf
-//
-//vet:lockrank 80 androne/internal/flight.Controller.mu flight fast-loop owner lock
-//vet:lockrank 90 androne/internal/flight.Log.mu flight log leaf, taken inside the step
 //
 //vet:lockrank 100 androne/internal/cloud.VDR.mu manifest lock wraps blob-store puts/unrefs
 //vet:lockrank 110 androne/internal/cloud.BlobStore.mu content-addressed store leaf

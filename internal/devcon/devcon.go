@@ -433,7 +433,9 @@ func (s *deviceService) serve(txn binder.Txn) (binder.Reply, error) {
 		if s.name != SvcCamera {
 			break
 		}
-		return marshal(dc.camera.Capture())
+		// Frames cross as raw bytes, as Android hands camera buffers
+		// over; only the small sensor replies below are JSON.
+		return binder.Reply{Data: devices.AppendFrame(nil, dc.camera.Capture())}, nil
 	case CmdGetFix:
 		if s.name != SvcLocationManager {
 			break

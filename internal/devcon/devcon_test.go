@@ -153,8 +153,8 @@ func TestAppCaptureWithPermission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var frame devices.Frame
-	if err := json.Unmarshal(out, &frame); err != nil {
+	frame, err := devices.DecodeFrame(out)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if frame.Width != 32 || frame.Height != 24 || len(frame.Pixels) != 32*24 {
@@ -162,6 +162,40 @@ func TestAppCaptureWithPermission(t *testing.T) {
 	}
 	if frame.Position.Lat == 0 {
 		t.Fatal("frame missing position")
+	}
+}
+
+// TestCaptureAllocs bounds one permitted CmdCapture round trip through
+// binder — the cross-container permission check, the capture and the
+// decode — to the frame's pixel buffer plus a small fixed count. Frames
+// cross as raw bytes; a serialising reply path (JSON with base64 pixels)
+// allocates many times this.
+func TestCaptureAllocs(t *testing.T) {
+	e := newEnv(t, 1, nil)
+	vd := e.vds[0]
+	const uid = 10001
+	vd.ActivityManager().Grant(uid, android.PermCamera)
+	app := android.NewClient(vd.Namespace(), uid)
+	h, err := app.GetService(SvcCamera)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := func() {
+		out, _, err := app.Call(h, CmdCapture, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := devices.DecodeFrame(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	capture() // the first capture books the caller as a service user
+	const pixelBuffers, fixed = 1, 10
+	allocs := testing.AllocsPerRun(200, capture)
+	t.Logf("capture round trip: %.0f allocs", allocs)
+	if allocs > pixelBuffers+fixed {
+		t.Fatalf("capture round trip allocated %.0f/op, want <= %d (the pixel buffer plus %d)",
+			allocs, pixelBuffers+fixed, fixed)
 	}
 }
 

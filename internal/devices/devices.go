@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -363,12 +364,13 @@ type Frame struct {
 }
 
 // Camera is the drone camera model (Raspberry Pi Camera Module v2 class).
+// Like the rest of a drone's stack it has one owner, the goroutine that
+// steps the drone, so Capture takes no lock.
 type Camera struct {
 	name          string
 	world         WorldSource
 	Width, Height int
 
-	mu  sync.Mutex
 	seq uint64
 }
 
@@ -386,10 +388,8 @@ func (c *Camera) Kind() Kind { return KindCamera }
 // Capture grabs one frame. Frames carry the position they were taken at,
 // which survey apps embed in their outputs.
 func (c *Camera) Capture() Frame {
-	c.mu.Lock()
 	c.seq++
 	seq := c.seq
-	c.mu.Unlock()
 	p := c.world.Position()
 	roll, pitch, yaw := c.world.Attitude()
 
@@ -410,6 +410,64 @@ func (c *Camera) Capture() Frame {
 		pixels[i] = byte(state)
 	}
 	return Frame{Seq: seq, Width: c.Width, Height: c.Height, Position: p, Time: c.world.Now(), Pixels: pixels}
+}
+
+// frameHeaderLen is the size of a frame's wire header: seq, width,
+// height, the float64 bits of lat, lon and alt, and the capture time in
+// unix nanoseconds, each eight little-endian bytes.
+const frameHeaderLen = 7 * 8
+
+// ErrBadFrame reports frame bytes that DecodeFrame cannot accept.
+var ErrBadFrame = errors.New("devices: malformed frame")
+
+// AppendFrame appends f's wire form — the fixed header, then the raw
+// pixels — to dst. This is how the camera service hands a frame across
+// Binder: the pixels are copied once, never serialised.
+func AppendFrame(dst []byte, f Frame) []byte {
+	dst = slices.Grow(dst, frameHeaderLen+len(f.Pixels))
+	le := binary.LittleEndian
+	dst = le.AppendUint64(dst, f.Seq)
+	dst = le.AppendUint64(dst, uint64(int64(f.Width)))
+	dst = le.AppendUint64(dst, uint64(int64(f.Height)))
+	dst = le.AppendUint64(dst, math.Float64bits(f.Position.Lat))
+	dst = le.AppendUint64(dst, math.Float64bits(f.Position.Lon))
+	dst = le.AppendUint64(dst, math.Float64bits(f.Position.Alt))
+	dst = le.AppendUint64(dst, uint64(f.Time.UnixNano()))
+	return append(dst, f.Pixels...)
+}
+
+// DecodeFrame parses the wire form AppendFrame writes. The bytes come
+// from another container, so every field is checked: a short header,
+// negative dimensions, dimensions whose product overflows int, and a
+// pixel payload of any length but width×height are all ErrBadFrame. The
+// returned frame's Pixels alias b.
+func DecodeFrame(b []byte) (Frame, error) {
+	if len(b) < frameHeaderLen {
+		return Frame{}, fmt.Errorf("%w: %d bytes, header needs %d", ErrBadFrame, len(b), frameHeaderLen)
+	}
+	le := binary.LittleEndian
+	w, h := int64(le.Uint64(b[8:])), int64(le.Uint64(b[16:]))
+	if w < 0 || h < 0 {
+		return Frame{}, fmt.Errorf("%w: negative size %dx%d", ErrBadFrame, w, h)
+	}
+	if w > math.MaxInt || h > math.MaxInt || (w > 0 && h > math.MaxInt/w) {
+		return Frame{}, fmt.Errorf("%w: size %dx%d overflows int", ErrBadFrame, w, h)
+	}
+	pixels := b[frameHeaderLen:]
+	if n := int(w) * int(h); n != len(pixels) {
+		return Frame{}, fmt.Errorf("%w: %dx%d needs %d pixel bytes, got %d", ErrBadFrame, w, h, n, len(pixels))
+	}
+	return Frame{
+		Seq:    le.Uint64(b),
+		Width:  int(w),
+		Height: int(h),
+		Position: geo.Position{
+			LatLon: geo.LatLon{Lat: math.Float64frombits(le.Uint64(b[24:])), Lon: math.Float64frombits(le.Uint64(b[32:]))},
+			Alt:    math.Float64frombits(le.Uint64(b[40:])),
+		},
+		Time:   time.Unix(0, int64(le.Uint64(b[48:]))),
+		Pixels: pixels,
+	}, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -87,10 +87,11 @@ func DefaultLimits() Limits {
 	return Limits{MaxTiltRad: 0.35, MaxClimbMS: 2.5, MaxDescentMS: 1.5, MaxSpeedMS: 8}
 }
 
-// Controller is the flight controller.
+// Controller is the flight controller. It has one owner: the goroutine
+// that steps the drone calls every method but two, and those two,
+// Status and RequestDisarm, are the only ones safe from other goroutines
+// (DESIGN.md "Fleet scaling & hot-path concurrency").
 type Controller struct {
-	mu sync.Mutex
-
 	sensors Sensors
 	motors  MotorSink
 	home    geo.Position
@@ -151,18 +152,22 @@ type Controller struct {
 	// Diagnostics.
 	timeS     float64
 	loopCount uint64
-	log       *Log
 	aed       *AEDMonitor
 
-	// Telemetry. stepCount is atomic (not under c.mu) so the latency
-	// sampling decision can be made before the step's sensor reads; tel is
-	// set at construction time and may be nil.
-	stepCount atomic.Uint64
+	// Telemetry. stepCount paces the latency sampling; tel is set at
+	// construction time and may be nil.
+	stepCount uint64
 	tel       *telemetry.Recorder
+
+	// The two cross-goroutine seams: a disarm request the next Step
+	// drains, and the snapshot Step publishes every statusEvery steps.
+	disarmReq atomic.Bool
+	statusMu  sync.Mutex
+	status    Status
 
 	// MAVLink reply scratch. HandleMessage is a serial endpoint (one
 	// in-flight message per controller, as on a real telemetry link), so
-	// the scratch is single-writer without c.mu; the returned slice and
+	// the scratch is single-writer; the returned slice and
 	// the ack it points at are valid until the next HandleMessage call.
 	// This is what keeps the accepted-command path at 0 allocs/op.
 	ackScratch   mavlink.CommandAck
@@ -179,12 +184,8 @@ func WithLimits(l Limits) Option { return func(c *Controller) { c.limits = l } }
 // that balances gravity). Defaults to 0.46, the prototype's value.
 func WithHoverFraction(f float64) Option { return func(c *Controller) { c.hoverFrac = f } }
 
-// WithLog attaches a flight log that records estimate-vs-truth attitude for
-// the AED analyzer.
-func WithLog(l *Log) Option { return func(c *Controller) { c.log = l } }
-
 // WithAEDMonitor attaches a streaming AED monitor, which computes the
-// verdict AnalyzeAED would give without keeping the samples.
+// AED verdict over every fast-loop sample without keeping them.
 func WithAEDMonitor(m *AEDMonitor) Option { return func(c *Controller) { c.aed = m } }
 
 // WithBatteryFailsafe forces RTL when the battery state of charge drops
@@ -208,6 +209,7 @@ func NewController(s Sensors, m MotorSink, home geo.Position, opts ...Option) *C
 	for _, o := range opts {
 		o(c)
 	}
+	c.publishStatus()
 	return c
 }
 
@@ -215,23 +217,13 @@ func NewController(s Sensors, m MotorSink, home geo.Position, opts ...Option) *C
 // Mode and arming API
 
 // Armed reports the arming state.
-func (c *Controller) Armed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.armed
-}
+func (c *Controller) Armed() bool { return c.armed }
 
 // Mode returns the current flight mode number.
-func (c *Controller) Mode() uint32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mode
-}
+func (c *Controller) Mode() uint32 { return c.mode }
 
 // Arm arms the motors. Arming requires a position fix.
 func (c *Controller) Arm() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.haveFix {
 		return fmt.Errorf("%w: no position estimate", ErrUnsafe) //vet:allow hotpath cold error path (arm without a fix)
 	}
@@ -239,21 +231,21 @@ func (c *Controller) Arm() error {
 	return nil
 }
 
-// Disarm stops the motors immediately. The armed flag drops under the
-// lock; the motor write — an interface call into the device backend —
-// happens after release so the lock is never held across foreign code.
+// Disarm stops the motors immediately. Only the owner calls it; another
+// goroutine calls RequestDisarm.
 func (c *Controller) Disarm() {
-	c.mu.Lock()
 	c.armed = false
-	c.mu.Unlock()
 	c.motors.SetMotors([4]float64{})
 }
 
+// RequestDisarm asks the owner to disarm. It is safe from any goroutine:
+// it sets a flag that the next Step drains, before its sensor reads, by
+// calling Disarm.
+func (c *Controller) RequestDisarm() { c.disarmReq.Store(true) }
+
 // SetModeNum switches flight mode.
 func (c *Controller) SetModeNum(mode uint32) error {
-	c.mu.Lock()
-	err := c.setModeLocked(mode)
-	c.mu.Unlock()
+	err := c.setMode(mode)
 	if err == nil {
 		mModeChanges.Inc()
 		c.tel.Emit(0, kModeChange, int64(mode), 0, "")
@@ -261,7 +253,7 @@ func (c *Controller) SetModeNum(mode uint32) error {
 	return err
 }
 
-func (c *Controller) setModeLocked(mode uint32) error {
+func (c *Controller) setMode(mode uint32) error {
 	switch mode {
 	case mavlink.ModeStabilize, mavlink.ModeAltHold:
 		c.mode = mode
@@ -285,7 +277,7 @@ func (c *Controller) setModeLocked(mode uint32) error {
 			return fmt.Errorf("%w: empty mission", ErrBadArgument) //vet:allow hotpath cold error path (mode rejection)
 		}
 		c.missionIdx = 0
-		c.setGuidedTargetLocked(c.mission[0])
+		c.setGuidedTarget(c.mission[0])
 		c.landing = false
 		c.mode = mode
 	default:
@@ -296,8 +288,6 @@ func (c *Controller) setModeLocked(mode uint32) error {
 
 // Takeoff climbs to alt meters above home. Requires GUIDED mode and armed.
 func (c *Controller) Takeoff(alt float64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.armed {
 		return ErrNotArmed
 	}
@@ -316,8 +306,6 @@ func (c *Controller) Takeoff(alt float64) error {
 // GotoPosition commands a guided-mode target with an optional speed limit
 // (0 uses the default).
 func (c *Controller) GotoPosition(p geo.Position, speed float64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.armed {
 		return ErrNotArmed
 	}
@@ -328,11 +316,11 @@ func (c *Controller) GotoPosition(p geo.Position, speed float64) error {
 		return fmt.Errorf("%w: speed %g", ErrBadArgument, speed) //vet:allow hotpath cold error path (goto precondition)
 	}
 	c.speedLimit = speed
-	c.setGuidedTargetLocked(p)
+	c.setGuidedTarget(p)
 	return nil
 }
 
-func (c *Controller) setGuidedTargetLocked(p geo.Position) {
+func (c *Controller) setGuidedTarget(p geo.Position) {
 	n, e := geo.NE(c.home.LatLon, p.LatLon)
 	c.tgtN, c.tgtE, c.tgtAlt = n, e, p.Alt
 	c.landing = false
@@ -340,15 +328,11 @@ func (c *Controller) setGuidedTargetLocked(p geo.Position) {
 
 // SetYaw sets the yaw target in radians.
 func (c *Controller) SetYaw(yaw float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.tgtYaw = wrapPi(yaw)
 }
 
 // SetMission loads an AUTO-mode waypoint list.
 func (c *Controller) SetMission(wps []geo.Position) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.mission = append([]geo.Position(nil), wps...)
 	c.missionIdx = 0
 }
@@ -356,8 +340,6 @@ func (c *Controller) SetMission(wps []geo.Position) {
 // SetFence installs a geofence and breach action (nil action keeps the
 // current one; the zero-value default is FailsafeLand).
 func (c *Controller) SetFence(f *geo.Fence, action BreachAction) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.fence = f
 	c.breached = false
 	if action != nil {
@@ -366,71 +348,56 @@ func (c *Controller) SetFence(f *geo.Fence, action BreachAction) {
 }
 
 // Fence returns the current geofence, or nil.
-func (c *Controller) Fence() *geo.Fence {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fence
-}
+func (c *Controller) Fence() *geo.Fence { return c.fence }
 
 // Estimate returns the controller's position estimate.
 func (c *Controller) Estimate() geo.Position {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.estimateLocked()
-}
-
-func (c *Controller) estimateLocked() geo.Position {
 	ll := geo.OffsetNE(c.home.LatLon, c.posN, c.posE)
 	return geo.Position{LatLon: ll, Alt: c.alt}
 }
 
 // EstimatedAttitude returns the attitude estimate in radians.
 func (c *Controller) EstimatedAttitude() (roll, pitch, yaw float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.estRoll, c.estPitch, c.estYaw
 }
 
 // MissionIndex returns the current AUTO waypoint index.
-func (c *Controller) MissionIndex() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.missionIdx
-}
+func (c *Controller) MissionIndex() int { return c.missionIdx }
 
 // --------------------------------------------------------------------------
 // Fast loop
 
 // Step runs one fast-loop iteration of dt seconds (normally FastLoopDT).
-//
-// Sensor reads and the motor write are interface calls into device
-// backends that hold their own locks, so they happen outside c.mu: the
-// sensor sample is taken first, the control math runs under the lock, and
-// the motor command is published after release. A concurrent reader thus
-// observes a command at most one fast-loop period (2.5 ms) stale — the
-// same guarantee an ESC bus gives — and the lock can never participate in
-// a cycle through a device implementation.
+// Only the controller's owner calls it — the goroutine that steps the
+// drone's sim and devices too — so it takes no lock: it drains a pending
+// RequestDisarm, samples the sensors, runs the control math and writes
+// the motors, and every 40 steps publishes the snapshot Status returns.
 //
 //vet:hotpath the 400 Hz fast loop: one step must stay allocation-free
 func (c *Controller) Step(dt float64) {
 	if dt <= 0 {
 		return
 	}
+	if c.disarmReq.Load() && c.disarmReq.Swap(false) {
+		c.Disarm()
+	}
 	var t0 time.Time
-	sampled := telemetry.Enabled() && c.stepCount.Add(1)%stepSampleEvery == 0
+	sampled := false
+	if telemetry.Enabled() {
+		c.stepCount++
+		sampled = c.stepCount%stepSampleEvery == 0
+	}
 	if sampled {
 		t0 = time.Now() //vet:allow detguard wall clock feeds only the sampled latency histogram
 	}
 	imu := c.sensors.IMU()
 	hdg := c.sensors.Heading()
 
-	c.mu.Lock()
 	c.timeS += dt
 	c.loopCount++
 	// Position/velocity update at 50 Hz (GPS-rate) to mirror the real
 	// sensor pipeline.
 	gpsTick := c.loopCount%8 == 1
-	c.mu.Unlock()
 
 	var fix devices.Fix
 	var soc float64
@@ -439,20 +406,19 @@ func (c *Controller) Step(dt float64) {
 		soc, _ = c.sensors.Battery()
 	}
 
-	c.mu.Lock()
-	cmd := c.stepLocked(imu, hdg, fix, soc, gpsTick, dt)
-	c.mu.Unlock()
-	c.motors.SetMotors(cmd)
+	c.motors.SetMotors(c.control(imu, hdg, fix, soc, gpsTick, dt))
+	if c.loopCount%statusEvery == 0 {
+		c.publishStatus()
+	}
 	if sampled {
 		mStepNS.Observe(float64(time.Since(t0).Nanoseconds())) //vet:allow detguard wall clock feeds only the sampled latency histogram
 	}
 }
 
-// stepLocked runs the estimator and control math and returns the motor
+// control runs the estimator and control math and returns the motor
 // command to publish. All sensor samples arrive as arguments; the only
-// foreign code it may reach is the breach action, which checkFenceLocked
-// already invokes with the lock released.
-func (c *Controller) stepLocked(imu devices.IMUSample, hdg float64, fix devices.Fix, soc float64, gpsTick bool, dt float64) [4]float64 {
+// foreign code it may reach is the breach action.
+func (c *Controller) control(imu devices.IMUSample, hdg float64, fix devices.Fix, soc float64, gpsTick bool, dt float64) [4]float64 {
 	c.updateAttitudeEstimate(imu, hdg, dt)
 
 	if gpsTick {
@@ -460,8 +426,8 @@ func (c *Controller) stepLocked(imu devices.IMUSample, hdg float64, fix devices.
 		c.posN, c.posE, c.alt = n, e, fix.Position.Alt
 		c.velN, c.velE, c.velD = fix.VelN, fix.VelE, fix.VelD
 		c.haveFix = true
-		c.checkFenceLocked()
-		c.checkBatteryLocked(soc)
+		c.checkFence()
+		c.checkBattery(soc)
 	}
 
 	if !c.armed {
@@ -492,7 +458,7 @@ func (c *Controller) stepLocked(imu devices.IMUSample, hdg float64, fix devices.
 		if math.Hypot(c.posN-c.tgtN, c.posE-c.tgtE) < 1.5 && math.Abs(c.alt-c.tgtAlt) < 1 {
 			if c.missionIdx < len(c.mission)-1 {
 				c.missionIdx++
-				c.setGuidedTargetLocked(c.mission[c.missionIdx])
+				c.setGuidedTarget(c.mission[c.missionIdx])
 			}
 		}
 		desN, desE, desAlt = c.tgtN, c.tgtE, c.tgtAlt
@@ -570,7 +536,7 @@ func (c *Controller) stepLocked(imu devices.IMUSample, hdg float64, fix devices.
 }
 
 // updateAttitudeEstimate runs the complementary filter. hdgDeg is the
-// magnetometer heading in degrees, sampled by the caller before locking.
+// magnetometer heading in degrees.
 func (c *Controller) updateAttitudeEstimate(imu devices.IMUSample, hdgDeg, dt float64) {
 	// Gyro integration.
 	cr, sr := math.Cos(c.estRoll), math.Sin(c.estRoll)
@@ -604,12 +570,12 @@ func (c *Controller) updateAttitudeEstimate(imu devices.IMUSample, hdgDeg, dt fl
 	c.estPitch = clamp(c.estPitch, -1.2, 1.2)
 }
 
-// checkFenceLocked runs the geofence check against the position estimate.
-func (c *Controller) checkFenceLocked() {
+// checkFence runs the geofence check against the position estimate.
+func (c *Controller) checkFence() {
 	if c.fence == nil || !c.armed {
 		return
 	}
-	pos := c.estimateLocked()
+	pos := c.Estimate()
 	if c.fence.Contains(pos) {
 		c.breached = false
 		return
@@ -619,19 +585,13 @@ func (c *Controller) checkFenceLocked() {
 	}
 	c.breached = true
 	if c.breach != nil {
-		action := c.breach
-		// Run outside the lock: breach actions call back into the
-		// controller (mode changes, target updates).
-		c.mu.Unlock()
-		action(c)
-		c.mu.Lock()
+		c.breach(c)
 	}
 }
 
-// checkBatteryLocked forces RTL when the state of charge drops below the
-// failsafe threshold, once per discharge. soc is the state of charge
-// sampled by the caller before locking.
-func (c *Controller) checkBatteryLocked(soc float64) {
+// checkBattery forces RTL when the state of charge drops below the
+// failsafe threshold, once per discharge.
+func (c *Controller) checkBattery(soc float64) {
 	if c.battFailsafeFrac <= 0 || c.battFailsafed || !c.armed {
 		return
 	}
@@ -643,51 +603,66 @@ func (c *Controller) checkBatteryLocked(soc float64) {
 		return
 	}
 	c.battFailsafed = true
-	_ = c.setModeLocked(mavlink.ModeRTL)
+	_ = c.setMode(mavlink.ModeRTL)
 }
 
 // BatteryFailsafed reports whether the low-battery failsafe has fired.
-func (c *Controller) BatteryFailsafed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.battFailsafed
-}
+func (c *Controller) BatteryFailsafed() bool { return c.battFailsafed }
 
 // Breached reports whether the fence is currently breached.
-func (c *Controller) Breached() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.breached
-}
+func (c *Controller) Breached() bool { return c.breached }
 
 func (c *Controller) logSample() {
-	if c.log == nil && c.aed == nil {
-		return
-	}
-	s := Sample{
-		T:        c.timeS,
-		EstRoll:  c.estRoll,
-		EstPitch: c.estPitch,
-		EstYaw:   c.estYaw,
-	}
-	if c.log != nil {
-		c.log.add(s)
-	}
 	if c.aed != nil {
-		c.aed.add(s)
+		c.aed.add(Sample{T: c.timeS, EstRoll: c.estRoll, EstPitch: c.estPitch, EstYaw: c.estYaw})
 	}
 }
 
 // RecordTruth lets the harness attach ground-truth attitude to the most
-// recent log sample (on hardware, the "canonical" attitude comes from log
+// recent sample (on hardware, the "canonical" attitude comes from log
 // post-processing; in simulation it is the sim state).
 func (c *Controller) RecordTruth(roll, pitch, yaw float64) {
-	if c.log != nil {
-		c.log.setTruth(roll, pitch, yaw)
-	}
 	if c.aed != nil {
 		c.aed.setTruth(roll, pitch, yaw)
 	}
+}
+
+// statusEvery is the fast-loop steps between Status publications: one
+// harness tick, 100 ms at 400 Hz.
+const statusEvery = 40
+
+// Status is a value snapshot of the controller for goroutines other than
+// its owner.
+type Status struct {
+	Armed            bool
+	Mode             uint32
+	Position         geo.Position // the position estimate
+	Roll, Pitch, Yaw float64      // the attitude estimate, radians
+	Breached         bool
+	BatteryFailsafed bool
+	MissionIndex     int
+	TimeS            float64 // controller time at publication
+}
+
+// Status returns the latest snapshot the owner published: at most
+// statusEvery fast-loop steps old. It is safe from any goroutine.
+func (c *Controller) Status() Status {
+	c.statusMu.Lock()
+	defer c.statusMu.Unlock()
+	return c.status
+}
+
+// publishStatus refreshes the snapshot Status returns.
+func (c *Controller) publishStatus() {
+	st := Status{
+		Armed: c.armed, Mode: c.mode, Position: c.Estimate(),
+		Roll: c.estRoll, Pitch: c.estPitch, Yaw: c.estYaw,
+		Breached: c.breached, BatteryFailsafed: c.battFailsafed,
+		MissionIndex: c.missionIdx, TimeS: c.timeS,
+	}
+	c.statusMu.Lock() //vet:allow hotpath once per statusEvery steps; a leaf section that copies one small value
+	c.status = st
+	c.statusMu.Unlock()
 }
 
 // --------------------------------------------------------------------------
@@ -721,11 +696,9 @@ func (c *Controller) HandleMessage(msg mavlink.Message) []mavlink.Message {
 	case *mavlink.MissionItemInt:
 		return c.handleMissionItem(m)
 	case *mavlink.MissionClearAll:
-		c.mu.Lock()
 		c.mission = nil
 		c.missionIdx = 0
 		c.uploading = false
-		c.mu.Unlock()
 		return []mavlink.Message{&mavlink.MissionAck{Type: mavlink.MissionAccepted}} //vet:allow hotpath mission-protocol reply; not the steady-state stream
 	case *mavlink.Heartbeat:
 		return nil
@@ -740,20 +713,16 @@ func (c *Controller) handleMissionCount(m *mavlink.MissionCount) []mavlink.Messa
 	if m.Count == 0 || m.Count > maxItems {
 		return []mavlink.Message{&mavlink.MissionAck{Type: mavlink.MissionInvalidParam}} //vet:allow hotpath mission-protocol reply; not the steady-state stream
 	}
-	c.mu.Lock()
 	c.uploading = true
 	c.uploadTotal = int(m.Count)
 	c.uploadNext = 0
 	c.uploadItems = c.uploadItems[:0]
-	c.mu.Unlock()
 	return []mavlink.Message{&mavlink.MissionRequestInt{Seq: 0}} //vet:allow hotpath mission-protocol reply; not the steady-state stream
 }
 
 // handleMissionItem accepts the next mission item, requesting the following
 // one or closing the transaction with an ack.
 func (c *Controller) handleMissionItem(m *mavlink.MissionItemInt) []mavlink.Message {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.uploading {
 		return []mavlink.Message{&mavlink.MissionAck{Type: mavlink.MissionError}} //vet:allow hotpath mission-protocol reply; not the steady-state stream
 	}
@@ -819,9 +788,7 @@ func (c *Controller) handleCommand(m *mavlink.CommandLong) []mavlink.Message {
 		c.SetYaw(float64(m.Param1) * math.Pi / 180)
 		return ack(mavlink.ResultAccepted)
 	case mavlink.CmdDoChangeSpeed:
-		c.mu.Lock()
 		c.speedLimit = float64(m.Param2)
-		c.mu.Unlock()
 		return ack(mavlink.ResultAccepted)
 	}
 	return ack(mavlink.ResultUnsupported)
@@ -830,16 +797,12 @@ func (c *Controller) handleCommand(m *mavlink.CommandLong) []mavlink.Message {
 // Telemetry returns the controller's current telemetry set: heartbeat,
 // attitude, global position, and system status.
 func (c *Controller) Telemetry() []mavlink.Message {
-	// Battery is an interface call into the device backend; sample it
-	// before taking the controller lock.
 	soc, volt := c.sensors.Battery()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	base := uint8(mavlink.ModeFlagCustomModeEnabled)
 	if c.armed {
 		base |= mavlink.ModeFlagSafetyArmed
 	}
-	pos := c.estimateLocked()
+	pos := c.Estimate()
 	hdg := math.Mod(c.estYaw*180/math.Pi+360, 360)
 	return []mavlink.Message{
 		&mavlink.Heartbeat{CustomMode: c.mode, Type: 2, Autopilot: 3, BaseMode: base, SystemStatus: 4, MavlinkVersion: 3},

@@ -19,9 +19,20 @@ func prepare(t *testing.T, opts ...Option) *Vehicle {
 	return v
 }
 
+// flier is a vehicle and the loop that steps it: a *Vehicle, or a
+// loggedVehicle, whose loop also feeds the oracle Log.
+type flier interface {
+	vehicle() *Vehicle
+	StepSeconds(seconds float64)
+	RunUntil(cond func() bool, timeoutS float64) bool
+}
+
+func (v *Vehicle) vehicle() *Vehicle { return v }
+
 // takeoffTo arms, switches to GUIDED, and climbs to alt.
-func takeoffTo(t *testing.T, v *Vehicle, alt float64) {
+func takeoffTo(t *testing.T, f flier, alt float64) {
 	t.Helper()
+	v := f.vehicle()
 	c := v.Controller
 	if err := c.SetModeNum(mavlink.ModeGuided); err != nil {
 		t.Fatal(err)
@@ -32,7 +43,7 @@ func takeoffTo(t *testing.T, v *Vehicle, alt float64) {
 	if err := c.Takeoff(alt); err != nil {
 		t.Fatal(err)
 	}
-	ok := v.RunUntil(func() bool {
+	ok := f.RunUntil(func() bool {
 		return math.Abs(v.Sim.AltitudeAGL()-alt) < 0.5
 	}, 30)
 	if !ok {
@@ -284,8 +295,8 @@ func TestGeofenceCustomAction(t *testing.T) {
 }
 
 func TestAttitudeEstimateTracksTruth(t *testing.T) {
-	log := NewLog()
-	v := NewVehicle(home, "aed", WithLog(log))
+	log := &Log{}
+	v := loggedVehicle{NewVehicle(home, "aed"), log}
 	v.StepSeconds(0.1)
 	takeoffTo(t, v, 12)
 	target := geo.Position{LatLon: geo.OffsetNE(home.LatLon, 40, 40), Alt: 15}
@@ -299,7 +310,7 @@ func TestAttitudeEstimateTracksTruth(t *testing.T) {
 		t.Fatalf("AED failed: max divergence %.1f deg, excursion %.2f s",
 			res.MaxDivergenceDeg, res.LongestExcursionS)
 	}
-	if log.Len() == 0 {
+	if len(log.samples) == 0 {
 		t.Fatal("log empty")
 	}
 }

@@ -41,21 +41,17 @@ import (
 // bulk idle advance. Armed controllers run control math whose integrator
 // updates are never identity.
 func (c *Controller) Disarmed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return !c.armed
 }
 
 // Fingerprint hashes every controller field except the pure step
-// counters (timeS, loopCount, stepCount), the attached flight log or AED
-// monitor, and the attitude estimate, which it replaces with the
+// counters (timeS, loopCount, stepCount), the attached AED monitor, the
+// published Status, and the attitude estimate, which it replaces with the
 // estimator inputs of the latest disarmed step. Equal fingerprints one
 // tick apart mean the intervening steps changed nothing the control law
 // can later observe except what AdvanceDisarmed replays — paired with
 // sitl.Sim.Fingerprint it gates the event runner's bulk leaps.
 func (c *Controller) Fingerprint() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	h := fpInit
 	for _, f := range c.idleIn {
 		h = fpMix(h, math.Float64bits(f))
@@ -95,16 +91,14 @@ func (c *Controller) Fingerprint() uint64 {
 // so a pre-flight leap pays for one call), timeS grows by the same
 // per-step float add, loopCount by one per step (the 50 Hz GPS phase is
 // preserved because callers leap whole harness ticks of 40 steps, and
-// 40 ≡ 0 mod 8), and the atomic stepCount by one per step so
-// latency-sampling phase survives the leap. No samples reach the flight
-// log or AED monitor.
+// 40 ≡ 0 mod 8), and stepCount by one per step so latency-sampling
+// phase survives the leap. No samples reach the AED monitor. The leap
+// ends by publishing Status, as the last skipped step would have.
 func (c *Controller) AdvanceDisarmed(steps int, dt float64) {
 	if steps <= 0 || dt <= 0 {
 		return
 	}
-	c.stepCount.Add(uint64(steps))
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.stepCount += uint64(steps)
 	in := &c.idleIn
 	imu := devices.IMUSample{AccelX: in[0], AccelY: in[1], AccelZ: in[2], GyroX: in[3], GyroY: in[4], GyroZ: in[5]}
 	for i := 0; i < steps; i++ {
@@ -120,6 +114,7 @@ func (c *Controller) AdvanceDisarmed(steps int, dt float64) {
 	}
 	c.timeS = t
 	c.loopCount += uint64(steps)
+	c.publishStatus()
 }
 
 // sameBits reports bit equality, which tells -0 from +0 and matches NaNs.

@@ -26,8 +26,8 @@ var paramNames = []string{
 
 func init() { sort.Strings(paramNames) }
 
-// paramGet reads a parameter in wire units. Caller holds c.mu.
-func (c *Controller) paramGetLocked(name string) (float32, bool) {
+// paramGet reads a parameter in wire units.
+func (c *Controller) paramGet(name string) (float32, bool) {
 	switch name {
 	case ParamWPNavSpeed:
 		return float32(c.limits.MaxSpeedMS * 100), true
@@ -45,9 +45,9 @@ func (c *Controller) paramGetLocked(name string) (float32, bool) {
 	return 0, false
 }
 
-// paramSetLocked writes a parameter, clamping to hard safety bounds. Caller
-// holds c.mu. Returns the value actually stored.
-func (c *Controller) paramSetLocked(name string, v float32) (float32, bool) {
+// paramSet writes a parameter, clamping to hard safety bounds. Returns
+// the value actually stored.
+func (c *Controller) paramSet(name string, v float32) (float32, bool) {
 	clamp64 := func(x, lo, hi float64) float64 { return math.Min(hi, math.Max(lo, x)) } //vet:allow hotpath non-escaping closure; conservative FuncLit rule
 	switch name {
 	case ParamWPNavSpeed:
@@ -66,19 +66,17 @@ func (c *Controller) paramSetLocked(name string, v float32) (float32, bool) {
 	default:
 		return 0, false
 	}
-	got, _ := c.paramGetLocked(name)
+	got, _ := c.paramGet(name)
 	return got, true
 }
 
 // handleParam processes the MAVLink parameter protocol.
 func (c *Controller) handleParam(msg mavlink.Message) []mavlink.Message {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	switch m := msg.(type) {
 	case *mavlink.ParamRequestList:
 		out := make([]mavlink.Message, 0, len(paramNames)) //vet:allow hotpath param-protocol reply; not the steady-state stream
 		for i, name := range paramNames {
-			v, _ := c.paramGetLocked(name)
+			v, _ := c.paramGet(name)
 			out = append(out, &mavlink.ParamValue{ //vet:allow hotpath param-protocol reply; not the steady-state stream
 				Value: v, ParamCount: uint16(len(paramNames)), ParamIndex: uint16(i),
 				ParamID: name, ParamType: 9, // MAV_PARAM_TYPE_REAL32
@@ -86,7 +84,7 @@ func (c *Controller) handleParam(msg mavlink.Message) []mavlink.Message {
 		}
 		return out
 	case *mavlink.ParamRequestRead:
-		if v, ok := c.paramGetLocked(m.ParamID); ok {
+		if v, ok := c.paramGet(m.ParamID); ok {
 			return []mavlink.Message{&mavlink.ParamValue{ //vet:allow hotpath param-protocol reply; not the steady-state stream
 				Value: v, ParamCount: uint16(len(paramNames)),
 				ParamID: m.ParamID, ParamType: 9,
@@ -94,7 +92,7 @@ func (c *Controller) handleParam(msg mavlink.Message) []mavlink.Message {
 		}
 		return nil
 	case *mavlink.ParamSet:
-		if v, ok := c.paramSetLocked(m.ParamID, m.Value); ok {
+		if v, ok := c.paramSet(m.ParamID, m.Value); ok {
 			// MAVLink confirms a set by echoing the (possibly clamped)
 			// stored value.
 			return []mavlink.Message{&mavlink.ParamValue{ //vet:allow hotpath param-protocol reply; not the steady-state stream

@@ -7,12 +7,11 @@ import (
 	"androne/internal/mavlink"
 )
 
-// TestConcurrentReadersDuringFlight drives the fast loop while tenant-side
-// goroutines hammer every reader API — the VFC telemetry path, state
-// queries, and MAVLink dispatch. Run under -race this exercises the
-// invariant the locksafe refactor established: c.mu is never held across a
-// sensor or motor interface call, so the controller lock cannot order
-// against the sim's internal lock.
+// TestConcurrentReadersDuringFlight drives the fast loop while other
+// goroutines hammer Status, the one reader safe off the owner goroutine.
+// Run under -race it checks the single-owner contract's read seam: the
+// snapshot is published behind its own lock, and nothing a reader sees
+// is torn — every snapshot is armed, in GUIDED, and never runs backwards.
 func TestConcurrentReadersDuringFlight(t *testing.T) {
 	v := prepare(t)
 	c := v.Controller
@@ -25,33 +24,29 @@ func TestConcurrentReadersDuringFlight(t *testing.T) {
 	if err := c.Takeoff(10); err != nil {
 		t.Fatal(err)
 	}
+	v.StepSeconds(0.1) // publish a snapshot of the armed state
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	readers := []func(){
-		func() { c.Telemetry() },
-		func() { c.Estimate() },
-		func() { c.EstimatedAttitude() },
-		func() { _ = c.Armed() },
-		func() { _ = c.Mode() },
-		func() { _ = c.Breached() },
-		func() { _ = c.BatteryFailsafed() },
-		func() { _ = c.MissionIndex() },
-		func() { c.HandleMessage(&mavlink.Heartbeat{}) },
-	}
-	for _, read := range readers {
+	for r := 0; r < 4; r++ {
 		wg.Add(1)
-		go func(read func()) {
+		go func() {
 			defer wg.Done()
+			last := 0.0
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					read()
 				}
+				st := c.Status()
+				if !st.Armed || st.Mode != mavlink.ModeGuided || st.TimeS < last {
+					t.Errorf("torn or stale snapshot %+v after t=%g", st, last)
+					return
+				}
+				last = st.TimeS
 			}
-		}(read)
+		}()
 	}
 
 	v.StepSeconds(2)
@@ -61,11 +56,19 @@ func TestConcurrentReadersDuringFlight(t *testing.T) {
 	if !c.Armed() {
 		t.Fatal("controller disarmed itself during concurrent reads")
 	}
+	st := c.Status()
+	if st.TimeS != c.timeS || st.Position != c.Estimate() {
+		t.Fatalf("status after a whole tick = %+v, want the controller's state at t=%g", st, c.timeS)
+	}
+	if st.Position.Alt <= 1 {
+		t.Fatalf("status altitude %.2f m: the published snapshot does not follow the climb", st.Position.Alt)
+	}
 }
 
-// TestConcurrentDisarm races Disarm against the fast loop: the motor-cut
-// write happens outside the lock and must not tear against Step's motor
-// command publication.
+// TestConcurrentDisarm races RequestDisarm from another goroutine against
+// the fast loop: the request is an atomic flag the owner drains at the
+// start of a step, so the disarm lands on the owner goroutine and cannot
+// tear against Step's motor command publication.
 func TestConcurrentDisarm(t *testing.T) {
 	v := prepare(t)
 	c := v.Controller
@@ -82,12 +85,16 @@ func TestConcurrentDisarm(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.Disarm()
+		c.RequestDisarm()
 	}()
 	v.StepSeconds(1)
 	<-done
+	v.StepSeconds(0.1) // drain a request that arrived after the last step
 
 	if c.Armed() {
 		t.Fatal("Disarm lost")
+	}
+	if c.Status().Armed {
+		t.Fatal("the published status still shows the controller armed")
 	}
 }

@@ -31,8 +31,6 @@ import (
 // RNG. It deliberately does not prove the state is a fixed point — the
 // caller pairs it with fingerprint stability.
 func (s *Sim) Parked() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.onGround &&
 		s.windUntil.IsZero() &&
 		s.gustStd == 0 &&
@@ -44,8 +42,6 @@ func (s *Sim) Parked() bool {
 // apart mean the intervening 40 fast-loop steps were the identity on all
 // hashed state — the event runner's entry ticket for a bulk leap.
 func (s *Sim) Fingerprint() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	h := fpInit
 	for _, f := range [...]float64{
 		s.n, s.e, s.d, s.vn, s.ve, s.vd,
@@ -81,8 +77,6 @@ func (s *Sim) AdvanceParked(steps int, dt float64) {
 	if steps <= 0 || dt <= 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	inc := s.powerW * dt
 	e := s.energyUsedJ
 	for i := 0; i < steps; i++ {

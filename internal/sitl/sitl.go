@@ -15,7 +15,6 @@ package sitl
 import (
 	"hash/fnv"
 	"math"
-	"sync"
 	"time"
 
 	"androne/internal/geo"
@@ -75,12 +74,11 @@ func (p Params) HoverThrustFrac() float64 {
 	return p.MassKg * Gravity / 4 / p.MaxMotorThrust
 }
 
-// Sim is the quadcopter simulation. All methods are safe for concurrent use;
-// the flight controller steps it from its fast loop while device models read
-// from it.
+// Sim is the quadcopter simulation. It has one owner: the goroutine that
+// steps the drone also runs the flight controller and the device models
+// that read from it, so no method takes a lock (DESIGN.md "Fleet scaling &
+// hot-path concurrency").
 type Sim struct {
-	mu sync.Mutex
-
 	p    Params
 	home geo.Position
 
@@ -141,8 +139,6 @@ func New(home geo.Position, p Params, seed string) *Sim {
 // order is X configuration: 0 front-right, 1 back-left, 2 front-left,
 // 3 back-right (ArduPilot numbering, zero-based).
 func (s *Sim) SetMotors(cmd [4]float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i, c := range cmd {
 		s.motorCmd[i] = clamp(c, 0, 1)
 	}
@@ -156,8 +152,6 @@ func (s *Sim) SetMotorHealth(motor int, eff float64) {
 	if motor < 0 || motor >= 4 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if eff <= 0 {
 		s.motorEff[motor] = -1
 	} else {
@@ -167,8 +161,6 @@ func (s *Sim) SetMotorHealth(motor int, eff float64) {
 
 // SetWind configures mean wind (north/east, m/s) and gust intensity.
 func (s *Sim) SetWind(meanN, meanE, gustStd float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.windMeanN, s.windMeanE, s.gustStd = meanN, meanE, gustStd
 	s.windUntil = time.Time{}
 }
@@ -177,8 +169,6 @@ func (s *Sim) SetWind(meanN, meanE, gustStd float64) {
 // air calms — a deterministic gust or squall, independent of how fast the
 // simulation runs relative to wall clock.
 func (s *Sim) SetWindFor(meanN, meanE, gustStd, seconds float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.windMeanN, s.windMeanE, s.gustStd = meanN, meanE, gustStd
 	s.windUntil = s.simTime.Add(time.Duration(seconds * float64(time.Second)))
 }
@@ -188,8 +178,6 @@ func (s *Sim) Step(dt float64) {
 	if dt <= 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	p := s.p
 
 	// Motor lag toward command, derated by injected motor health.
@@ -311,30 +299,18 @@ func (s *Sim) Step(dt float64) {
 
 // Position returns the drone's geodetic position.
 func (s *Sim) Position() geo.Position {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ll := geo.OffsetNE(s.home.LatLon, s.n, s.e)
 	return geo.Position{LatLon: ll, Alt: s.home.Alt - s.d}
 }
 
 // VelocityNED returns velocity in north/east/down m/s.
-func (s *Sim) VelocityNED() (float64, float64, float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.vn, s.ve, s.vd
-}
+func (s *Sim) VelocityNED() (float64, float64, float64) { return s.vn, s.ve, s.vd }
 
 // Attitude returns roll, pitch, yaw in radians.
-func (s *Sim) Attitude() (float64, float64, float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.roll, s.pitch, s.yaw
-}
+func (s *Sim) Attitude() (float64, float64, float64) { return s.roll, s.pitch, s.yaw }
 
 // AccelBody returns the accelerometer reading: body-frame specific force.
 func (s *Sim) AccelBody() (float64, float64, float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// Specific force f = R^T (a - g) in NED (g = +Gravity down).
 	axw, ayw, azw := s.an, s.ae, s.ad-Gravity
 	cr, sr, cp, sp, cy, sy := s.cr, s.sr, s.cp, s.sp, s.cy, s.sy
@@ -346,18 +322,10 @@ func (s *Sim) AccelBody() (float64, float64, float64) {
 }
 
 // GyroBody returns body angular rates in rad/s.
-func (s *Sim) GyroBody() (float64, float64, float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.p_, s.q_, s.r_
-}
+func (s *Sim) GyroBody() (float64, float64, float64) { return s.p_, s.q_, s.r_ }
 
 // Now returns simulation time.
-func (s *Sim) Now() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.simTime
-}
+func (s *Sim) Now() time.Time { return s.simTime }
 
 // --------------------------------------------------------------------------
 // Additional state accessors
@@ -366,37 +334,19 @@ func (s *Sim) Now() time.Time {
 func (s *Sim) Home() geo.Position { return s.home }
 
 // OnGround reports whether the drone is resting on the ground.
-func (s *Sim) OnGround() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.onGround
-}
+func (s *Sim) OnGround() bool { return s.onGround }
 
 // AltitudeAGL returns altitude above the home plane in meters.
-func (s *Sim) AltitudeAGL() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return -s.d
-}
+func (s *Sim) AltitudeAGL() float64 { return -s.d }
 
 // PowerW returns instantaneous electrical power draw in watts.
-func (s *Sim) PowerW() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.powerW
-}
+func (s *Sim) PowerW() float64 { return s.powerW }
 
 // EnergyUsedJ returns cumulative energy drawn from the battery in joules.
-func (s *Sim) EnergyUsedJ() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.energyUsedJ
-}
+func (s *Sim) EnergyUsedJ() float64 { return s.energyUsedJ }
 
 // BatteryRemaining returns the battery state of charge in [0, 1].
 func (s *Sim) BatteryRemaining() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	soc := 1 - s.energyUsedJ/s.p.BatteryJ
 	return clamp(soc, 0, 1)
 }
@@ -404,8 +354,6 @@ func (s *Sim) BatteryRemaining() float64 {
 // BatteryVoltage models 3S LiPo sag: 12.6 V full, dropping with state of
 // charge and with instantaneous current.
 func (s *Sim) BatteryVoltage() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	soc := clamp(1-s.energyUsedJ/s.p.BatteryJ, 0, 1)
 	v := 9.9 + 2.7*soc
 	current := s.powerW / math.Max(v, 9)
@@ -416,11 +364,7 @@ func (s *Sim) BatteryVoltage() float64 {
 func (s *Sim) Params() Params { return s.p }
 
 // NE returns the drone's north/east offset from home in meters.
-func (s *Sim) NE() (north, east float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n, s.e
-}
+func (s *Sim) NE() (north, east float64) { return s.n, s.e }
 
 // --------------------------------------------------------------------------
 

@@ -14,12 +14,14 @@ import (
 	"time"
 )
 
-// TestEmitZeroAlloc pins the core hot-path promise: once a drone's ring
-// exists, Emit allocates nothing.
+// TestEmitZeroAlloc pins the core hot-path promise: once a drone's rings
+// have committed their slots, Emit allocates nothing.
 func TestEmitZeroAlloc(t *testing.T) {
 	r := NewRecorderSized(256, 64)
 	d, kind := K("alloc-probe"), K("test.op")
-	r.Emit(d, kind, 0, 0, "warm") // materialize the drone ring
+	for i := 0; i < 256; i++ {
+		r.Emit(d, kind, 0, 0, "warm") // fill the global and drone rings
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Emit(d, kind, 1, 2, "steady")
 	})

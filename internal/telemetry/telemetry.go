@@ -3,11 +3,12 @@
 //
 // It has three planes:
 //
-//   - A trace Recorder: fixed-capacity, mutex-striped ring buffers (one
-//     global ring plus one ring per drone) of tick-stamped Events. The hot
-//     path allocates nothing in steady state — events are written in place
-//     into preallocated ring slots (the slots are the event pool) and all
-//     label strings are interned to small integer Keys up front.
+//   - A trace Recorder: bounded, mutex-striped ring buffers (one global
+//     ring plus one ring per drone) of tick-stamped Events. The hot path
+//     allocates nothing in steady state — a ring commits its slots as it
+//     fills, then events are written in place into them (the slots are
+//     the event pool) — and all label strings are interned to small
+//     integer Keys up front.
 //   - A metrics registry (metrics.go): counters, gauges, and bounded
 //     histograms with exported quantiles, surfaced as a text exposition.
 //   - Black-box dumps (record.go): on an invariant violation, geofence
@@ -106,17 +107,34 @@ type Event struct {
 	Note  string
 }
 
-// ring is a fixed-capacity circular event buffer. It does not lock itself;
-// the owner (Recorder.gmu or a stripe mutex) serializes access.
+// ring is a bounded circular event buffer. It does not lock itself; the
+// owner (Recorder.gmu or a stripe mutex) serializes access. Its slots are
+// committed as events arrive, doubling up to capacity, so a recorder
+// holds what its drone emitted rather than capacity empty slots: a
+// duty-cycle drone emits about 30 events into a 1024-slot global ring.
+// Once full, put overwrites the oldest slot and allocates nothing.
 type ring struct {
-	buf []Event
-	n   uint64 // total events ever written
+	buf      []Event // the min(n, capacity) newest events, wrapped
+	capacity int
+	n        uint64 // total events ever written
 }
 
-func newRing(capacity int) *ring { return &ring{buf: make([]Event, capacity)} } //vet:allow hotpath one-time lazy ring init per drone; amortized to zero
+// ringFirstSlots is the slot count a ring commits on its first event.
+const ringFirstSlots = 16
+
+func newRing(capacity int) *ring { return &ring{capacity: capacity} } //vet:allow hotpath one-time lazy ring init per drone; amortized to zero
 
 func (g *ring) put(ev Event) {
-	g.buf[g.n%uint64(len(g.buf))] = ev
+	if len(g.buf) == g.capacity {
+		g.buf[g.n%uint64(g.capacity)] = ev
+	} else {
+		if len(g.buf) == cap(g.buf) {
+			grown := make([]Event, len(g.buf), min(g.capacity, max(ringFirstSlots, 2*len(g.buf)))) //vet:allow hotpath slots double toward the cap: at most log2(cap/16)+1 allocations per ring, none once full
+			copy(grown, g.buf)
+			g.buf = grown
+		}
+		g.buf = append(g.buf, ev)
+	}
 	g.n++
 }
 
@@ -233,7 +251,7 @@ func (r *Recorder) Tick() uint64 {
 // drone-scoped events additionally land in that drone's own ring so a
 // chatty neighbor cannot evict another drone's history.
 //
-//vet:hotpath steady-state emit writes into preallocated ring slots
+//vet:hotpath steady-state emit writes into committed ring slots
 func (r *Recorder) Emit(drone, kind Key, a, b int64, note string) {
 	if r == nil || !enabled.Load() {
 		return

@@ -91,17 +91,25 @@ func TestPerDroneRingIsolation(t *testing.T) {
 	}
 }
 
+// TestRingWrap checks that a ring keeps the newest min(n, capacity)
+// events oldest first at every fill level — while its slots are still
+// growing toward the cap (100 here: 16, 32, 64, then 100) and after it
+// wraps — and that it commits no more slots than it holds events, up to
+// the first 16.
 func TestRingWrap(t *testing.T) {
-	r := NewRecorderSized(4, 4)
-	for i := 0; i < 10; i++ {
-		r.Emit(0, K("wrap"), int64(i), 0, "")
-	}
-	got := r.Snapshot(0)
-	if len(got) != 4 {
-		t.Fatalf("ring should keep last 4, got %d", len(got))
-	}
-	if got[0].A != 6 || got[3].A != 9 {
-		t.Fatalf("ring kept wrong window: %+v", got)
+	for _, capacity := range []int{4, 100} {
+		r := NewRecorderSized(capacity, 4)
+		for i := 0; i < 3*capacity; i++ {
+			r.Emit(0, K("wrap"), int64(i), 0, "")
+			got := r.Snapshot(0)
+			want := min(i+1, capacity)
+			if len(got) != want || got[0].A != int64(i+1-want) || got[want-1].A != int64(i) {
+				t.Fatalf("cap %d after %d events: kept %d events %+v, want the last %d", capacity, i+1, len(got), got, want)
+			}
+			if slots := cap(r.global.buf); slots > max(ringFirstSlots, 2*want) || slots > capacity {
+				t.Fatalf("cap %d after %d events: %d slots committed", capacity, i+1, slots)
+			}
+		}
 	}
 }
 
