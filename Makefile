@@ -139,6 +139,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzQueueOps -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerPlan -fuzztime=$(FUZZTIME) ./internal/planner
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/devices
+	$(GO) test -run='^$$' -fuzz=FuzzSincosTan -fuzztime=$(FUZZTIME) ./internal/detmath
 
 # Coverage ratchet: total statement coverage must not drop below the floor
 # recorded in coverage-baseline.txt. Raise the floor when coverage grows.

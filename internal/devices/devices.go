@@ -344,8 +344,7 @@ func (m *Magnetometer) Kind() Kind { return KindMagnetometer }
 // HeadingDeg returns magnetic heading in degrees [0, 360).
 func (m *Magnetometer) HeadingDeg() float64 {
 	_, _, yaw := m.world.Attitude()
-	deg := yaw * 180 / math.Pi
-	return math.Mod(deg+360, 360)
+	return geo.Deg360(yaw * 180 / math.Pi)
 }
 
 // ---------------------------------------------------------------------------

@@ -40,8 +40,10 @@ func (f *aedFold) add(s Sample) {
 	if !s.HasTruth {
 		return
 	}
-	div := math.Max(angDiffDeg(s.EstRoll, s.TrueRoll),
-		math.Max(angDiffDeg(s.EstPitch, s.TruePitch), angDiffDeg(s.EstYaw, s.TrueYaw)))
+	// The builtin max, not math.Max: the same result here (NaN wins, +0
+	// beats −0, and a divergence is never +Inf) without the call.
+	div := max(angDiffDeg(s.EstRoll, s.TrueRoll), angDiffDeg(s.EstPitch, s.TruePitch),
+		angDiffDeg(s.EstYaw, s.TrueYaw))
 	if div > f.res.MaxDivergenceDeg {
 		f.res.MaxDivergenceDeg = div
 	}

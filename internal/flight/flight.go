@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"androne/internal/detmath"
 	"androne/internal/devices"
 	"androne/internal/geo"
 	"androne/internal/mavlink"
@@ -486,7 +487,7 @@ func (c *Controller) control(imu devices.IMUSample, hdg float64, fix devices.Fix
 	// Velocity -> tilt. Desired acceleration maps to lean angles.
 	accN := 1.2 * (dvN - c.velN)
 	accE := 1.2 * (dvE - c.velE)
-	cy, sy := math.Cos(c.estYaw), math.Sin(c.estYaw)
+	sy, cy := math.Sincos(c.estYaw)
 	accX := cy*accN + sy*accE  // body forward
 	accY := -sy*accN + cy*accE // body right
 	// Forward acceleration needs nose-down (negative) pitch.
@@ -538,10 +539,10 @@ func (c *Controller) control(imu devices.IMUSample, hdg float64, fix devices.Fix
 // updateAttitudeEstimate runs the complementary filter. hdgDeg is the
 // magnetometer heading in degrees.
 func (c *Controller) updateAttitudeEstimate(imu devices.IMUSample, hdgDeg, dt float64) {
-	// Gyro integration.
-	cr, sr := math.Cos(c.estRoll), math.Sin(c.estRoll)
-	tp := math.Tan(c.estPitch)
-	cp := math.Cos(c.estPitch)
+	// Gyro integration. One argument reduction per angle; each result
+	// equals the separate math call bit for bit (package detmath).
+	sr, cr := math.Sincos(c.estRoll)
+	_, cp, tp := detmath.SincosTan(c.estPitch)
 	c.estRoll += dt * (imu.GyroX + imu.GyroY*sr*tp + imu.GyroZ*cr*tp)
 	c.estPitch += dt * (imu.GyroY*cr - imu.GyroZ*sr)
 	c.estYaw += dt * (imu.GyroY*sr/cp + imu.GyroZ*cr/cp)
@@ -803,7 +804,7 @@ func (c *Controller) Telemetry() []mavlink.Message {
 		base |= mavlink.ModeFlagSafetyArmed
 	}
 	pos := c.Estimate()
-	hdg := math.Mod(c.estYaw*180/math.Pi+360, 360)
+	hdg := geo.Deg360(c.estYaw * 180 / math.Pi)
 	return []mavlink.Message{
 		&mavlink.Heartbeat{CustomMode: c.mode, Type: 2, Autopilot: 3, BaseMode: base, SystemStatus: 4, MavlinkVersion: 3},
 		&mavlink.Attitude{

@@ -70,8 +70,25 @@ func Bearing(a, b LatLon) float64 {
 	dLon := deg2rad(b.Lon - a.Lon)
 	y := math.Sin(dLon) * math.Cos(la2)
 	x := math.Cos(la1)*math.Sin(la2) - math.Sin(la1)*math.Cos(la2)*math.Cos(dLon)
-	brg := rad2deg(math.Atan2(y, x))
-	return math.Mod(brg+360, 360)
+	return Deg360(rad2deg(math.Atan2(y, x)))
+}
+
+// Deg360 wraps an angle in degrees into [0, 360): it returns exactly
+// math.Mod(deg+360, 360), bit for bit, for every input. The headings the
+// fast loop wraps come from angles in [−180°, 180°], so deg+360 lies in
+// [180, 720), where the remainder is deg+360 itself or deg+360−360; that
+// subtraction is exact (Sterbenz's lemma: 360 ≤ x < 720 ≤ 2·360), so the
+// shortcut skips math.Mod's loop without changing a bit. Other inputs,
+// NaN included, go to math.Mod.
+func Deg360(deg float64) float64 {
+	x := deg + 360
+	if x >= 180 && x < 720 {
+		if x >= 360 {
+			return x - 360
+		}
+		return x
+	}
+	return math.Mod(x, 360)
 }
 
 // Offset returns the coordinate reached by traveling dist meters from p on

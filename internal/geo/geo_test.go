@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -317,4 +318,38 @@ func clampLL(p LatLon) LatLon {
 		lon = 0
 	}
 	return LatLon{Lat: lat, Lon: lon}
+}
+
+// TestDeg360MatchesMod holds Deg360 to math.Mod(deg+360, 360) bit for bit
+// (any NaN matching any NaN): yaw angles in [−π, π] converted to degrees
+// as the magnetometer does, the edge values, and wide random inputs.
+func TestDeg360MatchesMod(t *testing.T) {
+	check := func(deg float64) {
+		t.Helper()
+		got, want := Deg360(deg), math.Mod(deg+360, 360)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("Deg360(%v) [%#x] = %v, math.Mod gives %v", deg, math.Float64bits(deg), got, want)
+		}
+	}
+	edges := []float64{
+		0, math.Copysign(0, -1), 180, -180, 360, -360, 540, 720,
+		math.Pi * 180 / math.Pi, -math.Pi * 180 / math.Pi,
+		1e-20, -1e-20, 1e-14, -1e-14, 2e-14, -2e-14, // deg+360 rounds to exactly 360
+		math.Nextafter(-180, 0), math.Nextafter(-180, -360),
+		math.Nextafter(360, 0), math.Nextafter(360, 720),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64,
+	}
+	for _, deg := range edges {
+		check(deg)
+	}
+	r := rand.New(rand.NewPCG(3, 4))
+	for i := 0; i < 1_000_000; i++ {
+		yaw := (2*r.Float64() - 1) * math.Pi
+		check(yaw * 180 / math.Pi)
+		check((2*r.Float64() - 1) * 1e6)
+		if i%16 == 0 { // math.Mod is slow on huge exponents
+			check(math.Float64frombits(r.Uint64()))
+		}
+	}
 }

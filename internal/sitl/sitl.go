@@ -17,6 +17,7 @@ import (
 	"math"
 	"time"
 
+	"androne/internal/detmath"
 	"androne/internal/geo"
 )
 
@@ -89,10 +90,12 @@ type Sim struct {
 	roll, pitch, yaw float64
 	p_, q_, r_       float64 // body rates, rad/s
 
-	// Cosines and sines of roll, pitch and yaw, kept equal to math.Cos
-	// and math.Sin of the current attitude: the end of Step refreshes
-	// them, and the next Step's kinematics and AccelBody reuse them.
-	cr, sr, cp, sp, cy, sy float64
+	// Cosines and sines of roll, pitch and yaw, and the tangent of
+	// pitch, kept equal to math.Cos, math.Sin and math.Tan of the current
+	// attitude: the end of Step refreshes them, and the next Step's
+	// kinematics and AccelBody reuse them. Every writer of the attitude
+	// must refresh them too (TestAttitudeTrigCacheExact).
+	cr, sr, cp, sp, cy, sy, tp float64
 
 	motorCmd    [4]float64 // commanded thrust fraction 0..1
 	motorThrust [4]float64 // actual thrust, N (first-order lag)
@@ -214,8 +217,7 @@ func (s *Sim) Step(dt float64) {
 
 	// Euler kinematics (well-conditioned away from ±90° pitch, which the
 	// controller's tilt limits guarantee).
-	cr, sr, cp := s.cr, s.sr, s.cp
-	tp := math.Tan(s.pitch)
+	cr, sr, cp, tp := s.cr, s.sr, s.cp, s.tp
 	s.roll += dt * (s.p_ + s.q_*sr*tp + s.r_*cr*tp)
 	s.pitch += dt * (s.q_*cr - s.r_*sr)
 	s.yaw += dt * (s.q_*sr/cp + s.r_*cr/cp)
@@ -238,10 +240,12 @@ func (s *Sim) Step(dt float64) {
 	windE := s.windMeanE + s.gustE
 
 	// Linear dynamics. Body thrust is -z (up); rotate to world NED.
-	cy, sy := math.Cos(s.yaw), math.Sin(s.yaw)
-	cr, sr = math.Cos(s.roll), math.Sin(s.roll)
-	cp, sp := math.Cos(s.pitch), math.Sin(s.pitch)
-	s.cr, s.sr, s.cp, s.sp, s.cy, s.sy = cr, sr, cp, sp, cy, sy
+	// One argument reduction per angle; each result equals the separate
+	// math call bit for bit (package detmath).
+	sy, cy := math.Sincos(s.yaw)
+	sr, cr = math.Sincos(s.roll)
+	sp, cp, tp := detmath.SincosTan(s.pitch)
+	s.cr, s.sr, s.cp, s.sp, s.cy, s.sy, s.tp = cr, sr, cp, sp, cy, sy, tp
 	// Third column of the body-to-world rotation (ZYX Euler), times -T.
 	fx := -(cy*sp*cr + sy*sr) * thrust
 	fy := -(sy*sp*cr - cy*sr) * thrust
@@ -271,7 +275,7 @@ func (s *Sim) Step(dt float64) {
 			s.vn, s.ve = 0, 0
 			s.p_, s.q_, s.r_ = 0, 0, 0
 			s.roll, s.pitch = 0, 0
-			s.cr, s.sr, s.cp, s.sp = 1, 0, 1, 0
+			s.cr, s.sr, s.cp, s.sp, s.tp = 1, 0, 1, 0, 0
 			s.an, s.ae, s.ad = 0, 0, 0
 		}
 	} else {

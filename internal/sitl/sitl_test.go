@@ -358,51 +358,92 @@ func accelBodyFromScratch(s *Sim) (float64, float64, float64) {
 	return bx, by, bz
 }
 
-// TestAttitudeTrigCacheExact checks the shared attitude trig: across a
-// tumbling climb, a motor cut, and the ground-contact clamp that levels a
-// tilted airframe, AccelBody must equal the from-scratch rotation bit for
-// bit, and the cache must equal math.Cos/math.Sin of the attitude.
+// TestAttitudeTrigCacheExact checks the shared attitude trig after every
+// Step of two scripted flights: AccelBody must equal the from-scratch
+// rotation bit for bit, and the cache must equal math.Cos, math.Sin and
+// math.Tan of the attitude. The tumble climbs while rolling, pitching and
+// yawing, then cuts the motors; the survey takes off, transits tilted,
+// rides a gusting squall, and lands under a differential thrust. Both end
+// with the ground-contact clamp levelling a tilted airframe, the one
+// writer of the attitude besides the kinematics.
 func TestAttitudeTrigCacheExact(t *testing.T) {
 	const dt = 1.0 / 400
-	s := newSim()
 	f := DefaultParams().HoverThrustFrac()
-	clampedTilt := false
-	check := func(i int) {
-		t.Helper()
-		bx, by, bz := s.AccelBody()
-		wx, wy, wz := accelBodyFromScratch(s)
-		for j, pair := range [3][2]float64{{bx, wx}, {by, wy}, {bz, wz}} {
-			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-				t.Fatalf("step %d: AccelBody[%d] = %v, from scratch %v", i, j, pair[0], pair[1])
+	scripts := []struct {
+		name  string
+		steps int
+		gusts bool
+		at    func(s *Sim, i int)
+	}{
+		{"tumble", 8 * 400, false, func(s *Sim, i int) {
+			switch i {
+			case 0: // climb while rolling, pitching and yawing
+				s.SetMotors([4]float64{1.25 * f, 1.35 * f, 1.4 * f, 1.2 * f})
+			case 400: // cut the motors and fall back
+				s.SetMotors([4]float64{})
 			}
-		}
-		for j, pair := range [6][2]float64{
-			{s.cr, math.Cos(s.roll)}, {s.sr, math.Sin(s.roll)},
-			{s.cp, math.Cos(s.pitch)}, {s.sp, math.Sin(s.pitch)},
-			{s.cy, math.Cos(s.yaw)}, {s.sy, math.Sin(s.yaw)},
-		} {
-			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-				t.Fatalf("step %d: cached trig term %d = %v, want %v", i, j, pair[0], pair[1])
+		}},
+		{"survey", 12 * 400, true, func(s *Sim, i int) {
+			switch i {
+			case 0: // take off level
+				s.SetMotors([4]float64{1.2 * f, 1.2 * f, 1.2 * f, 1.2 * f})
+			case 2 * 400: // nose down into a transit
+				s.SetMotors([4]float64{1.02 * f, 1.08 * f, 1.02 * f, 1.08 * f})
+			case 2*400 + 80: // hold the tilt
+				s.SetMotors([4]float64{1.05 * f, 1.05 * f, 1.05 * f, 1.05 * f})
+			case 3 * 400: // a gusting squall
+				s.SetWindFor(4, -3, 1.5, 3)
+			case 5 * 400: // descend, still banked, onto the ground
+				s.SetMotors([4]float64{0.85 * f, 0.9 * f, 0.9 * f, 0.85 * f})
 			}
-		}
+		}},
 	}
-	check(-1)
-	for i := 0; i < 8*400; i++ {
-		switch i {
-		case 0: // climb while rolling, pitching and yawing
-			s.SetMotors([4]float64{1.25 * f, 1.35 * f, 1.4 * f, 1.2 * f})
-		case 400: // cut the motors and fall back
-			s.SetMotors([4]float64{})
-		}
-		tilted := s.roll != 0 || s.pitch != 0
-		s.Step(dt)
-		if tilted && s.OnGround() && s.roll == 0 && s.pitch == 0 {
-			clampedTilt = true
-		}
-		check(i)
-	}
-	if !clampedTilt {
-		t.Fatal("the ground-contact clamp never levelled a tilted airframe; the test missed its case")
+	for _, sc := range scripts {
+		t.Run(sc.name, func(t *testing.T) {
+			s := newSim()
+			check := func(i int) {
+				t.Helper()
+				bx, by, bz := s.AccelBody()
+				wx, wy, wz := accelBodyFromScratch(s)
+				for j, pair := range [3][2]float64{{bx, wx}, {by, wy}, {bz, wz}} {
+					if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+						t.Fatalf("step %d: AccelBody[%d] = %v, from scratch %v", i, j, pair[0], pair[1])
+					}
+				}
+				for j, pair := range [7][2]float64{
+					{s.cr, math.Cos(s.roll)}, {s.sr, math.Sin(s.roll)},
+					{s.cp, math.Cos(s.pitch)}, {s.sp, math.Sin(s.pitch)},
+					{s.cy, math.Cos(s.yaw)}, {s.sy, math.Sin(s.yaw)},
+					{s.tp, math.Tan(s.pitch)},
+				} {
+					if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+						t.Fatalf("step %d: cached trig term %d = %v, want %v", i, j, pair[0], pair[1])
+					}
+				}
+			}
+			check(-1)
+			flew, gusted, clampedTilt := false, false, false
+			for i := 0; i < sc.steps; i++ {
+				sc.at(s, i)
+				tilted := s.roll != 0 || s.pitch != 0
+				s.Step(dt)
+				flew = flew || s.AltitudeAGL() > 1
+				gusted = gusted || s.gustN != 0
+				if tilted && s.OnGround() && s.roll == 0 && s.pitch == 0 {
+					clampedTilt = true
+				}
+				check(i)
+			}
+			if !flew {
+				t.Fatal("the flight never left the ground; the test missed its case")
+			}
+			if !clampedTilt {
+				t.Fatal("the ground-contact clamp never levelled a tilted airframe; the test missed its case")
+			}
+			if sc.gusts && !gusted {
+				t.Fatal("the squall never gusted; the test missed its case")
+			}
+		})
 	}
 }
 
