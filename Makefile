@@ -91,12 +91,17 @@ fleet:
 # event-driven mode must produce bit-identical traces, violations, and
 # tick counts to the lockstep oracle, across seed variants; the pinned
 # trace hashes of every builtin and sabotaged scenario in both modes; plus
-# the bit-exactness test behind the scheduler's bulk leaps. See DESIGN.md
-# "Event-driven scheduling".
+# the bit-exactness tests behind the scheduler's bulk leaps, per layer (the
+# controller's estimator replay, the parked physics, the closed-form
+# accumulator) and for the whole drone. See DESIGN.md "Event-driven
+# scheduling".
 equivalence:
 	$(GO) test -count=1 -run 'TestEventMode' ./internal/simharness
 	$(GO) test -count=1 -run 'TestTraceHashesPinned' ./internal/simharness
 	$(GO) test -count=1 -run 'TestBulkAdvance' ./internal/core
+	$(GO) test -count=1 -run 'TestAdvanceDisarmed' ./internal/flight
+	$(GO) test -count=1 -run 'TestAdvanceParkedBitExact' ./internal/sitl
+	$(GO) test -count=1 -run 'TestRepeatAdd' ./internal/detmath
 	$(GO) test -count=1 ./internal/sched
 
 # Every measured experiment at CI size, in one invocation, with the gates
@@ -140,6 +145,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerPlan -fuzztime=$(FUZZTIME) ./internal/planner
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/devices
 	$(GO) test -run='^$$' -fuzz=FuzzSincosTan -fuzztime=$(FUZZTIME) ./internal/detmath
+	$(GO) test -run='^$$' -fuzz=FuzzRepeatAdd -fuzztime=$(FUZZTIME) ./internal/detmath
 
 # Coverage ratchet: total statement coverage must not drop below the floor
 # recorded in coverage-baseline.txt. Raise the floor when coverage grows.

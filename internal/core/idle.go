@@ -4,7 +4,10 @@ import "androne/internal/flight"
 
 // Idle fast-forward: the drone-level entry points the event-driven
 // scheduler uses to leap over parked ticks. See internal/sitl/idle.go
-// and internal/flight/idle.go for the per-layer fixed-point arguments.
+// and internal/flight/idle.go for the per-layer fixed-point arguments. A
+// leap costs what the controller's estimate takes to settle, per axis,
+// plus O(binades) for the clock and energy accumulators
+// (detmath.RepeatAdd), not one stepped iteration per skipped step.
 
 // IdleEligible reports whether the whole stack is structurally eligible
 // for a bulk advance: flight controller disarmed and physics parked. The
@@ -32,11 +35,12 @@ func (d *Drone) IdleFingerprint() uint64 {
 // BulkAdvanceTicks fast-forwards n harness ticks of stepsPerTick
 // fast-loop steps each, bit-identically to n StepSeconds ticks over a
 // fixed-point state: physics and controller replay their accumulator
-// arithmetic and the controller its settling estimate exactly, and the flight recorder's tick counter advances by
-// n so later events carry the same timestamps. The per-tick Proxy.Tick
-// and Driver.FlushMetrics calls are skipped — both only fold metric
-// shards when no VFC is recovering (the caller's quiescence condition),
-// and the deferred counts fold on the next stepped tick.
+// arithmetic and the controller its settling estimate exactly, and the
+// flight recorder's tick counter advances by n so later events carry the
+// same timestamps. The per-tick Proxy.Tick and Driver.FlushMetrics calls
+// are skipped — both only fold metric shards when no VFC is recovering
+// (the caller's quiescence condition), and the deferred counts fold on
+// the next stepped tick.
 func (d *Drone) BulkAdvanceTicks(n, stepsPerTick int) {
 	if n <= 0 || stepsPerTick <= 0 {
 		return

@@ -103,11 +103,13 @@ func stepUntil(d *Drone, cond func() bool, maxS float64) bool {
 	return false
 }
 
-// landedDrone flies a short hop, lands, and steps whole ticks until the
-// idle fingerprint is stable: the state in which the event runner starts
-// leaping a post-flight hold. The attitude estimate is still decaying
-// toward level there, so a leap must replay it.
-func landedDrone(t *testing.T, seed string) *Drone {
+// landedDrone flies a short hop north m metres and east e metres, lands,
+// and steps whole ticks until the idle fingerprint is stable: the state in
+// which the event runner starts leaping a post-flight hold. The attitude
+// estimate is still decaying toward level there, so a leap must replay
+// it. A due-north hop lands facing north, where the magnetometer reads a
+// heading of exactly 0 and the yaw estimate decays into the subnormals.
+func landedDrone(t testing.TB, seed string, n, e float64) *Drone {
 	t.Helper()
 	d, err := NewDrone(idleHome, seed)
 	if err != nil {
@@ -126,7 +128,7 @@ func landedDrone(t *testing.T, seed string) *Drone {
 	if !stepUntil(d, func() bool { return d.Sim.AltitudeAGL() > TransitAltM-1 }, 30) {
 		t.Fatal("takeoff never reached transit altitude")
 	}
-	dest := geo.Position{LatLon: geo.OffsetNE(idleHome.LatLon, 30, 10), Alt: TransitAltM}
+	dest := geo.Position{LatLon: geo.OffsetNE(idleHome.LatLon, n, e), Alt: TransitAltM}
 	if err := d.FC.GotoPosition(dest, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -152,19 +154,45 @@ func landedDrone(t *testing.T, seed string) *Drone {
 
 // TestBulkAdvanceMatchesLockstepSettling is the exactness contract for a
 // post-flight leap: the estimate is still settling, so BulkAdvanceTicks
-// must replay the estimator bit-exactly, not merely the accumulators.
+// must replay the estimator bit-exactly, not merely the accumulators. The
+// north-facing case makes the 5987-tick (239,480-step) leap of the
+// fleet-dutycycle workload's 600 s post-flight hold, during which the
+// lockstep twin's yaw estimate decays through the subnormals to its fixed
+// point.
 func TestBulkAdvanceMatchesLockstepSettling(t *testing.T) {
-	a := landedDrone(t, "idle-settling")
-	b := landedDrone(t, "idle-settling")
+	for _, tc := range []struct {
+		name         string
+		north, east  float64
+		ticks        int
+		subnormalYaw bool
+	}{
+		{"north-east hop", 30, 10, 6000, false},
+		{"north-facing landing", 30, 0, 5987, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testBulkAdvanceSettling(t, tc.north, tc.east, tc.ticks, tc.subnormalYaw)
+		})
+	}
+}
+
+func testBulkAdvanceSettling(t *testing.T, north, east float64, n int, subnormalYaw bool) {
+	a := landedDrone(t, "idle-settling", north, east)
+	b := landedDrone(t, "idle-settling", north, east)
 
 	r0, p0, y0 := b.FC.EstimatedAttitude()
 	if r0 == 0 && p0 == 0 {
 		t.Fatalf("estimate already level at leap start (%v, %v); test is vacuous", r0, p0)
 	}
 
-	const n = 6000
+	sawSubnormal := false
 	for i := 0; i < n; i++ {
 		a.StepSeconds(0.1)
+		if _, _, y := a.FC.EstimatedAttitude(); y != 0 && math.Abs(y) < 0x1p-1022 {
+			sawSubnormal = true
+		}
+	}
+	if subnormalYaw && !sawSubnormal {
+		t.Error("lockstep yaw estimate never went subnormal; the north-facing case is vacuous")
 	}
 	b.BulkAdvanceTicks(n, 40)
 
@@ -228,7 +256,7 @@ func TestBulkAdvanceMatchesLockstepSettling(t *testing.T) {
 // TestBulkAdvanceSettlingZeroAlloc pins a leap that replays a settling
 // estimate at 0 allocs: the replay runs once per skipped fast-loop step.
 func TestBulkAdvanceSettlingZeroAlloc(t *testing.T) {
-	d := landedDrone(t, "idle-settling-alloc")
+	d := landedDrone(t, "idle-settling-alloc", 30, 10)
 	r0, p0, _ := d.FC.EstimatedAttitude()
 	allocs := testing.AllocsPerRun(5, func() { d.BulkAdvanceTicks(100, 40) })
 	if allocs != 0 {
@@ -236,5 +264,19 @@ func TestBulkAdvanceSettlingZeroAlloc(t *testing.T) {
 	}
 	if r, p, _ := d.FC.EstimatedAttitude(); r == r0 && p == p0 {
 		t.Fatal("estimate did not move during the pin; it measured a frozen leap")
+	}
+}
+
+// BenchmarkBulkAdvancePostFlight times the leap over the fleet-dutycycle
+// workload's post-flight hold: 5987 ticks from a north-facing landing,
+// with the estimate still settling. Each iteration leaps a freshly
+// landed drone; the flight that lands it is not timed.
+func BenchmarkBulkAdvancePostFlight(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := landedDrone(b, "idle-bench", 30, 0)
+		b.StartTimer()
+		d.BulkAdvanceTicks(5987, 40)
 	}
 }

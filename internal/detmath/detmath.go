@@ -1,10 +1,12 @@
-// Package detmath holds fused forms of math package functions for the
-// 400 Hz fast loop. Each one returns exactly what the separate math calls
-// it replaces would return, bit for bit, so the determinism contract (the
+// Package detmath holds faster forms of float computations on the
+// simulation's deterministic path: fused forms of math package functions
+// for the 400 Hz fast loop, and RepeatAdd, the closed form of a repeated
+// add that idle leaps replay. Each one returns exactly what the code it
+// replaces would return, bit for bit, so the determinism contract (the
 // pinned trace hashes) does not move when a caller switches to it. The
-// saving is shared work, never a different approximation.
+// saving is shared or skipped work, never a different approximation.
 //
-// The forms are ports of the Go standard library's portable
+// The trig forms are ports of the Go standard library's portable
 // implementations (math/sin.go, math/sincos.go, math/tan.go, themselves
 // from the Cephes library), with the same constants and the same operation
 // order. TestSincosTanMatchesMath holds them to the math package on the

@@ -537,38 +537,84 @@ func (c *Controller) control(imu devices.IMUSample, hdg float64, fix devices.Fix
 }
 
 // updateAttitudeEstimate runs the complementary filter. hdgDeg is the
-// magnetometer heading in degrees.
+// magnetometer heading in degrees. The corrections are per axis: each
+// reads only its own estimate and the sample's references, which is what
+// lets a disarmed leap replay them without the gyro step (idle.go).
 func (c *Controller) updateAttitudeEstimate(imu devices.IMUSample, hdgDeg, dt float64) {
-	// Gyro integration. One argument reduction per angle; each result
-	// equals the separate math call bit for bit (package detmath).
+	c.integrateGyro(imu, dt)
+	ref := attitudeRefsOf(imu, hdgDeg)
+	c.estRoll = correctRoll(c.estRoll, &ref)
+	c.estPitch = correctPitch(c.estPitch, &ref)
+	c.estYaw = correctYaw(c.estYaw, &ref)
+}
+
+// integrateGyro advances the estimate by the body rates. One argument
+// reduction per angle; each result equals the separate math call bit for
+// bit (package detmath).
+func (c *Controller) integrateGyro(imu devices.IMUSample, dt float64) {
 	sr, cr := math.Sincos(c.estRoll)
 	_, cp, tp := detmath.SincosTan(c.estPitch)
 	c.estRoll += dt * (imu.GyroX + imu.GyroY*sr*tp + imu.GyroZ*cr*tp)
 	c.estPitch += dt * (imu.GyroY*cr - imu.GyroZ*sr)
 	c.estYaw += dt * (imu.GyroY*sr/cp + imu.GyroZ*cr/cp)
+}
 
-	// Accelerometer tilt correction. Only trust the accelerometer when the
-	// specific force magnitude is close to 1 g AND rotation is slow —
-	// during coordinated acceleration the specific force aligns with body-z
-	// regardless of tilt and would pull the estimate toward level.
+// attitudeRefs is what one IMU and magnetometer sample says the attitude
+// is, independent of the estimate: the accelerometer's roll and pitch
+// when the tilt gate trusts them, and the heading in radians.
+type attitudeRefs struct {
+	tilt              bool // accelerometer trusted: |g| near 1 g and slow rotation
+	rollAcc, pitchAcc float64
+	hdg               float64
+}
+
+// attitudeRefsOf computes the correction references of one sample.
+// Only trust the accelerometer when the specific force magnitude is close
+// to 1 g AND rotation is slow — during coordinated acceleration the
+// specific force aligns with body-z regardless of tilt and would pull the
+// estimate toward level.
+func attitudeRefsOf(imu devices.IMUSample, hdgDeg float64) attitudeRefs {
+	var r attitudeRefs
 	g := math.Sqrt(imu.AccelX*imu.AccelX + imu.AccelY*imu.AccelY + imu.AccelZ*imu.AccelZ)
 	rate := math.Abs(imu.GyroX) + math.Abs(imu.GyroY) + math.Abs(imu.GyroZ)
 	if g > 9.6 && g < 10.0 && rate < 0.1 {
-		rollAcc := math.Atan2(-imu.AccelY, -imu.AccelZ)
-		pitchAcc := math.Atan2(imu.AccelX, math.Hypot(imu.AccelY, imu.AccelZ))
-		// A slow correction (tau ~ 5 s at 400 Hz) removes gyro drift without
-		// letting small coordinated tilts drag the estimate toward level.
-		const k = 0.0005
-		c.estRoll += k * wrapPi(rollAcc-c.estRoll)
-		c.estPitch += k * wrapPi(pitchAcc-c.estPitch)
+		r.tilt = true
+		r.rollAcc = math.Atan2(-imu.AccelY, -imu.AccelZ)
+		r.pitchAcc = math.Atan2(imu.AccelX, math.Hypot(imu.AccelY, imu.AccelZ))
 	}
+	r.hdg = hdgDeg * math.Pi / 180
+	return r
+}
 
-	// Magnetometer yaw correction.
-	hdg := hdgDeg * math.Pi / 180
-	c.estYaw += 0.02 * wrapPi(hdg-c.estYaw)
-	c.estYaw = wrapPi(c.estYaw)
-	c.estRoll = wrapPi(c.estRoll)
-	c.estPitch = clamp(c.estPitch, -1.2, 1.2)
+// tiltGain is the accelerometer correction gain: a slow correction (tau
+// ~ 5 s at 400 Hz) removes gyro drift without letting small coordinated
+// tilts drag the estimate toward level.
+const tiltGain = 0.0005
+
+// correctRoll applies the accelerometer correction to a roll estimate.
+func correctRoll(roll float64, ref *attitudeRefs) float64 {
+	if ref.tilt {
+		roll += tiltGain * wrapPi(ref.rollAcc-roll)
+	}
+	return wrapPi(roll)
+}
+
+// maxEstPitch bounds the pitch estimate, keeping the gyro step's 1/cos
+// finite.
+const maxEstPitch = 1.2
+
+// correctPitch applies the accelerometer correction to a pitch estimate.
+func correctPitch(pitch float64, ref *attitudeRefs) float64 {
+	if ref.tilt {
+		pitch += tiltGain * wrapPi(ref.pitchAcc-pitch)
+	}
+	return clamp(pitch, -maxEstPitch, maxEstPitch)
+}
+
+// correctYaw applies the magnetometer correction to a yaw estimate.
+func correctYaw(yaw float64, ref *attitudeRefs) float64 {
+	yaw += 0.02 * wrapPi(ref.hdg-yaw)
+	return wrapPi(yaw)
 }
 
 // checkFence runs the geofence check against the position estimate.

@@ -15,11 +15,25 @@
 // disarmed step records the estimator's inputs, and Fingerprint hashes
 // those inputs in place of the estimate: equal fingerprints one tick
 // apart over a parked sim mean every skipped step would apply that map to
-// the same inputs. AdvanceDisarmed replays the counters with the exact
-// per-step arithmetic and the estimate by running the one estimator,
-// updateAttitudeEstimate, on the recorded inputs once per skipped step,
-// so it is exact by construction. A noisy sensor changes the recorded
-// inputs every step, so its fingerprint never settles and it never leaps.
+// the same inputs, and AdvanceDisarmed replays the map.
+//
+// The replay is exact without paying for the whole map. The estimator is
+// a gyro step followed by per-axis corrections, each a pure function of
+// its own axis and of references computed once from the sample
+// (attitudeRefsOf). A parked drone's recorded gyro rates are ±0, and then
+// the gyro step adds ±0 to each estimate: the identity, unless the
+// estimate is −0 (replayCorrections states the conditions). So the leap
+// computes the references once and runs each axis's correction alone, in
+// registers, until that axis reaches its bit-exact fixed point. Yaw
+// settles: facing north the magnetometer reads a heading of exactly 0,
+// and the yaw estimate decays by 0.98 per step through the subnormals to
+// a fixed point of about ±1.2e-322. Roll and pitch do not settle within
+// a hold, so they cost a few flops per skipped step instead of a full
+// estimator step with its trig. A non-zero gyro rate, a −0 estimate, a
+// non-finite roll, or pitch outside its clamp takes the full estimator
+// step instead, until the estimate stops changing. A noisy sensor
+// changes the recorded inputs every step, so its fingerprint never
+// settles and it never leaps.
 //
 // The AED monitor is the one deliberate divergence: lockstep folds one
 // sample per fast-loop step into it while a bulk leap folds none. With
@@ -34,6 +48,7 @@ package flight
 import (
 	"math"
 
+	"androne/internal/detmath"
 	"androne/internal/devices"
 )
 
@@ -85,15 +100,18 @@ func (c *Controller) Fingerprint() uint64 {
 }
 
 // AdvanceDisarmed fast-forwards a disarmed controller by steps fast-loop
-// iterations of dt seconds, replaying exactly what Step would do: the
-// estimator runs once per step on the recorded inputs until a step
-// leaves the estimate bit-identical (from there on it is a fixed point,
-// so a pre-flight leap pays for one call), timeS grows by the same
-// per-step float add, loopCount by one per step (the 50 Hz GPS phase is
-// preserved because callers leap whole harness ticks of 40 steps, and
-// 40 ≡ 0 mod 8), and stepCount by one per step so latency-sampling
-// phase survives the leap. No samples reach the AED monitor. The leap
-// ends by publishing Status, as the last skipped step would have.
+// iterations of dt seconds, replaying exactly what Step would do to the
+// estimate and the counters. While the recorded gyro rates are ±0 the
+// estimate replays per axis (replayCorrections); otherwise the full
+// estimator step runs until the estimate is a fixed point, so a
+// pre-flight leap pays for at most one step. timeS ends where the same
+// per-step float adds would leave it, computed in closed form
+// (detmath.RepeatAdd); loopCount grows by one per step (the 50 Hz GPS
+// phase is preserved because callers leap whole harness ticks of 40
+// steps, and 40 ≡ 0 mod 8), and stepCount by one per step so
+// latency-sampling phase survives the leap. No samples reach the AED
+// monitor. The leap ends by publishing Status, as the last skipped step
+// would have.
 func (c *Controller) AdvanceDisarmed(steps int, dt float64) {
 	if steps <= 0 || dt <= 0 {
 		return
@@ -101,21 +119,63 @@ func (c *Controller) AdvanceDisarmed(steps int, dt float64) {
 	c.stepCount += uint64(steps)
 	in := &c.idleIn
 	imu := devices.IMUSample{AccelX: in[0], AccelY: in[1], AccelZ: in[2], GyroX: in[3], GyroY: in[4], GyroZ: in[5]}
-	for i := 0; i < steps; i++ {
+	ref := attitudeRefsOf(imu, in[6])
+	quiet := imu.GyroX == 0 && imu.GyroY == 0 && imu.GyroZ == 0
+	for left := steps; left > 0; left-- {
+		if quiet && c.replayCorrections(&ref, left) {
+			break
+		}
 		r, p, y := c.estRoll, c.estPitch, c.estYaw
 		c.updateAttitudeEstimate(imu, in[6], dt)
 		if sameBits(r, c.estRoll) && sameBits(p, c.estPitch) && sameBits(y, c.estYaw) {
 			break
 		}
 	}
-	t := c.timeS
-	for i := 0; i < steps; i++ {
-		t += dt
-	}
-	c.timeS = t
+	c.timeS = detmath.RepeatAdd(c.timeS, dt, steps)
 	c.loopCount += uint64(steps)
 	c.publishStatus()
 }
+
+// replayCorrections advances the estimate by n steps of a sample whose
+// gyro rates are all ±0, running only the per-axis corrections, and
+// reports whether the estimate allowed it.
+//
+// With roll finite and pitch within its clamp, the sines, cosines and
+// tangent in the gyro step are finite, so each of its terms is a ±0 rate
+// times finite factors: ±0. Adding ±0 leaves an estimate unchanged unless
+// it is −0 (−0 + +0 is +0), so with no estimate at −0 the gyro step is the
+// identity and the corrections are the whole estimator. Those conditions,
+// checked once, hold for all n steps: the corrections keep roll finite
+// (its reference is finite whenever the tilt gate is open) and pitch
+// clamped, and a round-to-nearest sum is −0 only when both addends are.
+// Each axis runs until its own bit-exact fixed point.
+func (c *Controller) replayCorrections(ref *attitudeRefs, n int) bool {
+	r, p, y := c.estRoll, c.estPitch, c.estYaw
+	bounded := math.Abs(r) <= math.MaxFloat64 && math.Abs(p) <= maxEstPitch // false for NaN too
+	if !bounded || isNegZero(r) || isNegZero(p) || isNegZero(y) {
+		return false
+	}
+	c.estRoll = settle(correctRoll, r, ref, n)
+	c.estPitch = settle(correctPitch, p, ref, n)
+	c.estYaw = settle(correctYaw, y, ref, n)
+	return true
+}
+
+// settle applies one axis's correction to v n times, or until v is its
+// bit-exact fixed point.
+func settle(correct func(float64, *attitudeRefs) float64, v float64, ref *attitudeRefs, n int) float64 {
+	for i := 0; i < n; i++ {
+		next := correct(v, ref)
+		if sameBits(next, v) {
+			break
+		}
+		v = next
+	}
+	return v
+}
+
+// isNegZero reports whether v is −0.
+func isNegZero(v float64) bool { return math.Float64bits(v) == 1<<63 }
 
 // sameBits reports bit equality, which tells -0 from +0 and matches NaNs.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

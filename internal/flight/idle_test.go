@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"androne/internal/devices"
 	"androne/internal/geo"
 	"androne/internal/mavlink"
 )
@@ -126,4 +127,85 @@ func TestFingerprintSoundness(t *testing.T) {
 		last = fp
 	}
 	t.Fatal("no tick after landing had a stable fingerprint and a moving estimate")
+}
+
+// TestAdvanceDisarmedMatchesSteps holds AdvanceDisarmed to the estimator
+// it replays: AdvanceDisarmed(n) must leave the three estimates, timeS and
+// loopCount bit-identical to n calls of updateAttitudeEstimate on the
+// recorded inputs, each with its clock add and loop count. The starting
+// states cover the per-axis replay's exactness conditions and every way
+// out of it.
+func TestAdvanceDisarmedMatchesSteps(t *testing.T) {
+	const g = 9.81
+	level := [3]float64{0, 0, -g}
+	noGyro := [3]float64{}
+	neg0 := math.Copysign(0, -1)
+	cases := []struct {
+		name        string
+		est         [3]float64 // roll, pitch, yaw
+		accel, gyro [3]float64
+		hdgDeg      float64
+	}{
+		{"heading 0", [3]float64{0.02, -0.015, 0.3}, level, noGyro, 0},
+		{"heading 359.99", [3]float64{-0.01, 0.004, -0.2}, level, noGyro, 359.99},
+		{"estimates ±0, gyro ±0", [3]float64{neg0, 0.01, 0}, level, [3]float64{neg0, 0, neg0}, 0},
+		{"estimates ±0, mixed", [3]float64{0.02, neg0, -0.1}, [3]float64{neg0, 0, -g}, [3]float64{0, neg0, 0}, 90},
+		{"pitch at +1.2", [3]float64{0.01, 1.2, 1}, [3]float64{g * math.Sin(1.3), 0, -g * math.Cos(1.3)}, noGyro, 45},
+		{"pitch at -1.2", [3]float64{0.01, -1.2, 1}, [3]float64{g * math.Sin(-0.5), 0, -g * math.Cos(-0.5)}, noGyro, 45},
+		{"roll near -π", [3]float64{-3.14, 0.01, 2}, [3]float64{0, -g * math.Sin(3.1), -g * math.Cos(3.1)}, noGyro, 170},
+		{"roll near +π", [3]float64{3.14, 0.01, -2}, [3]float64{0, -g * math.Sin(-3.1), -g * math.Cos(-3.1)}, noGyro, 190},
+		{"tilt gate closed by |g|", [3]float64{0.02, -0.01, 0.5}, [3]float64{0, 0, -9.5}, noGyro, 10},
+		{"tilt gate closed by rate", [3]float64{0.02, -0.01, 0.5}, level, [3]float64{0.1, 0, 0}, 10},
+		{"non-zero gyro", [3]float64{0.02, -0.01, 0.5}, level, [3]float64{0, 0, 1e-3}, 10},
+		{"NaN accel", [3]float64{0.02, -0.01, 0.5}, [3]float64{math.NaN(), 0, -g}, noGyro, 10},
+		{"-0 roll, tilt gate closed", [3]float64{neg0, 0.01, 0.5}, [3]float64{0, 0, -9.5}, noGyro, 0},
+		{"-0 pitch, tilt gate closed", [3]float64{0.02, neg0, 0.5}, [3]float64{0, 0, -9.5}, noGyro, 0},
+		{"-0 estimates, tilt gate closed", [3]float64{neg0, neg0, neg0}, [3]float64{0, 0, -9.5}, noGyro, 0},
+		{"NaN roll", [3]float64{math.NaN(), -0.01, 0.5}, level, noGyro, 10},
+		{"NaN pitch", [3]float64{0.02, math.NaN(), 0.5}, level, noGyro, 10},
+		{"NaN yaw", [3]float64{0.02, -0.01, math.NaN()}, level, noGyro, 10},
+		{"NaN heading", [3]float64{0.02, -0.01, 0.5}, level, noGyro, math.NaN()},
+		{"pitch outside the clamp", [3]float64{0.02, 1.5, 0.5}, level, noGyro, 10},
+	}
+	for _, tc := range cases {
+		for _, n := range []int{1, 40, 4000, 239_480} {
+			set := func(c *Controller) {
+				c.estRoll, c.estPitch, c.estYaw = tc.est[0], tc.est[1], tc.est[2]
+				c.idleIn = [7]float64{tc.accel[0], tc.accel[1], tc.accel[2], tc.gyro[0], tc.gyro[1], tc.gyro[2], tc.hdgDeg}
+				c.timeS, c.loopCount = 3601.2575, 1_440_503
+			}
+			lk := NewVehicle(home, t.Name()).Controller
+			bk := NewVehicle(home, t.Name()).Controller
+			set(lk)
+			set(bk)
+			in := lk.idleIn
+			imu := devices.IMUSample{AccelX: in[0], AccelY: in[1], AccelZ: in[2], GyroX: in[3], GyroY: in[4], GyroZ: in[5]}
+			for i := 0; i < n; i++ {
+				lk.updateAttitudeEstimate(imu, in[6], FastLoopDT)
+				lk.timeS += FastLoopDT
+				lk.loopCount++
+			}
+			bk.AdvanceDisarmed(n, FastLoopDT)
+			for _, v := range []struct {
+				name   string
+				lk, bk float64
+			}{
+				{"roll", lk.estRoll, bk.estRoll}, {"pitch", lk.estPitch, bk.estPitch},
+				{"yaw", lk.estYaw, bk.estYaw}, {"timeS", lk.timeS, bk.timeS},
+			} {
+				if !sameBits(v.lk, v.bk) {
+					t.Errorf("%s, n=%d: %s diverged: steps %v (%#x) leap %v (%#x)", tc.name, n, v.name,
+						v.lk, math.Float64bits(v.lk), v.bk, math.Float64bits(v.bk))
+				}
+			}
+			if lk.loopCount != bk.loopCount {
+				t.Errorf("%s, n=%d: loopCount diverged: steps %d leap %d", tc.name, n, lk.loopCount, bk.loopCount)
+			}
+			if tc.name == "heading 0" && n == 239_480 {
+				if y := lk.estYaw; y == 0 || math.Abs(y) >= 0x1p-1022 {
+					t.Errorf("heading 0: yaw estimate %v after the hold is not subnormal; the case is vacuous", y)
+				}
+			}
+		}
+	}
 }

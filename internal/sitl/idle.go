@@ -7,9 +7,11 @@
 // clamp; a stopped motor's thrust is set to exactly zero once its lag has
 // decayed below motorStopN) or is never touched (the gust RNG is only
 // consumed while gustStd > 0). AdvanceParked exploits this: it replays
-// the accumulator arithmetic of n steps with the exact float operations
-// Step performs, so an event-driven run that leaps over parked ticks
-// lands on bit-identical state.
+// the accumulator arithmetic of n steps, so an event-driven run that
+// leaps over parked ticks lands on bit-identical state. The n energy adds
+// of a constant draw are replayed in closed form by detmath.RepeatAdd,
+// which is bit-identical to the loop of adds and costs O(binades) rather
+// than O(n).
 //
 // Callers must not trust the predicate alone: the event runner combines
 // Parked with fingerprint stability across two consecutive ticks (the
@@ -22,6 +24,8 @@ package sitl
 import (
 	"math"
 	"time"
+
+	"androne/internal/detmath"
 )
 
 // Parked reports whether the simulation is structurally eligible for a
@@ -68,21 +72,16 @@ func (s *Sim) Fingerprint() uint64 {
 
 // AdvanceParked fast-forwards a parked simulation by steps fast-loop
 // iterations of dt seconds, replaying exactly the accumulator arithmetic
-// Step would perform: energyUsedJ grows by the same per-step float add
-// (powerW is constant while parked — thrust is exactly zero, so only the
-// avionics draw remains), and simTime advances by the same per-step
-// duration. All other state is left untouched, which is exactly what
-// Step would do.
+// Step would perform: energyUsedJ ends where steps of the same per-step
+// float add would leave it (powerW is constant while parked — thrust is
+// exactly zero, so only the avionics draw remains), and simTime advances
+// by the same per-step duration. All other state is left untouched,
+// which is exactly what Step would do.
 func (s *Sim) AdvanceParked(steps int, dt float64) {
 	if steps <= 0 || dt <= 0 {
 		return
 	}
-	inc := s.powerW * dt
-	e := s.energyUsedJ
-	for i := 0; i < steps; i++ {
-		e += inc
-	}
-	s.energyUsedJ = e
+	s.energyUsedJ = detmath.RepeatAdd(s.energyUsedJ, s.powerW*dt, steps)
 	stepDur := time.Duration(dt * float64(time.Second))
 	s.simTime = s.simTime.Add(time.Duration(steps) * stepDur)
 }
