@@ -3,12 +3,18 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: all build test race vet androne-vet vet-smoke vet-stale sim telemetry fleet equivalence bench-smoke load-smoke perfbench-smoke fuzz cover check clean
+.PHONY: all build fmt-check test race vet androne-vet vet-smoke vet-stale sim telemetry fleet equivalence bench-smoke load-smoke perfbench-smoke fuzz cover check clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: every Go file in the tree, analyzer fixtures under
+# testdata/ included, must be exactly as gofmt writes it.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt would reformat:"; echo "$$out"; exit 1; fi
 
 # Unit tests (tier 1).
 test:
@@ -146,6 +152,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/devices
 	$(GO) test -run='^$$' -fuzz=FuzzSincosTan -fuzztime=$(FUZZTIME) ./internal/detmath
 	$(GO) test -run='^$$' -fuzz=FuzzRepeatAdd -fuzztime=$(FUZZTIME) ./internal/detmath
+	$(GO) test -run='^$$' -fuzz=FuzzAppendOrderJSON -fuzztime=$(FUZZTIME) ./internal/cloud
 
 # Coverage ratchet: total statement coverage must not drop below the floor
 # recorded in coverage-baseline.txt. Raise the floor when coverage grows.
@@ -158,7 +165,7 @@ cover:
 		{ echo "total coverage $$total% fell below the $$floor% floor"; exit 1; }
 
 # Everything CI enforces, in CI's order.
-check: build vet vet-stale test race sim telemetry equivalence fleet bench-smoke load-smoke perfbench-smoke fuzz
+check: build fmt-check vet vet-stale test race sim telemetry equivalence fleet bench-smoke load-smoke perfbench-smoke fuzz
 
 clean:
 	$(GO) clean ./...

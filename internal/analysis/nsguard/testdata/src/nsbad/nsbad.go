@@ -6,11 +6,11 @@ import "androne/internal/binder"
 
 // Escape tries every guarded API from outside the trusted layers.
 func Escape(d *binder.Driver, ns *binder.Namespace, p *binder.Proc) {
-	ns.Attach(42)                          // want `binder\.Attach is namespace plumbing reserved for androne/internal/android`
-	_ = p.BecomeContextManager()           // want `binder\.BecomeContextManager is namespace plumbing reserved`
-	_ = p.PublishToAllNS("rogue")          // want `binder\.PublishToAllNS is namespace plumbing reserved for androne/internal/devcon`
-	_ = p.PublishToDevCon("rogue")         // want `binder\.PublishToDevCon is namespace plumbing reserved`
-	d.SetDeviceNamespace(ns)               // want `binder\.SetDeviceNamespace is namespace plumbing reserved`
+	ns.Attach(42)                                    // want `binder\.Attach is namespace plumbing reserved for androne/internal/android`
+	_ = p.BecomeContextManager()                     // want `binder\.BecomeContextManager is namespace plumbing reserved`
+	_ = p.PublishToAllNS("rogue")                    // want `binder\.PublishToAllNS is namespace plumbing reserved for androne/internal/devcon`
+	_ = p.PublishToDevCon("rogue")                   // want `binder\.PublishToDevCon is namespace plumbing reserved`
+	d.SetDeviceNamespace(ns)                         // want `binder\.SetDeviceNamespace is namespace plumbing reserved`
 	_, _ = p.Transact(0, binder.CodeAddService, nil) // want `direct AddService transaction bypasses the namespace registration path`
 }
 

@@ -206,7 +206,7 @@ func (a *Admission) acquire() bool {
 
 func (a *Admission) shed(w http.ResponseWriter, reason string) {
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", int(a.retryAfter.Seconds()+0.5)))
-	writeJSON(w, http.StatusTooManyRequests,
+	WriteJSON(w, http.StatusTooManyRequests,
 		map[string]string{"error": "overloaded: " + reason + ", retry later"})
 }
 

@@ -262,45 +262,3 @@ func TestEndpointClassification(t *testing.T) {
 		}
 	}
 }
-
-// TestBatchGroupCoalesces runs many concurrent reads of one key through
-// the batch group and checks the expensive fn ran far fewer times than the
-// number of callers while everyone got the same bytes.
-func TestBatchGroupCoalesces(t *testing.T) {
-	var g batchGroup
-	var calls atomic.Int64
-	gate := make(chan struct{})
-	const callers = 32
-	var wg sync.WaitGroup
-	results := make([][]byte, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = g.Do("orders:alice", func() []byte {
-				calls.Add(1)
-				<-gate // hold the first call open so the rest pile on
-				return []byte(`["order"]`)
-			})
-		}(i)
-	}
-	// Let the herd arrive, then release the in-flight call.
-	time.Sleep(20 * time.Millisecond)
-	close(gate)
-	wg.Wait()
-	if n := calls.Load(); n >= callers {
-		t.Fatalf("fn ran %d times for %d callers; nothing coalesced", n, callers)
-	}
-	for i := range results {
-		if string(results[i]) != `["order"]` {
-			t.Fatalf("caller %d got %q", i, results[i])
-		}
-	}
-	// After the flight lands, a new call runs fn again (results are
-	// shared, not cached).
-	before := calls.Load()
-	g.Do("orders:alice", func() []byte { calls.Add(1); return nil })
-	if calls.Load() != before+1 {
-		t.Fatal("batch group cached a completed result")
-	}
-}

@@ -13,6 +13,7 @@
 package cloud
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -49,8 +50,33 @@ type StoreApp struct {
 
 // AppStore is the AnDrone app store.
 type AppStore struct {
-	mu   sync.Mutex
-	apps map[string]StoreApp
+	mu      sync.Mutex
+	apps    map[string]StoreApp
+	listing listingCache
+}
+
+// listingCache is a store's encoded listing, kept so a read costs a copy
+// instead of an encode. The owning store guards it with its own mutex:
+// every mutation calls invalidate, and a read that finds no body rebuilds
+// it from a snapshot taken in the same critical section as the generation
+// it records. install keeps the rebuilt body only if no mutation has
+// happened since; a rebuild that raced one is served to its own caller
+// (it is the listing as of that caller's read) but never installed, so no
+// read that starts after a mutation returns can see the old listing.
+type listingCache struct {
+	body []byte
+	gen  uint64
+}
+
+func (c *listingCache) invalidate() {
+	c.body = nil
+	c.gen++
+}
+
+func (c *listingCache) install(gen uint64, body []byte) {
+	if c.gen == gen {
+		c.body = body
+	}
 }
 
 // NewAppStore creates an empty app store.
@@ -72,6 +98,7 @@ func (s *AppStore) Publish(app StoreApp) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.apps[app.Package] = app
+	s.listing.invalidate()
 	return nil
 }
 
@@ -90,12 +117,44 @@ func (s *AppStore) Get(pkg string) (StoreApp, error) {
 func (s *AppStore) List() []StoreApp {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.listLocked()
+}
+
+func (s *AppStore) listLocked() []StoreApp {
 	out := make([]StoreApp, 0, len(s.apps))
 	for _, a := range s.apps {
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Package < out[j].Package })
 	return out
+}
+
+// ListingJSON returns the portal's GET /api/apps body: List without APK
+// bytes, as encoding/json's Encoder writes it (trailing newline
+// included). The body is encoded once per Publish and shared between
+// readers, who must not modify it.
+func (s *AppStore) ListingJSON() ([]byte, error) {
+	s.mu.Lock()
+	if body := s.listing.body; body != nil {
+		s.mu.Unlock()
+		return body, nil
+	}
+	gen := s.listing.gen
+	apps := s.listLocked()
+	s.mu.Unlock()
+
+	for i := range apps {
+		apps[i].APK = nil
+	}
+	body, err := json.Marshal(apps)
+	if err != nil {
+		return nil, err
+	}
+	body = append(body, '\n')
+	s.mu.Lock()
+	s.listing.install(gen, body)
+	s.mu.Unlock()
+	return body, nil
 }
 
 // SanitizeName makes a user-supplied name safe for use as a container and

@@ -30,9 +30,6 @@ type Portal struct {
 	Estimate EstimateFunc
 
 	mux *http.ServeMux
-	// batch coalesces concurrent identical listing reads (order and VDR
-	// listings), the portal's hottest fan-in endpoints.
-	batch batchGroup
 }
 
 // NewPortal assembles the portal over the cloud components. validate may be
@@ -41,7 +38,16 @@ func NewPortal(apps *AppStore, files *Storage, repo *VDR, orders *Orders,
 	validate DefinitionValidator, estimate EstimateFunc) *Portal {
 	p := &Portal{Apps: apps, Files: files, Repo: repo, Orders: orders,
 		Validate: validate, Estimate: estimate}
-	mux := http.NewServeMux()
+	p.mux = http.NewServeMux()
+	p.Register(p.mux)
+	return p
+}
+
+// Register adds the portal's routes to mux. NewPortal registers them on
+// the portal's own mux, which ServeHTTP serves; a service registers them
+// on the mux behind its admission control, beside its operator routes, so
+// a request is routed once.
+func (p *Portal) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /api/apps", p.listApps)
 	mux.HandleFunc("GET /api/apps/{pkg}", p.getApp)
 	mux.HandleFunc("POST /api/apps", p.publishApp)
@@ -51,17 +57,34 @@ func NewPortal(apps *AppStore, files *Storage, repo *VDR, orders *Orders,
 	mux.HandleFunc("GET /api/files/{user}", p.listFiles)
 	mux.HandleFunc("GET /api/files/{user}/{path...}", p.getFile)
 	mux.HandleFunc("GET /api/vdr", p.listVDR)
-	p.mux = mux
-	return p
 }
 
 // ServeHTTP implements http.Handler.
 func (p *Portal) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.mux.ServeHTTP(w, r) }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v encoded as encoding/json's Encoder
+// writes it (trailing newline included). v is encoded before the header
+// goes out, so a value that cannot be encoded answers 500 with a JSON
+// error rather than status and a truncated body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody answers with status and an already encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
+}
+
+// writeEncodeError answers 500 for a response body that failed to encode.
+func writeEncodeError(w http.ResponseWriter, err error) {
+	WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -74,16 +97,27 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrQuotaExceeded):
 		status = http.StatusRequestEntityTooLarge
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// writeOrder answers with status and one order, encoded as WriteJSON
+// would.
+func writeOrder(w http.ResponseWriter, status int, ord *Order) {
+	body, err := appendOrderJSON(make([]byte, 0, 256+len(ord.Definition)), ord)
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, status, append(body, '\n'))
 }
 
 func (p *Portal) listApps(w http.ResponseWriter, r *http.Request) {
-	apps := p.Apps.List()
-	// Strip APK bytes from listings.
-	for i := range apps {
-		apps[i].APK = nil
+	body, err := p.Apps.ListingJSON()
+	if err != nil {
+		writeEncodeError(w, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, apps)
+	writeBody(w, http.StatusOK, body)
 }
 
 func (p *Portal) getApp(w http.ResponseWriter, r *http.Request) {
@@ -92,20 +126,20 @@ func (p *Portal) getApp(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, app)
+	WriteJSON(w, http.StatusOK, app)
 }
 
 func (p *Portal) publishApp(w http.ResponseWriter, r *http.Request) {
 	var app StoreApp
 	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&app); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
 	if err := p.Apps.Publish(app); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"package": app.Package})
+	WriteJSON(w, http.StatusCreated, map[string]string{"package": app.Package})
 }
 
 // orderRequest is the POST /api/orders body.
@@ -118,16 +152,16 @@ type orderRequest struct {
 func (p *Portal) createOrder(w http.ResponseWriter, r *http.Request) {
 	var req orderRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 4<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
 	if req.User == "" || len(req.Definition) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "user and definition required"})
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "user and definition required"})
 		return
 	}
 	if p.Validate != nil {
 		if err := p.Validate(req.Definition); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+			WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
 	}
@@ -153,26 +187,21 @@ func (p *Portal) createOrder(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, got)
-}
-
-// writeJSONBytes writes a pre-rendered JSON body (the batched listings).
-func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
+	writeOrder(w, http.StatusCreated, got)
 }
 
 func (p *Portal) listOrders(w http.ResponseWriter, r *http.Request) {
-	user := r.URL.Query().Get("user")
-	body := p.batch.Do("orders:"+user, func() []byte {
-		b, err := json.Marshal(p.Orders.List(user))
-		if err != nil {
-			return []byte("[]")
-		}
-		return b
-	})
-	writeJSONBytes(w, http.StatusOK, body)
+	orders := p.Orders.List(r.URL.Query().Get("user"))
+	size := 2
+	for i := range orders {
+		size += 256 + len(orders[i].Definition)
+	}
+	body, err := appendOrdersJSON(make([]byte, 0, size), orders)
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 func (p *Portal) getOrder(w http.ResponseWriter, r *http.Request) {
@@ -181,11 +210,11 @@ func (p *Portal) getOrder(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ord)
+	writeOrder(w, http.StatusOK, ord)
 }
 
 func (p *Portal) listFiles(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, p.Files.List(r.PathValue("user")))
+	WriteJSON(w, http.StatusOK, p.Files.List(r.PathValue("user")))
 }
 
 func (p *Portal) getFile(w http.ResponseWriter, r *http.Request) {
@@ -207,12 +236,10 @@ func (p *Portal) getFile(w http.ResponseWriter, r *http.Request) {
 func (p *Portal) listVDR(w http.ResponseWriter, r *http.Request) {
 	// Manifests are the layer-level view: a few hundred bytes per entry,
 	// no checkpoint reassembly, no payload bytes leaked into listings.
-	body := p.batch.Do("vdr", func() []byte {
-		b, err := json.Marshal(p.Repo.Manifests())
-		if err != nil {
-			return []byte("[]")
-		}
-		return b
-	})
-	writeJSONBytes(w, http.StatusOK, body)
+	body, err := p.Repo.ManifestsJSON()
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, body)
 }

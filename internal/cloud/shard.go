@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -249,9 +250,15 @@ func (o *Orders) shardForID(id string) (*orderShard, bool) {
 }
 
 // Create registers a new pending order and assigns its id. An empty name
-// defaults to the id. The returned Order is the caller's private copy. It
-// fails with ErrQuotaExceeded once the tenant reaches its order quota.
+// defaults to the id. The definition is stored in canonical form (see
+// canonicalDefinition); one that is not valid JSON fails with
+// ErrInvalidDefinition. The returned Order is the caller's private copy.
+// It fails with ErrQuotaExceeded once the tenant reaches its order quota.
 func (o *Orders) Create(user, name string, def json.RawMessage) (*Order, error) {
+	def, err := canonicalDefinition(def)
+	if err != nil {
+		return nil, err
+	}
 	shardIdx := ShardOf(user)
 	sh := &o.shards[shardIdx]
 	sh.mu.Lock()
@@ -265,7 +272,7 @@ func (o *Orders) Create(user, name string, def json.RawMessage) (*Order, error) 
 		ID:         orderID(shardIdx, sh.next),
 		User:       user,
 		Name:       name,
-		Definition: append(json.RawMessage(nil), def...),
+		Definition: def,
 		Status:     OrderPending,
 	}
 	if ord.Name == "" {
@@ -298,7 +305,9 @@ func (o *Orders) Get(id string) (*Order, error) {
 // no lock held — it may not observe other orders mid-change, and it cannot
 // deadlock by calling back into Orders. The mutation commits only if no
 // other writer got there first; on conflict the read-modify-write retries
-// with a fresh copy.
+// with a fresh copy. A changed definition is stored in canonical form, and
+// one that is not valid JSON fails with ErrInvalidDefinition, committing
+// nothing.
 func (o *Orders) Update(id string, fn func(*Order)) error {
 	sh, ok := o.shardForID(id)
 	if !ok {
@@ -314,7 +323,15 @@ func (o *Orders) Update(id string, fn func(*Order)) error {
 		cp := *ord
 		sh.mu.Unlock()
 
+		def := cp.Definition
 		fn(&cp)
+		if !bytes.Equal(cp.Definition, def) {
+			canon, err := canonicalDefinition(cp.Definition)
+			if err != nil {
+				return err
+			}
+			cp.Definition = canon
+		}
 
 		sh.mu.Lock()
 		cur, ok := sh.orders[id]

@@ -13,8 +13,6 @@ var (
 		"Requests shed by a tenant's token bucket (429).")
 	mShedQueue = telemetry.NewCounter("androne_portal_shed_queue_total",
 		"Requests shed by the bounded service queue (429).")
-	mBatchedReads = telemetry.NewCounter("androne_portal_batched_reads_total",
-		"Listing reads served from a coalesced in-flight render.")
 
 	mEndpointLatency = map[string]*telemetry.Histogram{
 		"apps":   newLatency("apps"),

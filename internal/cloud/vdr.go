@@ -87,6 +87,7 @@ type VDR struct {
 	manifests   map[string]*Manifest
 	ownerLayers map[string]int
 	maxLayers   int // per-tenant live layer quota
+	listing     listingCache
 }
 
 // NewVDR creates a repository over a private blob store with default
@@ -257,6 +258,7 @@ func (v *VDR) save(e VDREntry) error {
 	}
 	v.manifests[e.Name] = m
 	v.ownerLayers[e.Owner] += len(m.Layers)
+	v.listing.invalidate()
 	return nil
 }
 
@@ -304,8 +306,7 @@ func (v *VDR) Load(name string) (VDREntry, error) {
 		v.mu.Unlock()
 		return VDREntry{}, fmt.Errorf("%w: virtual drone %q", ErrNotFound, name)
 	}
-	cp := *m
-	cp.Layers = append([]LayerRef(nil), m.Layers...)
+	cp := copyManifest(m)
 	v.mu.Unlock()
 	return v.assemble(cp)
 }
@@ -319,9 +320,15 @@ func (v *VDR) Manifest(name string) (Manifest, error) {
 	if !ok {
 		return Manifest{}, fmt.Errorf("%w: virtual drone %q", ErrNotFound, name)
 	}
+	return copyManifest(m), nil
+}
+
+// copyManifest is a caller-owned copy of a stored manifest. (A manifest
+// with no layers copies to nil Layers, listed as null.)
+func copyManifest(m *Manifest) Manifest {
 	cp := *m
 	cp.Layers = append([]LayerRef(nil), m.Layers...)
-	return cp, nil
+	return cp
 }
 
 // Delete removes an entry and releases its layers; the last reference to a
@@ -341,6 +348,7 @@ func (v *VDR) Delete(name string) {
 		v.store.Unref(ref.Digest)
 	}
 	delete(v.manifests, name)
+	v.listing.invalidate()
 }
 
 // OwnerLayers returns how many live layers owner holds (the quota input).
@@ -385,12 +393,39 @@ func (v *VDR) List() []VDREntry {
 // Manifests returns all manifests sorted by name — the portal's listing
 // path, which never touches layer bytes.
 func (v *VDR) Manifests() []Manifest {
-	names := v.names()
-	out := make([]Manifest, 0, len(names))
-	for _, n := range names {
-		if m, err := v.Manifest(n); err == nil {
-			out = append(out, m)
-		}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.manifestsLocked()
+}
+
+func (v *VDR) manifestsLocked() []Manifest {
+	out := make([]Manifest, 0, len(v.manifests))
+	for _, m := range v.manifests {
+		out = append(out, copyManifest(m))
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// ManifestsJSON returns the portal's GET /api/vdr body: json.Marshal of
+// Manifests. The body is encoded once per Save or Delete and shared
+// between readers, who must not modify it.
+func (v *VDR) ManifestsJSON() ([]byte, error) {
+	v.mu.Lock()
+	if body := v.listing.body; body != nil {
+		v.mu.Unlock()
+		return body, nil
+	}
+	gen := v.listing.gen
+	snap := v.manifestsLocked()
+	v.mu.Unlock()
+
+	body, err := json.Marshal(snap)
+	if err != nil {
+		return nil, err
+	}
+	v.mu.Lock()
+	v.listing.install(gen, body)
+	v.mu.Unlock()
+	return body, nil
 }

@@ -26,13 +26,10 @@
 //vet:lockrank 10 androne/internal/apps.Survey.mu app-side lock, outermost
 //vet:lockrank 20 androne/internal/android.App.mu app handle wraps binder calls
 //vet:lockrank 30 androne/internal/binder.Driver.mu driver registry, innermost of the app chain
-//
 //vet:lockrank 40 androne/internal/container.Runtime.mu runtime table wraps per-container locks
 //vet:lockrank 50 androne/internal/container.Container.mu per-container state
-//
 //vet:lockrank 60 androne/internal/core.VirtualDrone.mu drone state wraps the energy allotment
 //vet:lockrank 70 androne/internal/energy.Allotment.mu energy accounting leaf
-//
 //vet:lockrank 100 androne/internal/cloud.VDR.mu manifest lock wraps blob-store puts/unrefs
 //vet:lockrank 110 androne/internal/cloud.BlobStore.mu content-addressed store leaf
 package core

@@ -69,20 +69,20 @@ func DefaultConfig() Config {
 
 // Result is what a load run measured.
 type Result struct {
-	Tenants       int     `json:"tenants"`
-	Requests      int64   `json:"requests"`
-	Shed          int64   `json:"shed"`
-	Errors        int64   `json:"errors"`
-	ShedRate      float64 `json:"shed-rate"`
-	ThroughputRPS float64 `json:"throughput-rps"`
-	P50Ms         float64 `json:"p50-ms"`
-	P99Ms         float64 `json:"p99-ms"`
-	HTTPSeconds   float64 `json:"http-seconds"`
-	FlyRounds     int     `json:"fly-rounds"`
-	FlySeconds    float64 `json:"fly-seconds"`
-	ChurnRuns     int     `json:"churn-runs"`
-	Violations    int     `json:"violations"`
-	DedupRatio    float64 `json:"dedup-ratio"`
+	Tenants       int             `json:"tenants"`
+	Requests      int64           `json:"requests"`
+	Shed          int64           `json:"shed"`
+	Errors        int64           `json:"errors"`
+	ShedRate      float64         `json:"shed-rate"`
+	ThroughputRPS float64         `json:"throughput-rps"`
+	P50Ms         float64         `json:"p50-ms"`
+	P99Ms         float64         `json:"p99-ms"`
+	HTTPSeconds   float64         `json:"http-seconds"`
+	FlyRounds     int             `json:"fly-rounds"`
+	FlySeconds    float64         `json:"fly-seconds"`
+	ChurnRuns     int             `json:"churn-runs"`
+	Violations    int             `json:"violations"`
+	DedupRatio    float64         `json:"dedup-ratio"`
 	Blob          cloud.BlobStats `json:"blob"`
 }
 

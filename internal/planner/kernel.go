@@ -124,10 +124,10 @@ func newKernel(p *problem) *kernel {
 		next: make([]int32, nn), prev: make([]int32, nn),
 		routeOf:  make([]int32, nn),
 		routeDur: make([]int64, p.nRoutes), routeEn: make([]int64, p.nRoutes),
-		trc:      make([]int32, p.nTasks*p.nRoutes),
-		distinct: make([]int32, p.nRoutes),
+		trc:        make([]int32, p.nTasks*p.nRoutes),
+		distinct:   make([]int32, p.nRoutes),
 		taskRoutes: make([]int32, p.nTasks),
-		bestNext: make([]int32, nn),
+		bestNext:   make([]int32, nn),
 	}
 }
 

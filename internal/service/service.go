@@ -161,9 +161,14 @@ func (s *Service) Close() { close(s.flyCh) }
 // plane must answer precisely when the service is shedding.
 func (s *Service) assembleHandler() http.Handler {
 	api := http.NewServeMux()
-	api.Handle("/", s.portal)
+	s.portal.Register(api)
 	api.HandleFunc("POST /api/admin/fly", s.handleFly)
 	api.HandleFunc("GET /api/admin/bills", s.handleBills)
+	// Other methods on the operator paths answer 404, not 405: they were
+	// the portal's to refuse before its routes shared this mux, and the
+	// portal knows no such path.
+	api.Handle("/api/admin/fly", http.NotFoundHandler())
+	api.Handle("/api/admin/bills", http.NotFoundHandler())
 	admitted := cloud.NewAdmission(s.cfg.Admission).Wrap(api)
 
 	mux := http.NewServeMux()
@@ -176,12 +181,6 @@ func (s *Service) assembleHandler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // handleFly plans and flies all pending orders (POST /api/admin/fly). The
 // flight itself runs on the fly worker; this handler just waits for it.
 func (s *Service) handleFly(w http.ResponseWriter, r *http.Request) {
@@ -190,11 +189,11 @@ func (s *Service) handleFly(w http.ResponseWriter, r *http.Request) {
 	res := <-resp
 	reports, err := res.reports, res.err
 	if errors.Is(err, ErrNothingToFly) {
-		writeJSON(w, http.StatusOK, map[string]any{"flights": 0})
+		cloud.WriteJSON(w, http.StatusOK, map[string]any{"flights": 0})
 		return
 	}
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		cloud.WriteJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
 	}
 	type flightSummary struct {
@@ -210,7 +209,7 @@ func (s *Service) handleFly(w http.ResponseWriter, r *http.Request) {
 			Home: rep.ReturnedHome, AEDPass: rep.AED.Pass,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"flights": len(out), "reports": out})
+	cloud.WriteJSON(w, http.StatusOK, map[string]any{"flights": len(out), "reports": out})
 }
 
 // handleBills lists settled bills by order id (GET /api/admin/bills).
@@ -224,7 +223,7 @@ func (s *Service) handleBills(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, bills)
+	cloud.WriteJSON(w, http.StatusOK, bills)
 }
 
 // handleTrace dumps recent trace events per fleet drone (GET /debug/trace);
@@ -236,7 +235,7 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 		// Lookup, not K: query strings must not grow the intern table.
 		k, ok := telemetry.Lookup(droneName)
 		if !ok {
-			writeJSON(w, http.StatusNotFound,
+			cloud.WriteJSON(w, http.StatusNotFound,
 				map[string]string{"error": "unknown drone: " + droneName})
 			return
 		}
@@ -253,7 +252,7 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 			Events: telemetry.DecodeEvents(d.Tel.Snapshot(key)),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	cloud.WriteJSON(w, http.StatusOK, out)
 }
 
 // Handler returns the service's HTTP surface: the portal API and operator
