@@ -368,7 +368,7 @@ func sitlFlight(seed string) error {
 				name, rep.WaypointsVisited, rep.Completed, rep.TimeUsedS, rep.EnergyUsedJ)
 		}
 	}
-	fmt.Printf("  VDR entries after flight: %d\n", len(env.VDR.List()))
+	fmt.Printf("  VDR entries after flight: %d\n", len(env.VDR.Manifests()))
 	return nil
 }
 

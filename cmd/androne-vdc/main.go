@@ -81,8 +81,9 @@ func main() {
 
 	// Write offloaded files to disk, per owner.
 	var written int
-	for _, entry := range env.VDR.List() {
-		owner := entry.Owner
+	manifests := env.VDR.Manifests()
+	for _, m := range manifests {
+		owner := m.Owner
 		for _, p := range env.Storage.List(owner) {
 			data, err := env.Storage.Get(owner, p)
 			fatal(err)
@@ -93,7 +94,7 @@ func main() {
 		}
 	}
 	fmt.Printf("offloaded %d file(s) to %s; %d virtual drone(s) saved to VDR\n",
-		written, *outDir, len(env.VDR.List()))
+		written, *outDir, len(manifests))
 }
 
 func fatal(err error) {

@@ -236,25 +236,9 @@ func (cfg Config) Run() (*Result, error) {
 		if err != nil {
 			return res, err
 		}
-		// Install the route's virtual drones: restore from the VDR when
-		// they flew before (possibly on a different physical drone),
-		// otherwise create them fresh.
 		for _, stop := range route.Stops {
-			if _, err := d.VDC.Get(stop.Task); err == nil {
-				continue
-			}
-			if entry, err := env.VDR.Load(stop.Task); err == nil && !entry.Completed {
-				if _, err := d.VDC.Restore(entry); err != nil {
-					return res, fmt.Errorf("campaign: restoring %s: %w", stop.Task, err)
-				}
-				continue
-			}
-			def := defs[stop.Task]
-			if def == nil {
-				return res, fmt.Errorf("campaign: route references unknown delivery %q", stop.Task)
-			}
-			if _, err := d.VDC.Create(def); err != nil {
-				return res, fmt.Errorf("campaign: creating %s: %w", stop.Task, err)
+			if err := d.Install(env.VDR, stop.Task, defs[stop.Task]); err != nil {
+				return res, fmt.Errorf("campaign: %w", err)
 			}
 		}
 

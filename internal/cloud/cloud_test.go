@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"androne/internal/container"
 	"androne/internal/sdk"
 )
 
@@ -94,8 +96,9 @@ func TestStorage(t *testing.T) {
 
 func TestVDR(t *testing.T) {
 	v := NewVDR()
+	diff := &container.Checkpoint{Name: "vd1", ImageName: "img", Upper: map[string][]byte{"/data/x": []byte("diff")}}
 	e := VDREntry{Name: "vd1", Owner: "alice", Definition: []byte("{}"),
-		Checkpoint: []byte("diff"), SavedAt: time.Unix(1700000000, 0)}
+		Checkpoint: diff, SavedAt: time.Unix(1700000000, 0)}
 	if err := v.Save(e); err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +106,13 @@ func TestVDR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Owner != "alice" || !bytes.Equal(got.Checkpoint, []byte("diff")) {
+	if got.Owner != "alice" || !reflect.DeepEqual(got.Checkpoint, diff) {
 		t.Fatalf("entry = %+v", got)
 	}
 	if _, err := v.Load("vd2"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
-	if got := v.List(); len(got) != 1 {
+	if got := v.Manifests(); len(got) != 1 {
 		t.Fatalf("list = %v", got)
 	}
 	v.Delete("vd1")
@@ -375,7 +378,8 @@ func TestPortalFilesAPI(t *testing.T) {
 
 func TestPortalVDRAPI(t *testing.T) {
 	p, srv := newTestPortal(t)
-	if err := p.Repo.Save(VDREntry{Name: "vd1", Owner: "alice", Definition: []byte("{}"), Checkpoint: []byte("big")}); err != nil {
+	if err := p.Repo.Save(VDREntry{Name: "vd1", Owner: "alice", Definition: []byte("{}"),
+		Checkpoint: &container.Checkpoint{Name: "vd1", Upper: map[string][]byte{"/big": []byte("big")}}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,13 +1,14 @@
 package cloud
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"androne/internal/container"
 )
@@ -22,13 +23,12 @@ import (
 // drone in the fleet — are stored once and reference-counted, which is what
 // makes checkpoint dedup a measurable number instead of a slide-ware claim.
 //
-// The pre-layered VDREntry API (Save/Load/Delete/List) is preserved as a
-// compatibility shim: Load reassembles an entry bit-identical to what Save
-// was handed, so the VDC's splice-detection contract (a checkpoint whose
-// container name disagrees with its definition must not come up) holds
-// unchanged through the new format. Checkpoints that do not round-trip the
-// canonical container encoding — hand-built or corrupted test entries —
-// fall back to a single opaque layer rather than guessing.
+// A VDREntry carries the checkpoint as a typed container.Checkpoint. Save
+// encodes each layer once, and those bytes are what gets hashed; Load
+// decodes the digest-verified layers straight back into a typed checkpoint.
+// The container name travels in the manifest, so the VDC can refuse an
+// entry whose checkpoint belongs to another virtual drone (splice
+// detection) before it creates anything.
 
 // FlightProgressPath is where the VDC persists per-flight progress inside
 // a container. It changes every save, so the layer splitter keeps it out of
@@ -42,7 +42,6 @@ const (
 	LayerBase       = "base"       // base image reference + limits
 	LayerAppSet     = "appset"     // /data/ upper files (app + instance state)
 	LayerState      = "state"      // everything else: progress, outputs
-	LayerOpaque     = "opaque"     // non-canonical checkpoint, stored whole
 )
 
 // LayerRef points a manifest at one content-addressed layer.
@@ -57,9 +56,9 @@ type LayerRef struct {
 // size.
 type Manifest struct {
 	Name string `json:"name"`
-	// ContainerName is the name recorded inside the checkpoint, kept
-	// separately so reassembly is exact; the VDC compares it against the
-	// definition's identity on restore (splice detection).
+	// ContainerName is the checkpoint's container name, which no layer
+	// holds; the VDC compares it against the definition's identity on
+	// restore (splice detection).
 	ContainerName string     `json:"container-name,omitempty"`
 	Owner         string     `json:"owner"`
 	SavedAt       time.Time  `json:"saved-at"`
@@ -67,17 +66,21 @@ type Manifest struct {
 	Layers        []LayerRef `json:"layers"`
 }
 
-// VDREntry is the compatibility view of a stored virtual drone: its JSON
-// definition plus, when it has flown before, its container checkpoint (diff
-// from the base image) so it can be resumed on a later flight, on any drone
-// hardware.
+// VDREntry is a stored virtual drone as the VDC hands it over and gets it
+// back: its definition plus, when it has flown before, its container
+// checkpoint (diff from the base image), so it can be resumed on a later
+// flight, on any drone hardware.
 type VDREntry struct {
-	Name       string    `json:"name"`
-	Owner      string    `json:"owner"`
-	Definition []byte    `json:"definition"`
-	Checkpoint []byte    `json:"checkpoint,omitempty"`
-	SavedAt    time.Time `json:"saved-at"`
-	Completed  bool      `json:"completed"`
+	Name  string
+	Owner string
+	// Definition is the canonical definition JSON (core's
+	// Definition.Encode), stored as the definition layer verbatim.
+	Definition []byte
+	// Checkpoint is nil when the entry holds only a definition, as for a
+	// virtual drone that never ran.
+	Checkpoint *container.Checkpoint
+	SavedAt    time.Time
+	Completed  bool
 }
 
 // VDR is the virtual drone repository.
@@ -119,23 +122,22 @@ type layerPayload struct {
 
 // splitUpper partitions a checkpoint's writable layer: /data/ paths except
 // the flight-progress file form the app-set layer, the rest the state
-// layer. Keys are walked in sorted order so the split is deterministic.
-func splitUpper(upper map[string][]byte) (appset, state map[string][]byte) {
+// layer. It fails if a path is not valid UTF-8, which the layers' JSON
+// would not carry intact.
+func splitUpper(upper map[string][]byte) (appset, state map[string][]byte, err error) {
 	appset = make(map[string][]byte)
 	state = make(map[string][]byte)
-	paths := make([]string, 0, len(upper))
-	for p := range upper {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if p != FlightProgressPath && strings.HasPrefix(p, "/data/") {
-			appset[p] = upper[p]
-		} else {
-			state[p] = upper[p]
+	for p, b := range upper { //vet:allow detguard per-key writes are order-independent, the error names no path, and json.Marshal sorts map keys
+		switch {
+		case !utf8.ValidString(p):
+			return nil, nil, errors.New("a checkpoint path is not valid UTF-8")
+		case p != FlightProgressPath && strings.HasPrefix(p, "/data/"):
+			appset[p] = b
+		default:
+			state[p] = b
 		}
 	}
-	return appset, state
+	return appset, state, nil
 }
 
 // baseLayer is the shared part of every checkpoint on the same image.
@@ -144,68 +146,44 @@ type baseLayer struct {
 	Limits container.Limits `json:"limits"`
 }
 
-// buildLayers decomposes an entry. The checkpoint splits into
-// base/appset/state only when the decomposition provably reassembles to the
-// original bytes; otherwise it is stored as one opaque layer.
-func buildLayers(e VDREntry) (layers []layerPayload, containerName string) {
+// buildLayers encodes an entry's layers: the definition as it is, and the
+// checkpoint as its base layer plus the non-empty app-set and state
+// layers.
+func buildLayers(e VDREntry) ([]layerPayload, error) {
+	var layers []layerPayload
 	if len(e.Definition) > 0 {
 		layers = append(layers, layerPayload{LayerDefinition, e.Definition})
 	}
-	if len(e.Checkpoint) == 0 {
-		return layers, ""
+	cp := e.Checkpoint
+	if cp == nil {
+		return layers, nil
 	}
-	var cp container.Checkpoint
-	if err := json.Unmarshal(e.Checkpoint, &cp); err == nil {
-		appset, state := splitUpper(cp.Upper)
-		base, berr := json.Marshal(baseLayer{Image: cp.ImageName, Limits: cp.Limits})
-		appsetJSON, aerr := json.Marshal(appset)
-		stateJSON, serr := json.Marshal(state)
-		if berr == nil && aerr == nil && serr == nil {
-			rebuilt, rerr := assembleCheckpoint(cp.Name, base, appsetJSON, stateJSON)
-			if rerr == nil && bytes.Equal(rebuilt, e.Checkpoint) {
-				split := layers
-				split = append(split, layerPayload{LayerBase, base})
-				if len(appset) > 0 {
-					split = append(split, layerPayload{LayerAppSet, appsetJSON})
-				}
-				if len(state) > 0 {
-					split = append(split, layerPayload{LayerState, stateJSON})
-				}
-				return split, cp.Name
-			}
-		}
+	if !utf8.ValidString(cp.ImageName) {
+		return nil, errors.New("the checkpoint's image name is not valid UTF-8")
 	}
-	return append(layers, layerPayload{LayerOpaque, e.Checkpoint}), ""
-}
-
-// assembleCheckpoint is the inverse of buildLayers' split: canonical
-// container.Checkpoint JSON from the base layer plus merged upper maps.
-func assembleCheckpoint(name string, base, appsetJSON, stateJSON []byte) ([]byte, error) {
-	var b baseLayer
-	if err := json.Unmarshal(base, &b); err != nil {
-		return nil, fmt.Errorf("%w: base layer: %v", ErrLayerCorrupt, err)
+	base, err := json.Marshal(baseLayer{Image: cp.ImageName, Limits: cp.Limits})
+	if err != nil {
+		return nil, err
 	}
-	upper := make(map[string][]byte)
-	for _, part := range [][]byte{appsetJSON, stateJSON} {
-		if part == nil {
+	layers = append(layers, layerPayload{LayerBase, base})
+	appset, state, err := splitUpper(cp.Upper)
+	if err != nil {
+		return nil, err
+	}
+	for _, part := range []struct {
+		kind  string
+		files map[string][]byte
+	}{{LayerAppSet, appset}, {LayerState, state}} {
+		if len(part.files) == 0 {
 			continue
 		}
-		var m map[string][]byte
-		if err := json.Unmarshal(part, &m); err != nil {
-			return nil, fmt.Errorf("%w: upper layer: %v", ErrLayerCorrupt, err)
+		data, err := json.Marshal(part.files)
+		if err != nil {
+			return nil, err
 		}
-		paths := make([]string, 0, len(m))
-		for p := range m {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		for _, p := range paths {
-			upper[p] = m[p]
-		}
+		layers = append(layers, layerPayload{part.kind, data})
 	}
-	return json.Marshal(container.Checkpoint{
-		Name: name, ImageName: b.Image, Limits: b.Limits, Upper: upper,
-	})
+	return layers, nil
 }
 
 // Save stores or updates a virtual drone entry, deduplicating its layers
@@ -224,7 +202,14 @@ func (v *VDR) Save(e VDREntry) error {
 }
 
 func (v *VDR) save(e VDREntry) error {
-	layers, containerName := buildLayers(e)
+	layers, err := buildLayers(e)
+	if err != nil {
+		return fmt.Errorf("virtual drone %q: %w", e.Name, err)
+	}
+	var containerName string
+	if e.Checkpoint != nil {
+		containerName = e.Checkpoint.Name
+	}
 
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -262,43 +247,45 @@ func (v *VDR) save(e VDREntry) error {
 	return nil
 }
 
-// assemble reconstructs the compatibility entry from a manifest copy.
+// assemble decodes an entry from a manifest copy: the definition layer
+// verbatim, and the checkpoint from its base layer with the app-set and
+// state files merged into one writable layer.
 func (v *VDR) assemble(m Manifest) (VDREntry, error) {
 	e := VDREntry{Name: m.Name, Owner: m.Owner, SavedAt: m.SavedAt, Completed: m.Completed}
-	var base, appset, state []byte
+	var base *baseLayer
+	upper := make(map[string][]byte)
 	for _, ref := range m.Layers {
 		data, err := v.store.Get(ref.Digest)
-		if err != nil {
-			return VDREntry{}, fmt.Errorf("virtual drone %q, %s layer: %w", m.Name, ref.Kind, err)
-		}
-		switch ref.Kind {
-		case LayerDefinition:
+		switch {
+		case err != nil:
+		case ref.Kind == LayerDefinition:
 			e.Definition = data
-		case LayerOpaque:
-			e.Checkpoint = data
-		case LayerBase:
-			base = data
-		case LayerAppSet:
-			appset = data
-		case LayerState:
-			state = data
+		case ref.Kind == LayerBase:
+			base = new(baseLayer)
+			err = json.Unmarshal(data, base)
+		case ref.Kind == LayerAppSet || ref.Kind == LayerState:
+			err = json.Unmarshal(data, &upper) // adds the layer's files to upper
 		default:
-			return VDREntry{}, fmt.Errorf("%w: virtual drone %q has unknown layer kind %q",
-				ErrLayerCorrupt, m.Name, ref.Kind)
+			err = errors.New("unknown layer kind")
+		}
+		if err != nil {
+			// A missing layer is as corrupt as one that fails its digest:
+			// either way the entry exists but cannot be loaded.
+			return VDREntry{}, fmt.Errorf("%w: virtual drone %q, %s layer: %v", ErrLayerCorrupt, m.Name, ref.Kind, err)
 		}
 	}
 	if base != nil {
-		cp, err := assembleCheckpoint(m.ContainerName, base, appset, state)
-		if err != nil {
-			return VDREntry{}, fmt.Errorf("virtual drone %q: %w", m.Name, err)
+		e.Checkpoint = &container.Checkpoint{
+			Name: m.ContainerName, ImageName: base.Image, Limits: base.Limits, Upper: upper,
 		}
-		e.Checkpoint = cp
 	}
 	return e, nil
 }
 
-// Load retrieves a virtual drone entry, reassembled bit-identical to what
-// Save was handed and digest-verified layer by layer.
+// Load retrieves a virtual drone entry, digest-verified layer by layer and
+// decoded into the typed checkpoint Save was handed. It fails with
+// ErrNotFound when no entry has the name, and with ErrLayerCorrupt when a
+// stored layer is missing, fails its digest or does not decode.
 func (v *VDR) Load(name string) (VDREntry, error) {
 	v.mu.Lock()
 	m, ok := v.manifests[name]
@@ -356,38 +343,6 @@ func (v *VDR) OwnerLayers(owner string) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.ownerLayers[owner]
-}
-
-// names returns manifest names sorted.
-func (v *VDR) names() []string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make([]string, 0, len(v.manifests))
-	for n := range v.manifests {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// List returns fully reassembled entries sorted by name. Entries whose
-// layers fail verification are returned with metadata only — listing must
-// not hide a corrupt entry, and must not crash on one either.
-func (v *VDR) List() []VDREntry {
-	names := v.names()
-	out := make([]VDREntry, 0, len(names))
-	for _, n := range names {
-		e, err := v.Load(n)
-		if err != nil {
-			if m, merr := v.Manifest(n); merr == nil {
-				e = VDREntry{Name: m.Name, Owner: m.Owner, SavedAt: m.SavedAt, Completed: m.Completed}
-			} else {
-				continue
-			}
-		}
-		out = append(out, e)
-	}
-	return out
 }
 
 // Manifests returns all manifests sorted by name — the portal's listing

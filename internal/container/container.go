@@ -399,32 +399,28 @@ func (c *Container) DiffLayer() *Layer {
 	return NewLayer(c.upper)
 }
 
-// Checkpoint is a serializable container state: its image reference plus
-// diff layer. A checkpoint is fully self-contained given access to a store
-// holding the base image, and can be reinstated on any drone (or non-drone)
-// hardware.
+// Checkpoint is a container's state: its image reference plus diff layer.
+// A checkpoint is fully self-contained given access to a store holding the
+// base image, and can be reinstated on any drone (or non-drone) hardware.
 type Checkpoint struct {
-	Name      string            `json:"name"`
-	ImageName string            `json:"image"`
-	Limits    Limits            `json:"limits"`
-	Upper     map[string][]byte `json:"upper"`
+	Name      string
+	ImageName string
+	Limits    Limits
+	Upper     map[string][]byte
 }
 
-// Checkpoint serializes the container's state. The container may be in any
-// state; AnDrone checkpoints stopped virtual drones at flight end.
-func (c *Container) Checkpoint() ([]byte, error) {
+// Checkpoint captures the container's state. Upper holds copies of the
+// writable layer's bytes, so the checkpoint is unaffected by later writes.
+// The container may be in any state; AnDrone checkpoints stopped virtual
+// drones at flight end.
+func (c *Container) Checkpoint() Checkpoint {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	upper := make(map[string][]byte, len(c.upper))
-	for p, b := range c.upper { //vet:allow detguard checkpoint copy; JSON encoding sorts map keys
+	for p, b := range c.upper { //vet:allow detguard checkpoint copy; per-key writes are order-independent
 		upper[p] = append([]byte(nil), b...)
 	}
-	c.mu.Unlock()
-	return json.Marshal(Checkpoint{
-		Name:      c.name,
-		ImageName: c.image.Name,
-		Limits:    c.limits,
-		Upper:     upper,
-	})
+	return Checkpoint{Name: c.name, ImageName: c.image.Name, Limits: c.limits, Upper: upper}
 }
 
 // Runtime manages containers against a fixed memory budget, mirroring the
@@ -488,11 +484,8 @@ func (rt *Runtime) Create(name, imageName string, limits Limits) (*Container, er
 }
 
 // Restore reinstates a checkpointed container: same image, same diff layer.
-func (rt *Runtime) Restore(data []byte) (*Container, error) {
-	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return nil, fmt.Errorf("container: bad checkpoint: %w", err)
-	}
+// The container gets its own copies of cp's bytes.
+func (rt *Runtime) Restore(cp Checkpoint) (*Container, error) {
 	c, err := rt.Create(cp.Name, cp.ImageName, cp.Limits)
 	if err != nil {
 		return nil, err

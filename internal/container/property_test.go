@@ -95,12 +95,8 @@ func TestCheckpointRestoreProperty(t *testing.T) {
 				return false
 			}
 		}
-		blob, err := c.Checkpoint()
-		if err != nil {
-			return false
-		}
 		rt2 := NewRuntime(store, 100)
-		c2, err := rt2.Restore(blob)
+		c2, err := rt2.Restore(c.Checkpoint())
 		if err != nil {
 			return false
 		}

@@ -378,3 +378,31 @@ func (d *Drone) ExecutePlan(plan *planner.Plan, env *CloudEnv) ([]*FlightReport,
 	}
 	return reports, nil
 }
+
+// Install puts task's virtual drone on d for its next flight unless it is
+// already there. An unfinished drone saved in vdr (by this or another
+// physical drone) is restored; one never saved, or saved completed, is
+// created from def. Any other load failure, such as a layer failing its
+// digest, is returned: a corrupt entry must not silently restart its
+// mission.
+func (d *Drone) Install(vdr *cloud.VDR, task string, def *Definition) error {
+	if _, err := d.VDC.Get(task); err == nil {
+		return nil
+	}
+	entry, err := vdr.Load(task)
+	switch {
+	case err == nil && !entry.Completed:
+		if _, err := d.VDC.Restore(entry); err != nil {
+			return fmt.Errorf("core: restoring %q: %w", task, err)
+		}
+		return nil
+	case err != nil && !errors.Is(err, cloud.ErrNotFound):
+		return fmt.Errorf("core: loading %q: %w", task, err)
+	case def == nil:
+		return fmt.Errorf("core: no definition for %q", task)
+	}
+	if _, err := d.VDC.Create(def); err != nil {
+		return fmt.Errorf("core: creating %q: %w", task, err)
+	}
+	return nil
+}

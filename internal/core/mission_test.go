@@ -214,7 +214,7 @@ func TestExecuteRouteMultiTenant(t *testing.T) {
 		}
 	}
 	// Three VDR entries.
-	if entries := env.VDR.List(); len(entries) != 3 {
+	if entries := env.VDR.Manifests(); len(entries) != 3 {
 		t.Fatalf("VDR entries = %d", len(entries))
 	}
 }

@@ -298,7 +298,7 @@ func (v *VDC) Restore(entry cloud.VDREntry) (*VirtualDrone, error) {
 	return v.create(def, entry.Checkpoint)
 }
 
-func (v *VDC) create(def *Definition, checkpoint []byte) (*VirtualDrone, error) {
+func (v *VDC) create(def *Definition, checkpoint *container.Checkpoint) (*VirtualDrone, error) {
 	if def.Name == "" {
 		mAdmissionFails.Inc()
 		return nil, ErrNoName
@@ -321,27 +321,25 @@ func (v *VDC) create(def *Definition, checkpoint []byte) (*VirtualDrone, error) 
 		return nil, fmt.Errorf("%w: %q", ErrVDExists, name)
 	}
 	v.mu.Unlock()
+	if checkpoint != nil && checkpoint.Name != name {
+		// A VDR entry whose checkpoint belongs to a different virtual drone
+		// (corrupt storage, or an entry spliced together from two drones)
+		// must not come up under this definition's identity.
+		admitFail("name-mismatch")
+		return nil, fmt.Errorf("%w: checkpoint %q, definition %q", ErrNameMismatch, checkpoint.Name, name)
+	}
 
 	// Container: fresh from base image, or restored from checkpoint.
 	var c *container.Container
 	var err error
 	if checkpoint != nil {
-		c, err = v.drone.Runtime.Restore(checkpoint)
+		c, err = v.drone.Runtime.Restore(*checkpoint)
 	} else {
 		c, err = v.drone.Runtime.Create(name, BaseImageName, container.Limits{MemoryMB: MemVirtualDroneMB})
 	}
 	if err != nil {
 		admitFail("container")
 		return nil, err
-	}
-	if c.Name() != name {
-		// A VDR entry whose checkpoint belongs to a different virtual drone
-		// (corrupt storage, or an entry spliced together from two drones)
-		// must not come up under this definition's identity.
-		_ = v.drone.Runtime.Stop(c.Name())
-		_ = v.drone.Runtime.Remove(c.Name())
-		admitFail("name-mismatch")
-		return nil, fmt.Errorf("%w: checkpoint %q, definition %q", ErrNameMismatch, c.Name(), name)
 	}
 	cleanup := func() {
 		_ = v.drone.Runtime.Stop(name)
@@ -826,10 +824,7 @@ func (v *VDC) Save(name string) (cloud.VDREntry, error) {
 	if raw, err := json.Marshal(progress); err == nil {
 		vd.Container.WriteFile(progressPath, raw)
 	}
-	checkpoint, err := vd.Container.Checkpoint()
-	if err != nil {
-		return cloud.VDREntry{}, err
-	}
+	checkpoint := vd.Container.Checkpoint()
 	defJSON, err := vd.Def.Encode()
 	if err != nil {
 		return cloud.VDREntry{}, err
@@ -859,7 +854,7 @@ func (v *VDC) Save(name string) (cloud.VDREntry, error) {
 		Name:       name,
 		Owner:      vd.Def.Owner,
 		Definition: defJSON,
-		Checkpoint: checkpoint,
+		Checkpoint: &checkpoint,
 		Completed:  vd.Done(),
 	}, nil
 }

@@ -122,29 +122,13 @@ func TestRestoreRejectsCorruptEntries(t *testing.T) {
 			ErrNoWaypoints,
 		},
 		{
-			"checkpoint not json",
-			func(t *testing.T, e *cloud.VDREntry, _ cloud.VDREntry) { e.Checkpoint = []byte("garbage") },
-			nil,
-		},
-		{
 			"checkpoint from another drone",
 			func(t *testing.T, e *cloud.VDREntry, other cloud.VDREntry) { e.Checkpoint = other.Checkpoint },
 			ErrNameMismatch,
 		},
 		{
 			"checkpoint references unknown image",
-			func(t *testing.T, e *cloud.VDREntry, _ cloud.VDREntry) {
-				var cp container.Checkpoint
-				if err := json.Unmarshal(e.Checkpoint, &cp); err != nil {
-					t.Fatal(err)
-				}
-				cp.ImageName = "no-such-image"
-				raw, err := json.Marshal(cp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e.Checkpoint = raw
-			},
+			func(t *testing.T, e *cloud.VDREntry, _ cloud.VDREntry) { e.Checkpoint.ImageName = "no-such-image" },
 			nil,
 		},
 	}
@@ -208,6 +192,39 @@ func TestRestoreDuplicateName(t *testing.T) {
 	got, err := d2.VDC.Get("vd1")
 	if err != nil || got != live {
 		t.Fatalf("live vd disturbed: %v, %v", got, err)
+	}
+}
+
+// TestSpliceRejectedBeforeContainer: a checkpoint spliced in from a
+// virtual drone that is live on the target drone is refused by name,
+// before any container is created, and the live drone is untouched.
+func TestSpliceRejectedBeforeContainer(t *testing.T) {
+	store := container.NewStore()
+	d1, err := NewDroneWithStore(testHome, "splice-src", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := savedEntry(t, d1, "vd1")
+	other := savedEntry(t, d1, "vd2")
+
+	d2, err := NewDroneWithStore(testHome, "splice-dst", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := d2.VDC.Create(defWith("vd2", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := len(d2.Runtime.Running())
+	entry.Checkpoint = other.Checkpoint
+	if _, err := d2.VDC.Restore(entry); !errors.Is(err, ErrNameMismatch) {
+		t.Fatalf("restore of a spliced entry: %v, want ErrNameMismatch", err)
+	}
+	if got, err := d2.VDC.Get("vd2"); err != nil || got != live {
+		t.Fatalf("live vd disturbed: %v, %v", got, err)
+	}
+	if n := len(d2.Runtime.Running()); n != running {
+		t.Fatalf("%d containers running, want %d", n, running)
 	}
 }
 

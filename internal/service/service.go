@@ -423,23 +423,11 @@ func (s *Service) FlyScheduled(plan *planner.Plan) ([]*core.FlightReport, error)
 	for i, route := range plan.Routes {
 		drone := s.fleet[route.Drone%len(s.fleet)]
 		for _, stop := range route.Stops {
-			if _, err := drone.VDC.Get(stop.Task); err == nil {
-				continue
-			}
-			if entry, err := s.vdr.Load(stop.Task); err == nil && !entry.Completed {
-				if _, err := drone.VDC.Restore(entry); err != nil {
-					return reports, fmt.Errorf("service: restoring %s: %w", stop.Task, err)
-				}
-				continue
-			}
 			s.mu.Lock()
 			def := s.defs[stop.Task]
 			s.mu.Unlock()
-			if def == nil {
-				return reports, fmt.Errorf("service: route %d references unknown task %q", i, stop.Task)
-			}
-			if _, err := drone.VDC.Create(def); err != nil {
-				return reports, fmt.Errorf("service: creating %s: %w", stop.Task, err)
+			if err := drone.Install(s.vdr, stop.Task, def); err != nil {
+				return reports, fmt.Errorf("service: route %d: %w", i, err)
 			}
 		}
 		report, err := drone.ExecuteRoute(route, env)

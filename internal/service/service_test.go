@@ -75,7 +75,7 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Fatalf("files: alice %v, bob %v", s.Storage().List("alice"), s.Storage().List("bob"))
 	}
 	// VDR holds both completed drones.
-	if entries := s.VDR().List(); len(entries) != 2 {
+	if entries := s.VDR().Manifests(); len(entries) != 2 {
 		t.Fatalf("VDR = %d entries", len(entries))
 	}
 }
