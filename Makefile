@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: all build fmt-check test race vet androne-vet vet-smoke vet-stale sim telemetry fleet equivalence bench-smoke load-smoke perfbench-smoke fuzz cover check clean
+.PHONY: all build fmt-check test race vet androne-vet vet-smoke sim telemetry fleet equivalence bench-smoke load-smoke perfbench-smoke fuzz cover check clean
 
 all: build
 
@@ -32,18 +32,12 @@ vet: androne-vet
 # namespace isolation, VFC whitelist boundary, service-plane deadlines,
 # timer hygiene, the interprocedural security analyzers, the
 # effect-summary contract analyzers (detguard, hotpath), and the
-# concurrency-liveness pair (lockorder, waitleak). The committed
-# VET_BASELINE.json gates total wall-clock at 3x, and the stale-allows
-# audit fails on suppressions nothing fires on anymore. See DESIGN.md
-# "Static analysis & concurrency invariants". Analyzer subsets, for
-# iterating on one family, are documented in cmd/androne-vet.
+# concurrency-liveness pair (lockorder, waitleak). One run fails on any
+# finding and on any stale //vet:allow (a suppression no analyzer fires on
+# anymore), and the committed VET_BASELINE.json gates total wall-clock at
+# 3x. See DESIGN.md "Static analysis & concurrency invariants".
 androne-vet:
 	$(GO) run ./cmd/androne-vet -budget-file VET_BASELINE.json ./...
-
-# Suppression audit: every //vet:allow must still have an active analyzer
-# firing on its line — dead suppressions are removed, not accumulated.
-vet-stale:
-	$(GO) run ./cmd/androne-vet -stale-allows ./...
 
 # Sabotage smoke for the contract analyzers: the fixture suites carry
 # deliberately broken packages whose expected findings ("// want"
@@ -166,7 +160,7 @@ cover:
 		{ echo "total coverage $$total% fell below the $$floor% floor"; exit 1; }
 
 # Everything CI enforces, in CI's order.
-check: build fmt-check vet vet-stale test race sim telemetry equivalence fleet bench-smoke load-smoke perfbench-smoke fuzz
+check: build fmt-check vet test race sim telemetry equivalence fleet bench-smoke load-smoke perfbench-smoke fuzz
 
 clean:
 	$(GO) clean ./...

@@ -16,35 +16,21 @@
 //
 //	androne-vet [flags] [packages]
 //
-// Packages default to ./... relative to the enclosing module. Exit status
-// is 1 if any diagnostic is reported, 2 on operational failure. Individual
-// analyzers are toggled with -<name>=false; a diagnostic is suppressed by a
-// //vet:allow <name> [reason] comment on its source line. A plain run
-// already covers every analyzer; a subset is for iterating on one family:
+// Packages default to ./... relative to the enclosing module. Every
+// analyzer runs; a diagnostic is suppressed by a //vet:allow <name>
+// [reason] comment on its source line. Exit status is 1 if any diagnostic
+// is reported or any //vet:allow is stale — it names an analyzer that no
+// longer fires on its line, so it could silently mask the next real
+// regression there — and 2 on operational failure.
 //
-//	# the interprocedural subset (permguard, sendertaint, errflow)
-//	androne-vet -ctxtimeout=false -detguard=false -hotpath=false \
-//		-lockorder=false -locksafe=false -nsguard=false -tickleak=false \
-//		-waitleak=false -whitelistguard=false ./...
+// Flags:
 //
-//	# the effect-summary contract subset (detguard, hotpath)
-//	androne-vet -ctxtimeout=false -errflow=false -lockorder=false \
-//		-locksafe=false -nsguard=false -permguard=false -sendertaint=false \
-//		-tickleak=false -waitleak=false -whitelistguard=false ./...
-//
-//	# the concurrency-liveness pair (lockorder, waitleak)
-//	androne-vet -ctxtimeout=false -detguard=false -errflow=false \
-//		-hotpath=false -locksafe=false -nsguard=false -permguard=false \
-//		-sendertaint=false -tickleak=false -whitelistguard=false ./...
-//
-// -stale-allows audits the suppressions instead: it reports every
-// //vet:allow comment naming an active analyzer that no longer fires on
-// its line (exit 1 if any), so dead suppressions cannot silently mask the
-// next real regression.
-//
-// -budget-file gates wall-clock: given a committed reference document
-// {"total_micros": N}, the run fails if the suite's total wall-clock
-// exceeds 3x the reference, and the -json report carries the verdict.
+//	-json         emit the report (findings, stale suppressions, timings) as JSON
+//	-list         list the analyzers and exit
+//	-budget-file  gate wall-clock: given a committed reference document
+//	              {"total_micros": N}, the run fails if the suite's total
+//	              wall-clock exceeds 3x the reference, and the -json report
+//	              carries the verdict
 package main
 
 import (
@@ -90,21 +76,16 @@ var suite = []*framework.Analyzer{
 const budgetFactor = 3
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	listOnly := flag.Bool("list", false, "list analyzers and exit")
-	staleMode := flag.Bool("stale-allows", false,
-		"report //vet:allow comments no active analyzer fires on, instead of findings")
-	budgetFile := flag.String("budget-file", "",
+func run(args []string) int {
+	flags := flag.NewFlagSet("androne-vet", flag.ExitOnError)
+	jsonOut := flags.Bool("json", false, "emit the report as JSON")
+	listOnly := flags.Bool("list", false, "list analyzers and exit")
+	budgetFile := flags.String("budget-file", "",
 		"reference JSON ({\"total_micros\": N}); fail if total wall-clock exceeds 3x")
-	enabled := make(map[string]*bool, len(suite))
-	for _, a := range suite {
-		enabled[a.Name] = flag.Bool(a.Name, true, "enable the "+a.Name+" analyzer")
-	}
-	flag.Parse()
+	flags.Parse(args)
 
 	if *listOnly {
 		for _, a := range suite {
@@ -113,40 +94,20 @@ func run() int {
 		return 0
 	}
 
-	var active []*framework.Analyzer
-	for _, a := range suite {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
-
-	patterns := flag.Args()
 	wd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "androne-vet:", err)
 		return 2
 	}
-	pkgs, err := load.Packages(wd, patterns...)
+	pkgs, err := load.Packages(wd, flags.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "androne-vet:", err)
 		return 2
 	}
-	findings, stats, err := load.Run(pkgs, active)
+	findings, stats, err := load.Run(pkgs, suite)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "androne-vet:", err)
 		return 2
-	}
-
-	if *staleMode {
-		for _, s := range stats.StaleAllows {
-			fmt.Printf("%s:%d: stale //vet:allow %s: the analyzer no longer fires on this line\n",
-				s.Pos.Filename, s.Pos.Line, s.Analyzer)
-		}
-		if n := len(stats.StaleAllows); n > 0 {
-			fmt.Fprintf(os.Stderr, "androne-vet: %d stale //vet:allow suppression(s)\n", n)
-			return 1
-		}
-		return 0
 	}
 
 	budget, budgetErr := checkBudget(*budgetFile, stats)
@@ -156,8 +117,8 @@ func run() int {
 	}
 
 	if *jsonOut {
-		names := make([]string, len(active))
-		for i, a := range active {
+		names := make([]string, len(suite))
+		for i, a := range suite {
 			names[i] = a.Name
 		}
 		report := load.Report(names, findings, stats)
@@ -170,19 +131,28 @@ func run() int {
 		for _, f := range findings {
 			fmt.Println(f)
 		}
+		for _, s := range stats.StaleAllows {
+			fmt.Printf("%s:%d: stale //vet:allow %s: the analyzer no longer fires on this line\n",
+				s.Pos.Filename, s.Pos.Line, s.Analyzer)
+		}
 	}
+	status := 0
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "androne-vet: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))
-		return 1
+		status = 1
+	}
+	if n := len(stats.StaleAllows); n > 0 {
+		fmt.Fprintf(os.Stderr, "androne-vet: %d stale //vet:allow suppression(s)\n", n)
+		status = 1
 	}
 	if budget != nil && budget.Exceeded {
 		fmt.Fprintf(os.Stderr,
 			"androne-vet: wall-clock budget exceeded: %dµs total > %dx reference %dµs (limit %dµs) — "+
 				"fix the regression or refresh the committed reference\n",
 			budget.TotalMicros, budgetFactor, budget.ReferenceMicros, budget.LimitMicros)
-		return 1
+		status = 1
 	}
-	return 0
+	return status
 }
 
 // checkBudget loads the committed wall-clock reference and judges this

@@ -430,26 +430,15 @@ func leafEffect(fn *types.Func) (Effect, string, bool) {
 }
 
 // lockDetail renders a blocking call's identity for the sanctioned-lock
-// check: "lock <pkgpath>.<OwnerType>.<field>" when the receiver is a struct
-// field (v.mu.Lock()), otherwise "call to <key>".
+// check: "lock <LockID>" when the receiver is a nameable mutex
+// (v.mu.Lock()), otherwise "call to <key>".
 func lockDetail(src *FuncSource, e *CallSite) string {
-	sel, ok := ast.Unparen(e.Call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "call to " + funcKey(e.Callee)
+	if sel, ok := ast.Unparen(e.Call.Fun).(*ast.SelectorExpr); ok {
+		if id, ok := canonicalLockID(src.Pkg.Info, sel.X); ok {
+			return "lock " + string(id)
+		}
 	}
-	inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok {
-		return "call to " + funcKey(e.Callee)
-	}
-	tv, ok := src.Pkg.Info.Types[inner.X]
-	if !ok {
-		return "call to " + funcKey(e.Callee)
-	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	return "lock " + types.TypeString(t, nil) + "." + inner.Sel.Name
+	return "call to " + funcKey(e.Callee)
 }
 
 // parseSummaryDirective extracts a //vet:summary declaration from fd's doc

@@ -19,6 +19,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 )
 
 // Analyzer describes one static check.
@@ -62,6 +63,16 @@ type Diagnostic struct {
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+}
+
+// ShortPos renders pos as "file.go:line" for citing another site in a
+// message.
+func (p *Pass) ShortPos(pos token.Pos) string {
+	if !pos.IsValid() {
+		return "?"
+	}
+	at := p.Fset.Position(pos)
+	return fmt.Sprintf("%s:%d", filepath.Base(at.Filename), at.Line)
 }
 
 // EnclosingFunc returns the function declaration enclosing pos within the

@@ -1,41 +1,64 @@
 // Lock sets: a bottom-up interprocedural engine that propagates held-lock
 // sets over the call graph and builds the global lock-acquisition-order
-// graph. The lockorder analyzer consumes it to convict potential deadlocks
-// (cycles and inconsistent A→B/B→A acquisition pairs) and violations of the
-// //vet:lockrank-declared global order, and to enforce the critical-path
-// contract: flight-critical (//vet:hotpath-rooted) code must never acquire
-// a lock that tenant-reachable code can also hold.
+// graph, and the one walk that tracks locks through a function body. The
+// walk keeps two views of the same lock operations:
 //
-// Lock identities are canonical "pkgpath.OwnerType.field" strings — the
-// same rendering PR 6's effect engine uses for its sanctioned-lock check —
+//   - the may-hold view over canonically named locks, which feeds the
+//     order graph. The lockorder analyzer consumes it to convict potential
+//     deadlocks (cycles and inconsistent A→B/B→A acquisition pairs) and
+//     violations of the //vet:lockrank-declared global order, and to
+//     enforce the critical-path contract: flight-critical
+//     (//vet:hotpath-rooted) code must never acquire a lock that
+//     tenant-reachable code can also hold;
+//   - the must-hold view over the function's own lock instances, which
+//     records the discipline sites (LockSite) the locksafe analyzer
+//     reports: a lock still held at a return, a re-lock, arms or loop
+//     bodies that disagree on lock state, and channel operations and
+//     calls made while a lock is held.
+//
+// Lock identities in the order view are canonical "pkgpath.OwnerType.field"
+// strings — the rendering the effect engine's sanctioned-lock check uses —
 // plus "pkgpath.var" for package-level mutexes. Locks whose receiver the
 // engine cannot name (local mutex variables, mutexes reached through
-// function results) have no global identity and are skipped: a lock the
-// engine cannot name cannot participate in a cross-function order anyway
-// without first being nameable at both sites. Function values and
-// reflection are unresolved, as everywhere in the framework (see DESIGN.md
-// for the honest-limits list).
+// function results) have no global identity and stay out of the graph: a
+// lock the engine cannot name cannot participate in a cross-function order
+// anyway without first being nameable at both sites. The discipline view
+// keys a lock by its instance as written ("a.mu", "b.mu", a local "mu"),
+// so it checks unnameable locks too and never mistakes two values of one
+// type for a double lock. Function values and reflection are unresolved,
+// as everywhere in the framework (see DESIGN.md for the honest-limits
+// list).
 //
-// The intra-function walk is a may-hold approximation:
+// The walk:
 //
-//   - mu.Lock()/mu.RLock() add the lock to the held set; Unlock/RUnlock
-//     remove it. defer mu.Unlock() keeps the lock held to the end of the
-//     walk (the lock is genuinely held for the remainder of the body).
-//   - Branches (if/for/switch/select) are walked with a copy of the entry
-//     set and joined by UNION: a lock held on any arm is treated as held
-//     after the merge. Over-approximating "held" can only add order edges,
-//     never hide one.
+//   - mu.Lock()/mu.RLock() acquire; Unlock/RUnlock release. A deferred
+//     release, direct or inside a deferred closure, leaves the lock held
+//     to the end of the body (it genuinely is) and marks the release
+//     pending, so the discipline view does not ask for another. An
+//     xxxLocked helper that releases its caller's lock drives the
+//     instance's depth negative, which is not an error.
+//   - Branches (if/switch/select) walk each arm from the entry state. The
+//     order view joins them by UNION: a lock held on any arm is held after
+//     the merge, and over-approximating "held" can only add order edges,
+//     never hide one. The discipline view drops arms that return, panic,
+//     break or continue, requires the rest to agree (an arm holding a lock
+//     under a deferred release agrees with one that never took it) and
+//     continues from the first. A loop body is walked once; the
+//     discipline view requires it to leave the state it found.
 //   - mu.TryLock() cannot block, so no edge points INTO a try-acquired
 //     lock; but a successful TryLock is held afterwards, so edges OUT of
 //     it are real. In `if mu.TryLock() { ... }` the lock is held in the
-//     then-branch only; a try-lock in any other position is conservatively
-//     held from that point on.
+//     then-branch only, in `if !mu.TryLock() { ... }` in the else-branch
+//     and after; a try-lock in any other position is conservatively held
+//     from that point on in the order view and not at all in the
+//     discipline view.
 //   - go-statement bodies run concurrently: they are walked with an EMPTY
 //     held set (their acquisitions attributed to the enclosing declaration,
 //     as the call graph does). Immediately-invoked func literals inherit
 //     the current held set; other func literals are walked with an empty
 //     set — when they actually run is unknown, and the framework defaults
-//     to optimism at unknowns.
+//     to optimism at unknowns. Every literal body is its own discipline
+//     frame, starting with nothing held.
 //
 // Interprocedural propagation is the usual fixpoint: AcquiresTotal(f) =
 // local acquisitions ∪ AcquiresTotal of every resolved callee, so a call
@@ -99,8 +122,51 @@ type LockFuncInfo struct {
 	// AcquiresTotal maps every lock this function may (transitively)
 	// acquire to a trace of one acquisition site.
 	AcquiresTotal map[LockID]LockTrace
+	// Discipline are the function's must-hold discipline sites in walk
+	// order (see LockSiteKind).
+	Discipline []LockSite
 
 	calls []lockCall
+}
+
+// LockSiteKind classifies a discipline site: a point where the must-hold
+// view of the function's own lock instances breaks a rule, or where an
+// operation happens while that view holds a lock.
+type LockSiteKind int
+
+const (
+	// SiteHeldAtExit is a return, or the end of the body, with a lock
+	// held and no deferred release: one site per such lock.
+	SiteHeldAtExit LockSiteKind = iota
+	// SiteRelock is a Lock of an instance the function already holds.
+	SiteRelock
+	// SiteIfDiffers and SiteSwitchDiffers are an if, or a switch, type
+	// switch or select, whose arms still running afterwards disagree on
+	// lock state. Arms that return, panic or branch away drop out.
+	SiteIfDiffers
+	SiteSwitchDiffers
+	// SiteLoopDiffers is a loop whose body leaves lock state changed.
+	SiteLoopDiffers
+	// SiteSend, SiteRecv and SiteSelect are channel operations made while
+	// a lock is held.
+	SiteSend
+	SiteRecv
+	SiteSelect
+	// SiteCall is any call made while a lock is held; Call is set and the
+	// consumer decides which calls matter.
+	SiteCall
+)
+
+// LockSite is one discipline site. For every kind but the three Differs
+// kinds, Lock names the held lock (the first still held, in acquisition
+// order) as written at the call, with " (read lock)" for the RLock side,
+// and LockPos is its outstanding acquisition.
+type LockSite struct {
+	Kind    LockSiteKind
+	Pos     token.Pos
+	Lock    string
+	LockPos token.Pos
+	Call    *ast.CallExpr
 }
 
 // LockEdge is one edge of the global acquisition-order graph: To is
@@ -176,7 +242,7 @@ func ComputeLockSets(p *Program) *LockWorld {
 			info: &LockFuncInfo{Fn: src.Fn, AcquiresTotal: make(map[LockID]LockTrace)},
 		}
 		lw.indexCallees(g)
-		lw.walkBlock(src.Decl.Body, nil)
+		lw.walkBody(src.Decl.Body, nil)
 		for _, a := range lw.info.Acqs {
 			prev, seen := lw.info.AcquiresTotal[a.Lock]
 			// A blocking acquisition beats a try-only trace.
@@ -313,12 +379,15 @@ func (w *LockWorld) collectRanks(p *Program) {
 	}
 }
 
-// lockWalker tracks the may-held set through one function body.
+// lockWalker tracks both views through one function body.
 type lockWalker struct {
 	prog    *Program
 	src     *FuncSource
 	info    *LockFuncInfo
 	callees map[*ast.CallExpr][]*types.Func
+	// mute counts enclosing select comm clauses: the select itself is the
+	// reported site, so the channel operation in its comm is not.
+	mute int
 }
 
 // indexCallees groups the function's resolved call edges by call
@@ -382,259 +451,547 @@ func heldUnion(a, b []LockID) []LockID {
 
 func heldClone(held []LockID) []LockID { return held[:len(held):len(held)] }
 
-// walkBlock walks a statement list, threading the held set through.
-func (lw *lockWalker) walkBlock(b *ast.BlockStmt, held []LockID) []LockID {
+// lockFlow is the state threaded through a body: the two views of the
+// same lock operations. Both slices are copy-on-write, so arms of a
+// branch share their entry flow safely.
+type lockFlow struct {
+	// held is the may-hold view over named locks, for the order graph.
+	held []LockID
+	// own is the must-hold view over the function's lock instances, for
+	// discipline, in first-acquired order.
+	own []ownLock
+	// dead marks a path already left by return, panic, or a branch
+	// statement: it records no discipline site and drops out of merges.
+	dead bool
+}
+
+// ownLock is one lock instance's must-hold state.
+type ownLock struct {
+	key  string // the receiver as written: "s.mu", "mu"
+	read bool   // the RLock side of an RWMutex, tracked independently
+	// depth is the net number of acquisitions; negative when the function
+	// released a lock its caller holds (the xxxLocked convention).
+	depth    int
+	deferred bool      // a deferred release is pending
+	pos      token.Pos // the outstanding acquisition
+}
+
+func (o ownLock) name() string {
+	if o.read {
+		return o.key + " (read lock)"
+	}
+	return o.key
+}
+
+// lockRef is a lock operation's target: its instance for the discipline
+// view and, when nameable, its canonical LockID for the order view.
+type lockRef struct {
+	id   LockID // "" when the lock has no global identity
+	key  string
+	read bool
+}
+
+// tryLocks collects the try-acquisitions of an if condition by the arm
+// in which they are held: then for `if mu.TryLock()`, else for
+// `if !mu.TryLock()`.
+type tryLocks struct{ then, els []lockRef }
+
+// update returns f with ref's instance state changed by fn.
+func (f lockFlow) update(ref lockRef, fn func(*ownLock)) lockFlow {
+	own := make([]ownLock, len(f.own), len(f.own)+1)
+	copy(own, f.own)
+	i := 0
+	for i < len(own) && (own[i].key != ref.key || own[i].read != ref.read) {
+		i++
+	}
+	if i == len(own) {
+		own = append(own, ownLock{key: ref.key, read: ref.read})
+	}
+	fn(&own[i])
+	f.own = own
+	return f
+}
+
+// lookup returns ref's instance state (zero if untracked).
+func (f lockFlow) lookup(ref lockRef) ownLock {
+	for _, o := range f.own {
+		if o.key == ref.key && o.read == ref.read {
+			return o
+		}
+	}
+	return ownLock{}
+}
+
+// acquire marks ref held in both views.
+func (f lockFlow) acquire(ref lockRef, pos token.Pos) lockFlow {
+	if ref.id != "" {
+		f.held = heldAdd(f.held, ref.id)
+	}
+	return f.update(ref, func(o *ownLock) {
+		if o.depth <= 0 {
+			o.pos = pos
+		}
+		o.depth++
+	})
+}
+
+// sameOwn reports whether two must-hold states agree. Instances at net
+// depth zero with no pending release count as absent and positions do not
+// matter. With settled, instances held under a deferred release count as
+// absent too: an arm that locks and defers the unlock
+// (`if mu.TryLock() { defer mu.Unlock(); … }`) is balanced at function
+// exit, which is all a branch merge needs; a loop body that does so still
+// re-locks on the next iteration.
+func sameOwn(a, b []ownLock, settled bool) bool {
+	live := func(o ownLock) bool {
+		if o.depth == 0 && !o.deferred {
+			return false
+		}
+		return !settled || o.depth <= 0 || !o.deferred
+	}
+	n := 0
+	for _, x := range a {
+		if !live(x) {
+			continue
+		}
+		n++
+		match := false
+		for _, y := range b {
+			if y.key == x.key && y.read == x.read {
+				match = live(y) && y.depth == x.depth && y.deferred == x.deferred
+				break
+			}
+		}
+		if !match {
+			return false
+		}
+	}
+	for _, y := range b {
+		if live(y) {
+			n--
+		}
+	}
+	return n == 0
+}
+
+// site records a discipline site unless the path is dead or muted.
+func (lw *lockWalker) site(f lockFlow, s LockSite) {
+	if f.dead || lw.mute > 0 {
+		return
+	}
+	lw.info.Discipline = append(lw.info.Discipline, s)
+}
+
+// heldSite records an operation made while the function holds a lock,
+// naming the first lock still held.
+func (lw *lockWalker) heldSite(f lockFlow, kind LockSiteKind, pos token.Pos, call *ast.CallExpr) {
+	for _, o := range f.own {
+		if o.depth > 0 {
+			lw.site(f, LockSite{Kind: kind, Pos: pos, Lock: o.name(), LockPos: o.pos, Call: call})
+			return
+		}
+	}
+}
+
+// exit records every lock still held, with no deferred release, where
+// the function returns.
+func (lw *lockWalker) exit(f lockFlow, pos token.Pos) {
+	for _, o := range f.own {
+		if o.depth > 0 && !o.deferred {
+			lw.site(f, LockSite{Kind: SiteHeldAtExit, Pos: pos, Lock: o.name(), LockPos: o.pos})
+		}
+	}
+}
+
+// join merges alternative arms. The order view takes the union of every
+// arm; the discipline view takes the first arm still alive and records a
+// kind site at pos when the live arms disagree.
+func (lw *lockWalker) join(pos token.Pos, kind LockSiteKind, arms ...lockFlow) lockFlow {
+	out := lockFlow{held: arms[0].held, dead: true}
+	for _, a := range arms[1:] {
+		out.held = heldUnion(out.held, a.held)
+	}
+	for _, a := range arms {
+		if a.dead {
+			continue
+		}
+		if out.dead {
+			out.own, out.dead = a.own, false
+		} else if !sameOwn(out.own, a.own, true) {
+			lw.site(out, LockSite{Kind: kind, Pos: pos})
+			break
+		}
+	}
+	return out
+}
+
+// loop records a kind site at pos when a live body leaves the lock state
+// it found. The loop's result is its entry state plus, for the order
+// view, whatever the body may still hold.
+func (lw *lockWalker) loop(entry, body lockFlow, pos token.Pos) lockFlow {
+	if !body.dead && !sameOwn(entry.own, body.own, false) {
+		lw.site(entry, LockSite{Kind: SiteLoopDiffers, Pos: pos})
+	}
+	entry.held = heldUnion(entry.held, body.held)
+	return entry
+}
+
+// walkBody walks a function body from the given held set and records the
+// locks still held if control falls off its end.
+func (lw *lockWalker) walkBody(body *ast.BlockStmt, held []LockID) []LockID {
+	f := lw.walkBlock(body, lockFlow{held: held})
+	if !f.dead {
+		lw.exit(f, body.Rbrace)
+	}
+	return f.held
+}
+
+// walkBlock walks a statement list, threading the flow through.
+func (lw *lockWalker) walkBlock(b *ast.BlockStmt, f lockFlow) lockFlow {
 	if b == nil {
-		return held
+		return f
 	}
-	return lw.walkStmts(b.List, held)
+	return lw.walkStmts(b.List, f)
 }
 
-func (lw *lockWalker) walkStmts(stmts []ast.Stmt, held []LockID) []LockID {
+func (lw *lockWalker) walkStmts(stmts []ast.Stmt, f lockFlow) lockFlow {
 	for _, s := range stmts {
-		held = lw.walkStmt(s, held)
+		f = lw.walkStmt(s, f)
 	}
-	return held
+	return f
 }
 
-func (lw *lockWalker) walkStmt(s ast.Stmt, held []LockID) []LockID {
+func (lw *lockWalker) walkStmt(s ast.Stmt, f lockFlow) lockFlow {
 	switch s := s.(type) {
 	case *ast.BlockStmt:
-		return lw.walkBlock(s, held)
+		return lw.walkBlock(s, f)
 	case *ast.ExprStmt:
-		return lw.walkExpr(s.X, held, nil)
+		f = lw.walkExpr(s.X, f, nil)
+		if lw.isPanic(s.X) {
+			f.dead = true
+		}
+		return f
 	case *ast.AssignStmt:
 		for _, e := range s.Rhs {
-			held = lw.walkExpr(e, held, nil)
+			f = lw.walkExpr(e, f, nil)
 		}
 		for _, e := range s.Lhs {
-			held = lw.walkExpr(e, held, nil)
+			f = lw.walkExpr(e, f, nil)
 		}
-		return held
+		return f
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					for _, e := range vs.Values {
-						held = lw.walkExpr(e, held, nil)
+						f = lw.walkExpr(e, f, nil)
 					}
 				}
 			}
 		}
-		return held
+		return f
 	case *ast.ReturnStmt:
 		for _, e := range s.Results {
-			held = lw.walkExpr(e, held, nil)
+			f = lw.walkExpr(e, f, nil)
 		}
-		return held
+		lw.exit(f, s.Return)
+		f.dead = true
+		return f
+	case *ast.BranchStmt:
+		f.dead = true
+		return f
 	case *ast.IncDecStmt:
-		return lw.walkExpr(s.X, held, nil)
+		return lw.walkExpr(s.X, f, nil)
 	case *ast.SendStmt:
-		held = lw.walkExpr(s.Chan, held, nil)
-		return lw.walkExpr(s.Value, held, nil)
+		f = lw.walkExpr(s.Chan, f, nil)
+		f = lw.walkExpr(s.Value, f, nil)
+		lw.heldSite(f, SiteSend, s.Arrow, nil)
+		return f
 	case *ast.LabeledStmt:
-		return lw.walkStmt(s.Stmt, held)
+		return lw.walkStmt(s.Stmt, f)
 	case *ast.IfStmt:
 		if s.Init != nil {
-			held = lw.walkStmt(s.Init, held)
+			f = lw.walkStmt(s.Init, f)
 		}
-		// Try-locks acquired in the condition are held in the then-branch
-		// only: `if mu.TryLock() { ... }`.
-		var tries []LockID
-		held = lw.walkExpr(s.Cond, held, &tries)
-		thenEntry := heldClone(held)
-		for _, id := range tries {
-			thenEntry = heldAdd(thenEntry, id)
+		var tries tryLocks
+		f = lw.walkExpr(s.Cond, f, &tries)
+		then, els := f, f
+		for _, ref := range tries.then {
+			then = then.acquire(ref, s.Cond.Pos())
 		}
-		thenOut := lw.walkBlock(s.Body, thenEntry)
-		elseOut := heldClone(held)
+		for _, ref := range tries.els {
+			els = els.acquire(ref, s.Cond.Pos())
+		}
+		then = lw.walkBlock(s.Body, then)
 		if s.Else != nil {
-			elseOut = lw.walkStmt(s.Else, heldClone(held))
+			els = lw.walkStmt(s.Else, els)
 		}
-		return heldUnion(heldClone(thenOut), elseOut)
+		return lw.join(s.If, SiteIfDiffers, then, els)
 	case *ast.ForStmt:
 		if s.Init != nil {
-			held = lw.walkStmt(s.Init, held)
+			f = lw.walkStmt(s.Init, f)
 		}
 		if s.Cond != nil {
-			held = lw.walkExpr(s.Cond, held, nil)
+			f = lw.walkExpr(s.Cond, f, nil)
 		}
-		bodyOut := lw.walkBlock(s.Body, heldClone(held))
+		body := lw.walkBlock(s.Body, f)
 		if s.Post != nil {
-			bodyOut = lw.walkStmt(s.Post, bodyOut)
+			body = lw.walkStmt(s.Post, body)
 		}
-		return heldUnion(heldClone(held), bodyOut)
+		return lw.loop(f, body, s.For)
 	case *ast.RangeStmt:
-		held = lw.walkExpr(s.X, held, nil)
-		bodyOut := lw.walkBlock(s.Body, heldClone(held))
-		return heldUnion(heldClone(held), bodyOut)
+		f = lw.walkExpr(s.X, f, nil)
+		return lw.loop(f, lw.walkBlock(s.Body, f), s.For)
 	case *ast.SwitchStmt:
 		if s.Init != nil {
-			held = lw.walkStmt(s.Init, held)
+			f = lw.walkStmt(s.Init, f)
 		}
 		if s.Tag != nil {
-			held = lw.walkExpr(s.Tag, held, nil)
+			f = lw.walkExpr(s.Tag, f, nil)
 		}
-		return lw.walkClauses(s.Body, held)
+		return lw.walkClauses(s.Body, f, s.Switch)
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
-			held = lw.walkStmt(s.Init, held)
+			f = lw.walkStmt(s.Init, f)
 		}
-		held = lw.walkStmt(s.Assign, held)
-		return lw.walkClauses(s.Body, held)
+		f = lw.walkStmt(s.Assign, f)
+		return lw.walkClauses(s.Body, f, s.Switch)
 	case *ast.SelectStmt:
-		out := heldClone(held)
+		lw.heldSite(f, SiteSelect, s.Select, nil)
+		arms := []lockFlow{f}
 		for _, cl := range s.Body.List {
 			comm := cl.(*ast.CommClause)
-			entry := heldClone(held)
-			if comm.Comm != nil {
+			entry := f
+			if comm.Comm == nil {
+				arms[0].dead = true // a default leaves no path past the select
+			} else {
+				lw.mute++
 				entry = lw.walkStmt(comm.Comm, entry)
+				lw.mute--
 			}
-			out = heldUnion(out, lw.walkStmts(comm.Body, entry))
+			arms = append(arms, lw.walkStmts(comm.Body, entry))
 		}
-		return out
+		return lw.join(s.Select, SiteSwitchDiffers, arms...)
 	case *ast.GoStmt:
 		// Arguments evaluate in the spawning context; the spawned body runs
-		// concurrently with an empty held set.
+		// concurrently with nothing held.
 		for _, e := range s.Call.Args {
-			held = lw.walkExpr(e, held, nil)
+			f = lw.walkExpr(e, f, nil)
 		}
 		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			lw.walkBlock(lit.Body, nil)
+			lw.walkBody(lit.Body, nil)
 		} else {
-			lw.walkCall(s.Call, nil, nil)
+			lw.walkCall(s.Call, lockFlow{}, nil)
 		}
-		return held
+		return f
 	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the lock held to the end of the body;
-		// deferred closures run at an unknown point with an unknown held
-		// set — skipped, like the effect engine's optimistic unknowns.
-		return held
+		return lw.walkDefer(s, f)
 	}
-	return held
+	return f
 }
 
-func (lw *lockWalker) walkClauses(body *ast.BlockStmt, held []LockID) []LockID {
-	out := heldClone(held)
+// walkDefer handles a defer statement. A deferred Unlock/RUnlock, direct
+// or inside a deferred closure, marks the release pending: the lock stays
+// held in both views to the end of the body. Other deferred calls
+// evaluate their arguments now and run at an unknown point with an
+// unknown held set, so their bodies are skipped, like the effect engine's
+// optimistic unknowns.
+func (lw *lockWalker) walkDefer(s *ast.DeferStmt, f lockFlow) lockFlow {
+	release := func(call *ast.CallExpr) {
+		if ref, op, ok := lw.lockOp(call); ok && (op == "Unlock" || op == "RUnlock") {
+			f = f.update(ref, func(o *ownLock) { o.deferred = true })
+		}
+	}
+	if _, _, ok := lw.lockOp(s.Call); ok {
+		release(s.Call)
+		return f
+	}
+	if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				release(call)
+			}
+			return true
+		})
+		return f
+	}
+	for _, arg := range s.Call.Args {
+		f = lw.walkExpr(arg, f, nil)
+	}
+	return f
+}
+
+// walkClauses walks switch and type-switch cases from the same entry
+// flow; without a default, skipping every case is one more arm.
+func (lw *lockWalker) walkClauses(body *ast.BlockStmt, f lockFlow, pos token.Pos) lockFlow {
+	arms := []lockFlow{f}
 	for _, cl := range body.List {
 		cc := cl.(*ast.CaseClause)
-		entry := heldClone(held)
+		if cc.List == nil {
+			arms[0].dead = true
+		}
+		entry := f
 		for _, e := range cc.List {
 			entry = lw.walkExpr(e, entry, nil)
 		}
-		out = heldUnion(out, lw.walkStmts(cc.Body, entry))
+		arms = append(arms, lw.walkStmts(cc.Body, entry))
 	}
-	return out
+	return lw.join(pos, SiteSwitchDiffers, arms...)
 }
 
-// walkExpr walks an expression, threading the held set; tries, when
-// non-nil, collects try-acquired locks for the caller (the if-condition
-// special case) instead of adding them to the flowing set.
-func (lw *lockWalker) walkExpr(e ast.Expr, held []LockID, tries *[]LockID) []LockID {
+// walkExpr walks an expression, threading the flow; tries, when non-nil,
+// collects try-acquired locks for the enclosing if instead of adding them
+// to the flowing sets.
+func (lw *lockWalker) walkExpr(e ast.Expr, f lockFlow, tries *tryLocks) lockFlow {
 	switch e := e.(type) {
 	case *ast.CallExpr:
-		held = lw.walkExpr(e.Fun, held, nil)
-		for _, arg := range e.Args {
-			held = lw.walkExpr(arg, held, nil)
-		}
 		if lit, ok := ast.Unparen(e.Fun).(*ast.FuncLit); ok {
-			// Immediately-invoked literal: runs here, under the held set.
-			return lw.walkBlock(lit.Body, held)
+			// Immediately-invoked literal: it runs here, under the held set.
+			for _, arg := range e.Args {
+				f = lw.walkExpr(arg, f, nil)
+			}
+			f.held = lw.walkBody(lit.Body, f.held)
+			return f
 		}
-		return lw.walkCall(e, held, tries)
+		f = lw.walkExpr(e.Fun, f, nil)
+		for _, arg := range e.Args {
+			f = lw.walkExpr(arg, f, nil)
+		}
+		return lw.walkCall(e, f, tries)
 	case *ast.FuncLit:
-		// A literal not invoked here runs at an unknown time: walk with an
-		// empty held set so its acquisitions still register.
-		lw.walkBlock(e.Body, nil)
-		return held
+		// A literal not invoked here runs at an unknown time: walk it with
+		// nothing held so its acquisitions still register.
+		lw.walkBody(e.Body, nil)
+		return f
 	case *ast.ParenExpr:
-		return lw.walkExpr(e.X, held, tries)
+		return lw.walkExpr(e.X, f, tries)
 	case *ast.UnaryExpr:
-		return lw.walkExpr(e.X, held, tries)
+		if e.Op == token.NOT && tries != nil {
+			var inner tryLocks
+			f = lw.walkExpr(e.X, f, &inner)
+			tries.then = append(tries.then, inner.els...)
+			tries.els = append(tries.els, inner.then...)
+			return f
+		}
+		f = lw.walkExpr(e.X, f, tries)
+		if e.Op == token.ARROW {
+			lw.heldSite(f, SiteRecv, e.OpPos, nil)
+		}
+		return f
 	case *ast.BinaryExpr:
-		held = lw.walkExpr(e.X, held, tries)
-		return lw.walkExpr(e.Y, held, tries)
+		f = lw.walkExpr(e.X, f, tries)
+		return lw.walkExpr(e.Y, f, tries)
 	case *ast.SelectorExpr:
-		return lw.walkExpr(e.X, held, nil)
+		return lw.walkExpr(e.X, f, nil)
 	case *ast.IndexExpr:
-		held = lw.walkExpr(e.X, held, nil)
-		return lw.walkExpr(e.Index, held, nil)
+		f = lw.walkExpr(e.X, f, nil)
+		return lw.walkExpr(e.Index, f, nil)
 	case *ast.SliceExpr:
-		held = lw.walkExpr(e.X, held, nil)
+		f = lw.walkExpr(e.X, f, nil)
 		for _, idx := range []ast.Expr{e.Low, e.High, e.Max} {
 			if idx != nil {
-				held = lw.walkExpr(idx, held, nil)
+				f = lw.walkExpr(idx, f, nil)
 			}
 		}
-		return held
+		return f
 	case *ast.StarExpr:
-		return lw.walkExpr(e.X, held, nil)
+		return lw.walkExpr(e.X, f, nil)
 	case *ast.TypeAssertExpr:
-		return lw.walkExpr(e.X, held, nil)
+		return lw.walkExpr(e.X, f, nil)
 	case *ast.CompositeLit:
 		for _, el := range e.Elts {
-			held = lw.walkExpr(el, held, nil)
+			f = lw.walkExpr(el, f, nil)
 		}
-		return held
+		return f
 	case *ast.KeyValueExpr:
-		held = lw.walkExpr(e.Key, held, nil)
-		return lw.walkExpr(e.Value, held, nil)
+		f = lw.walkExpr(e.Key, f, nil)
+		return lw.walkExpr(e.Value, f, nil)
 	}
-	return held
+	return f
 }
 
 // walkCall handles one (non-literal) call expression: lock operations
-// mutate the held set, resolved calls record the held set for the
-// interprocedural pass.
-func (lw *lockWalker) walkCall(call *ast.CallExpr, held []LockID, tries *[]LockID) []LockID {
-	if id, op, ok := lw.lockOp(call); ok {
-		switch op {
-		case "Lock", "RLock":
-			acq := LockAcq{Pos: call.Pos(), Lock: id, Held: heldClone(held), Read: op == "RLock"}
-			lw.info.Acqs = append(lw.info.Acqs, acq)
-			return heldAdd(held, id)
-		case "TryLock", "TryRLock":
-			acq := LockAcq{Pos: call.Pos(), Lock: id, Held: heldClone(held), Try: true, Read: op == "TryRLock"}
-			lw.info.Acqs = append(lw.info.Acqs, acq)
-			if tries != nil {
-				*tries = append(*tries, id)
-				return held
-			}
-			return heldAdd(held, id)
-		case "Unlock", "RUnlock":
-			return heldRemove(held, id)
+// move both views, other calls record the held set for the
+// interprocedural pass and, while the function holds a lock, a SiteCall.
+func (lw *lockWalker) walkCall(call *ast.CallExpr, f lockFlow, tries *tryLocks) lockFlow {
+	ref, op, ok := lw.lockOp(call)
+	if !ok {
+		for _, callee := range lw.callees[call] {
+			lw.info.calls = append(lw.info.calls, lockCall{pos: call.Pos(), callee: callee, held: heldClone(f.held)})
 		}
-		return held
+		lw.heldSite(f, SiteCall, call.Pos(), call)
+		return f
 	}
-	for _, callee := range lw.callees[call] {
-		lw.info.calls = append(lw.info.calls, lockCall{pos: call.Pos(), callee: callee, held: heldClone(held)})
+	switch op {
+	case "Lock", "RLock":
+		if prev := f.lookup(ref); op == "Lock" && prev.depth > 0 {
+			lw.site(f, LockSite{Kind: SiteRelock, Pos: call.Pos(), Lock: ref.key, LockPos: prev.pos})
+		}
+		lw.recordAcq(call, ref, f, false)
+		return f.acquire(ref, call.Pos())
+	case "TryLock", "TryRLock":
+		lw.recordAcq(call, ref, f, true)
+		if tries != nil {
+			tries.then = append(tries.then, ref)
+		} else if ref.id != "" {
+			// Anywhere but an if condition the outcome is unknown: the
+			// order view holds it from here on, the discipline view does
+			// not (it would demand a release on the failure path).
+			f.held = heldAdd(f.held, ref.id)
+		}
+		return f
+	default: // Unlock, RUnlock
+		if ref.id != "" {
+			f.held = heldRemove(f.held, ref.id)
+		}
+		return f.update(ref, func(o *ownLock) { o.depth-- })
 	}
-	return held
 }
 
-// lockOp reports whether call is a lock operation on a nameable sync.Mutex
-// or sync.RWMutex, resolving the canonical LockID.
-func (lw *lockWalker) lockOp(call *ast.CallExpr) (LockID, string, bool) {
+// recordAcq records a named lock's acquisition site for the order view.
+func (lw *lockWalker) recordAcq(call *ast.CallExpr, ref lockRef, f lockFlow, try bool) {
+	if ref.id == "" {
+		return
+	}
+	lw.info.Acqs = append(lw.info.Acqs, LockAcq{
+		Pos: call.Pos(), Lock: ref.id, Held: heldClone(f.held), Try: try, Read: ref.read,
+	})
+}
+
+// isPanic reports whether e is a call of the panic builtin.
+func (lw *lockWalker) isPanic(e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := lw.src.Pkg.Info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "panic"
+}
+
+// lockOp reports whether call is a lock operation on a sync.Mutex or
+// sync.RWMutex, naming its target.
+func (lw *lockWalker) lockOp(call *ast.CallExpr) (lockRef, string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || len(call.Args) != 0 {
-		return "", "", false
+		return lockRef{}, "", false
 	}
 	op := sel.Sel.Name
 	switch op {
 	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
 	default:
-		return "", "", false
+		return lockRef{}, "", false
 	}
 	info := lw.src.Pkg.Info
 	tv, ok := info.Types[sel.X]
 	if !ok || !isSyncLockType(tv.Type) {
-		return "", "", false
+		return lockRef{}, "", false
 	}
-	id, ok := canonicalLockID(info, sel.X)
-	if !ok {
-		return "", "", false
-	}
-	return id, op, true
+	id, _ := canonicalLockID(info, sel.X)
+	return lockRef{id: id, key: types.ExprString(sel.X), read: strings.Contains(op, "R")}, op, true
 }
 
 func isSyncLockType(t types.Type) bool {

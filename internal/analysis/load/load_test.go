@@ -4,73 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"androne/internal/analysis/ctxtimeout"
-	"androne/internal/analysis/detguard"
-	"androne/internal/analysis/errflow"
-	"androne/internal/analysis/framework"
-	"androne/internal/analysis/hotpath"
 	"androne/internal/analysis/load"
-	"androne/internal/analysis/lockorder"
-	"androne/internal/analysis/locksafe"
-	"androne/internal/analysis/nsguard"
-	"androne/internal/analysis/permguard"
-	"androne/internal/analysis/sendertaint"
-	"androne/internal/analysis/tickleak"
-	"androne/internal/analysis/waitleak"
-	"androne/internal/analysis/whitelistguard"
 )
-
-// suite mirrors the cmd/androne-vet analyzer set.
-var suite = []*framework.Analyzer{
-	ctxtimeout.Analyzer,
-	detguard.Analyzer,
-	errflow.Analyzer,
-	hotpath.Analyzer,
-	lockorder.Analyzer,
-	locksafe.Analyzer,
-	nsguard.Analyzer,
-	permguard.Analyzer,
-	sendertaint.Analyzer,
-	tickleak.Analyzer,
-	waitleak.Analyzer,
-	whitelistguard.Analyzer,
-}
-
-// TestRepoClean runs the full androne-vet suite over the repository and
-// requires zero findings — the same gate CI applies, enforced from go test
-// so a plain `go test ./...` also catches regressions.
-func TestRepoClean(t *testing.T) {
-	pkgs, err := load.Packages(".")
-	if err != nil {
-		t.Fatalf("loading repo: %v", err)
-	}
-	if len(pkgs) < 20 {
-		t.Fatalf("loaded only %d packages; pattern resolution is broken", len(pkgs))
-	}
-	findings, stats, err := load.Run(pkgs, suite)
-	if err != nil {
-		t.Fatalf("running suite: %v", err)
-	}
-	for _, f := range findings {
-		t.Errorf("%s", f)
-	}
-	// Every //vet:allow in the tree must still be earning its keep: a
-	// suppression nothing fires on would silently mask the next regression.
-	for _, s := range stats.StaleAllows {
-		t.Errorf("stale //vet:allow %s at %s:%d: the analyzer no longer fires on this line",
-			s.Analyzer, s.Pos.Filename, s.Pos.Line)
-	}
-	if len(stats.Timings) != len(suite) {
-		t.Errorf("got %d timing entries, want one per analyzer (%d)", len(stats.Timings), len(suite))
-	}
-	// detguard/hotpath force the shared effect engine, so a full-suite run
-	// must surface its cache stats.
-	if stats.Effects == nil {
-		t.Error("no effect-summary stats; the contract analyzers did not compute summaries")
-	} else if stats.Effects.Functions == 0 || stats.Effects.Passes == 0 {
-		t.Errorf("implausible effect stats: %+v", *stats.Effects)
-	}
-}
 
 // TestLoaderTypeInfo spot-checks that loaded packages carry the type
 // information the analyzers rely on.

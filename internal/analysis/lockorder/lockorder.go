@@ -84,20 +84,11 @@ func run(pass *framework.Pass) error {
 func witness(pass *framework.Pass, e *framework.LockEdge) string {
 	if e.Via == nil {
 		return fmt.Sprintf("%s acquires %s at %s while holding %s",
-			framework.FuncLabel(e.Fn), e.To, shortPos(pass, e.Pos), e.From)
+			framework.FuncLabel(e.Fn), e.To, pass.ShortPos(e.Pos), e.From)
 	}
 	return fmt.Sprintf("%s calls %s at %s while holding %s; %s acquires %s at %s",
-		framework.FuncLabel(e.Fn), framework.FuncLabel(e.Via), shortPos(pass, e.Pos),
-		e.From, framework.FuncLabel(e.AcqFn), e.To, shortPos(pass, e.AcqPos))
-}
-
-func shortPos(pass *framework.Pass, pos token.Pos) string {
-	p := pass.Fset.Position(pos)
-	file := p.Filename
-	if i := strings.LastIndexByte(file, '/'); i >= 0 {
-		file = file[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", file, p.Line)
+		framework.FuncLabel(e.Fn), framework.FuncLabel(e.Via), pass.ShortPos(e.Pos),
+		e.From, framework.FuncLabel(e.AcqFn), e.To, pass.ShortPos(e.AcqPos))
 }
 
 // reportPairs convicts inconsistent A→B / B→A acquisition pairs, one
@@ -335,7 +326,7 @@ func reportCriticalPath(pass *framework.Pass, prog *framework.Program, world *fr
 			pass.Reportf(a.Pos,
 				"flight-critical path from %s acquires %s, which tenant-reachable code also holds (%s via %s at %s); tenant work must not be able to stall the flight loop — use a sanctioned hot-path lock or decouple",
 				framework.FuncLabel(root), a.Lock,
-				framework.FuncLabel(tw.fn), framework.FuncLabel(tw.entry), shortPos(pass, tw.pos))
+				framework.FuncLabel(tw.fn), framework.FuncLabel(tw.entry), pass.ShortPos(tw.pos))
 		}
 	}
 }

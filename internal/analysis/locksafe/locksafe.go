@@ -1,5 +1,5 @@
 // Package locksafe checks sync.Mutex / sync.RWMutex discipline along every
-// straight-line path of each function:
+// path of each function:
 //
 //   - a manually acquired lock must be released (directly or via defer) on
 //     every return path;
@@ -24,19 +24,18 @@
 //     Store the fresh map under the owning mutex (the pattern the binder
 //     driver, device registry, and VFC whitelist follow).
 //
-// The analysis is a per-function abstract interpretation over lock "keys"
-// (the printed receiver expression, e.g. "c.mu"): no alias analysis, no
-// interprocedural reasoning. Helpers that run with a caller's lock held
+// The lock rules are a reporter over the framework's lock-set walk, which
+// records the discipline sites of every function in its must-hold view:
+// locks keyed by the receiver as written (e.g. "c.mu"), no alias analysis,
+// no interprocedural reasoning. Helpers that run with a caller's lock held
 // follow the repo convention of an xxxLocked name and may release and
-// re-acquire that lock; locksafe models this "borrowed" state with a
-// negative depth.
+// re-acquire that lock. locksafe itself decides which calls under a lock
+// are dynamic or telemetry entry points, and runs the snapshot rule, which
+// needs no lock state.
 package locksafe
 
 import (
-	"bytes"
-	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 	"strings"
@@ -53,422 +52,56 @@ var Analyzer = &framework.Analyzer{
 }
 
 func run(pass *framework.Pass) error {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			c := &checker{pass: pass, snap: make(map[string]token.Pos)}
-			st := make(state)
-			st, terminated := c.stmts(fd.Body.List, st)
-			if !terminated {
-				c.checkReturnState(st, fd.Body.Rbrace)
-			}
+	prog := pass.Program
+	if prog == nil {
+		return nil
+	}
+	world := prog.LockSets()
+	for _, src := range prog.Funcs() {
+		if src.Pkg.Pkg != pass.Pkg {
+			continue
 		}
+		for _, s := range world.Info(src.Fn).Discipline {
+			report(pass, s)
+		}
+		c := &checker{pass: pass, snap: make(map[string]token.Pos)}
+		c.checkSnapshots(src.Decl.Body)
 	}
 	return nil
 }
 
-// lockInfo tracks one lock key within a function.
-type lockInfo struct {
-	// depth is the net number of acquisitions performed by this function.
-	// Negative depth means the function released a lock its caller holds
-	// (the xxxLocked helper convention).
-	depth int
-	// deferred reports a pending `defer mu.Unlock()`.
-	deferred bool
-	// lockPos is where the outstanding acquisition happened (diagnostics).
-	lockPos token.Pos
-}
-
-// state maps lock keys to their tracked info. Keys for read locks carry an
-// "/r" suffix so RLock and Lock are tracked independently.
-type state map[string]lockInfo
-
-func (s state) clone() state {
-	out := make(state, len(s))
-	for k, v := range s {
-		out[k] = v
+// report renders one discipline site the lock-set walk recorded.
+func report(pass *framework.Pass, s framework.LockSite) {
+	at := pass.ShortPos(s.LockPos)
+	switch s.Kind {
+	case framework.SiteHeldAtExit:
+		pass.Reportf(s.Pos, "returning with %s held (locked at %s); unlock or defer the unlock", s.Lock, at)
+	case framework.SiteRelock:
+		pass.Reportf(s.Pos, "%s.Lock: already locked at %s (double lock deadlocks)", s.Lock, at)
+	case framework.SiteIfDiffers:
+		pass.Reportf(s.Pos, "lock state differs between branches of this if")
+	case framework.SiteSwitchDiffers:
+		pass.Reportf(s.Pos, "lock state differs between branches of this switch/select")
+	case framework.SiteLoopDiffers:
+		pass.Reportf(s.Pos, "lock state changes across loop iteration (lock/unlock not balanced in loop body)")
+	case framework.SiteSend:
+		pass.Reportf(s.Pos, "channel send while holding %s (locked at %s)", s.Lock, at)
+	case framework.SiteRecv:
+		pass.Reportf(s.Pos, "channel receive while holding %s (locked at %s)", s.Lock, at)
+	case framework.SiteSelect:
+		pass.Reportf(s.Pos, "select (channel operations) while holding %s (locked at %s)", s.Lock, at)
+	case framework.SiteCall:
+		checkDynamicCall(pass, s)
+		checkTelemetryCall(pass, s)
 	}
-	return out
-}
-
-func (s state) equal(o state) bool {
-	norm := func(m state) map[string]lockInfo {
-		out := make(map[string]lockInfo, len(m))
-		for k, v := range m {
-			if v.depth != 0 || v.deferred {
-				v.lockPos = token.NoPos // positions don't affect semantics
-				out[k] = v
-			}
-		}
-		return out
-	}
-	a, b := norm(s), norm(o)
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// anyHeld returns a held lock key ("" if none). Deferred-release locks are
-// still held until the function returns.
-func (s state) anyHeld() string {
-	for k, v := range s {
-		if v.depth > 0 {
-			return k
-		}
-	}
-	return ""
 }
 
 type checker struct {
 	pass *framework.Pass
 	// snap maps variable names to the position of the atomic.Pointer Load
 	// their value came from — the COW-snapshot taint set. Tracking is
-	// linear (last assignment wins) and name-based, matching the lock-key
-	// granularity of the rest of the checker.
+	// linear (last assignment wins, in source order) and name-based.
 	snap map[string]token.Pos
-}
-
-// stmts interprets a statement sequence, returning the resulting state and
-// whether the sequence always terminates the enclosing path (return, panic,
-// branch out).
-func (c *checker) stmts(list []ast.Stmt, st state) (state, bool) {
-	for _, s := range list {
-		var terminated bool
-		st, terminated = c.stmt(s, st)
-		if terminated {
-			return st, true
-		}
-	}
-	return st, false
-}
-
-func (c *checker) stmt(s ast.Stmt, st state) (state, bool) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		return c.scanExpr(s.X, st), false
-	case *ast.SendStmt:
-		st = c.scanExpr(s.Chan, st)
-		st = c.scanExpr(s.Value, st)
-		if key := st.anyHeld(); key != "" {
-			c.pass.Reportf(s.Arrow, "channel send while holding %s (locked at %s)",
-				key, c.pos(st[key].lockPos))
-		}
-		return st, false
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			st = c.scanExpr(e, st)
-		}
-		for _, e := range s.Lhs {
-			st = c.scanExpr(e, st)
-		}
-		c.checkSnapshotMutation(s)
-		c.trackSnapshots(s)
-		return st, false
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						st = c.scanExpr(e, st)
-					}
-				}
-			}
-		}
-		return st, false
-	case *ast.DeferStmt:
-		return c.deferStmt(s, st), false
-	case *ast.GoStmt:
-		// The goroutine body runs concurrently without the lock; only the
-		// argument expressions evaluate now.
-		for _, arg := range s.Call.Args {
-			st = c.scanExpr(arg, st)
-		}
-		return st, false
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			st = c.scanExpr(e, st)
-		}
-		c.checkReturnState(st, s.Return)
-		return st, true
-	case *ast.BranchStmt:
-		// break/continue/goto leave the linear path; treat as terminating so
-		// the post-statement state is not polluted.
-		return st, true
-	case *ast.BlockStmt:
-		return c.stmts(s.List, st)
-	case *ast.IfStmt:
-		return c.ifStmt(s, st)
-	case *ast.ForStmt:
-		return c.loop(s.Init, s.Cond, s.Post, s.Body, s.For, st)
-	case *ast.RangeStmt:
-		st = c.scanExpr(s.X, st)
-		return c.loop(nil, nil, nil, s.Body, s.For, st)
-	case *ast.SwitchStmt:
-		var bodies []ast.Stmt
-		if s.Body != nil {
-			bodies = s.Body.List
-		}
-		if s.Init != nil {
-			st, _ = c.stmt(s.Init, st)
-		}
-		st = c.scanExpr(s.Tag, st)
-		return c.branches(bodies, s.Switch, st)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			st, _ = c.stmt(s.Init, st)
-		}
-		var bodies []ast.Stmt
-		if s.Body != nil {
-			bodies = s.Body.List
-		}
-		return c.branches(bodies, s.Switch, st)
-	case *ast.SelectStmt:
-		if key := st.anyHeld(); key != "" {
-			c.pass.Reportf(s.Select, "select (channel operations) while holding %s (locked at %s)",
-				key, c.pos(st[key].lockPos))
-		}
-		var bodies []ast.Stmt
-		if s.Body != nil {
-			bodies = s.Body.List
-		}
-		return c.branches(bodies, s.Select, st)
-	case *ast.LabeledStmt:
-		return c.stmt(s.Stmt, st)
-	case *ast.IncDecStmt:
-		if ix, ok := ast.Unparen(s.X).(*ast.IndexExpr); ok && c.isMapExpr(ix.X) {
-			if pos, ok := c.snapshotView(ix.X); ok {
-				c.reportSnapshotWrite(s.X.Pos(), pos)
-			}
-		}
-		return c.scanExpr(s.X, st), false
-	}
-	return st, false
-}
-
-// ifStmt merges the two arms: arms that terminate drop out; surviving arms
-// must agree on the lock state.
-func (c *checker) ifStmt(s *ast.IfStmt, st state) (state, bool) {
-	if s.Init != nil {
-		st, _ = c.stmt(s.Init, st)
-	}
-	st = c.scanExpr(s.Cond, st)
-
-	thenSt, thenTerm := c.stmts(s.Body.List, st.clone())
-	elseSt, elseTerm := st.clone(), false
-	if s.Else != nil {
-		elseSt, elseTerm = c.stmt(s.Else, st.clone())
-	}
-	switch {
-	case thenTerm && elseTerm:
-		return st, true
-	case thenTerm:
-		return elseSt, false
-	case elseTerm:
-		return thenSt, false
-	default:
-		if !thenSt.equal(elseSt) {
-			c.pass.Reportf(s.If, "lock state differs between branches of this if")
-		}
-		return thenSt, false
-	}
-}
-
-// branches handles switch/type-switch/select case bodies: each runs from
-// the entry state; all non-terminating cases must agree with each other
-// (and with skipping every case, for switches without default).
-func (c *checker) branches(cases []ast.Stmt, pos token.Pos, st state) (state, bool) {
-	var surviving []state
-	hasDefault := false
-	for _, cs := range cases {
-		var body []ast.Stmt
-		switch cl := cs.(type) {
-		case *ast.CaseClause:
-			for _, e := range cl.List {
-				st = c.scanExpr(e, st)
-			}
-			if cl.List == nil {
-				hasDefault = true
-			}
-			body = cl.Body
-		case *ast.CommClause:
-			if cl.Comm == nil {
-				hasDefault = true
-			}
-			body = cl.Body
-		default:
-			continue
-		}
-		caseSt, term := c.stmts(body, st.clone())
-		if !term {
-			surviving = append(surviving, caseSt)
-		}
-	}
-	if !hasDefault {
-		surviving = append(surviving, st.clone())
-	}
-	if len(surviving) == 0 {
-		return st, true
-	}
-	for _, other := range surviving[1:] {
-		if !surviving[0].equal(other) {
-			c.pass.Reportf(pos, "lock state differs between branches of this switch/select")
-			break
-		}
-	}
-	return surviving[0], false
-}
-
-// loop interprets a loop body once from the entry state; a body that leaves
-// a different lock state compounds on every iteration.
-func (c *checker) loop(init ast.Stmt, cond ast.Expr, post ast.Stmt, body *ast.BlockStmt, pos token.Pos, st state) (state, bool) {
-	if init != nil {
-		st, _ = c.stmt(init, st)
-	}
-	st = c.scanExpr(cond, st)
-	bodySt, term := c.stmts(body.List, st.clone())
-	if !term {
-		if post != nil {
-			bodySt, _ = c.stmt(post, bodySt)
-		}
-		if !bodySt.equal(st) {
-			c.pass.Reportf(pos, "lock state changes across loop iteration (lock/unlock not balanced in loop body)")
-		}
-	}
-	return st, false
-}
-
-// deferStmt handles `defer mu.Unlock()` (directly or wrapped in a function
-// literal). Other deferred calls are scanned for argument effects only.
-func (c *checker) deferStmt(s *ast.DeferStmt, st state) state {
-	if key, op, ok := c.lockOp(s.Call); ok && (op == "Unlock" || op == "RUnlock") {
-		k := key
-		if op == "RUnlock" {
-			k += "/r"
-		}
-		info := st[k]
-		info.deferred = true
-		st[k] = info
-		return st
-	}
-	if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-		// A deferred closure that unlocks counts as a deferred unlock.
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if key, op, ok := c.lockOp(call); ok && (op == "Unlock" || op == "RUnlock") {
-				k := key
-				if op == "RUnlock" {
-					k += "/r"
-				}
-				info := st[k]
-				info.deferred = true
-				st[k] = info
-			}
-			return true
-		})
-		return st
-	}
-	for _, arg := range s.Call.Args {
-		st = c.scanExpr(arg, st)
-	}
-	return st
-}
-
-// scanExpr walks an expression in evaluation order, applying lock
-// operations and checking channel receives and dynamic calls against the
-// current state. Function literal bodies are skipped: they do not execute
-// here.
-func (c *checker) scanExpr(e ast.Expr, st state) state {
-	if e == nil {
-		return st
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				if key := st.anyHeld(); key != "" {
-					c.pass.Reportf(n.OpPos, "channel receive while holding %s (locked at %s)",
-						key, c.pos(st[key].lockPos))
-				}
-			}
-		case *ast.CallExpr:
-			if key, op, ok := c.lockOp(n); ok {
-				st = c.applyLockOp(n, key, op, st)
-				return false // receiver already accounted for
-			}
-			c.checkDynamicCall(n, st)
-			c.checkTelemetryCall(n, st)
-			c.checkSnapshotDelete(n)
-		}
-		return true
-	})
-	return st
-}
-
-// applyLockOp transitions the state for a Lock/Unlock/RLock/RUnlock call.
-func (c *checker) applyLockOp(call *ast.CallExpr, key, op string, st state) state {
-	rkey := key + "/r"
-	switch op {
-	case "Lock":
-		info := st[key]
-		if info.depth > 0 {
-			c.pass.Reportf(call.Pos(), "%s.Lock: already locked at %s (double lock deadlocks)",
-				key, c.pos(info.lockPos))
-		}
-		info.depth++
-		info.lockPos = call.Pos()
-		st[key] = info
-	case "Unlock":
-		info := st[key]
-		info.depth--
-		st[key] = info
-	case "RLock":
-		info := st[rkey]
-		// Double RLock is legal for distinct readers but self-deadlocks
-		// under writer pressure when nested in one goroutine; we only track
-		// depth for release checking.
-		info.depth++
-		if info.lockPos == token.NoPos {
-			info.lockPos = call.Pos()
-		}
-		st[rkey] = info
-	case "RUnlock":
-		info := st[rkey]
-		info.depth--
-		st[rkey] = info
-	}
-	return st
-}
-
-// checkReturnState reports locks still held (and not deferred) at a return
-// point.
-func (c *checker) checkReturnState(st state, pos token.Pos) {
-	for key, info := range st {
-		if info.depth > 0 && !info.deferred {
-			c.pass.Reportf(pos, "returning with %s held (locked at %s); unlock or defer the unlock",
-				trimReadSuffix(key), c.pos(info.lockPos))
-		}
-	}
-}
-
-func trimReadSuffix(key string) string {
-	if len(key) > 2 && key[len(key)-2:] == "/r" {
-		return key[:len(key)-2] + " (read lock)"
-	}
-	return key
 }
 
 // checkDynamicCall reports interface-method and function-value calls made
@@ -476,12 +109,9 @@ func trimReadSuffix(key string) string {
 // analysis is intraprocedural and flags only dynamic dispatch, which is
 // where the repo's callback deadlocks live (Sensors/MotorSink, Binder
 // handlers, BreachAction, WaypointListener).
-func (c *checker) checkDynamicCall(call *ast.CallExpr, st state) {
-	key := st.anyHeld()
-	if key == "" {
-		return
-	}
-	info := c.pass.TypesInfo
+func checkDynamicCall(pass *framework.Pass, s framework.LockSite) {
+	call := s.Call
+	info := pass.TypesInfo
 	fun := ast.Unparen(call.Fun)
 
 	// Conversions and builtins are not calls.
@@ -501,8 +131,8 @@ func (c *checker) checkDynamicCall(call *ast.CallExpr, st state) {
 		if _, ok := info.Types[fn].Type.Underlying().(*types.Signature); !ok {
 			return
 		}
-		c.pass.Reportf(call.Pos(), "call through function value %q while holding %s (locked at %s): callee may block or re-enter the lock",
-			fn.Name, key, c.pos(st[key].lockPos))
+		pass.Reportf(call.Pos(), "call through function value %q while holding %s (locked at %s): callee may block or re-enter the lock",
+			fn.Name, s.Lock, pass.ShortPos(s.LockPos))
 	case *ast.SelectorExpr:
 		sel, ok := info.Selections[fn]
 		if !ok {
@@ -513,13 +143,13 @@ func (c *checker) checkDynamicCall(call *ast.CallExpr, st state) {
 		case types.MethodVal:
 			recv := sel.Recv()
 			if types.IsInterface(recv) {
-				c.pass.Reportf(call.Pos(), "interface method call %s.%s while holding %s (locked at %s): callee may block or re-enter the lock",
-					exprString(fn.X), fn.Sel.Name, key, c.pos(st[key].lockPos))
+				pass.Reportf(call.Pos(), "interface method call %s.%s while holding %s (locked at %s): callee may block or re-enter the lock",
+					types.ExprString(fn.X), fn.Sel.Name, s.Lock, pass.ShortPos(s.LockPos))
 			}
 		case types.FieldVal:
 			// Calling a function-typed struct field.
-			c.pass.Reportf(call.Pos(), "call through function field %q while holding %s (locked at %s): callee may block or re-enter the lock",
-				fn.Sel.Name, key, c.pos(st[key].lockPos))
+			pass.Reportf(call.Pos(), "call through function field %q while holding %s (locked at %s): callee may block or re-enter the lock",
+				fn.Sel.Name, s.Lock, pass.ShortPos(s.LockPos))
 		}
 	}
 }
@@ -542,27 +172,23 @@ var telemetryEntryPoints = map[string]bool{
 // checkTelemetryCall reports Emit/Dump/K calls into the telemetry package
 // made while a lock is held. The telemetry package itself is exempt: its
 // striped rings run under their own locks by construction.
-func (c *checker) checkTelemetryCall(call *ast.CallExpr, st state) {
-	key := st.anyHeld()
-	if key == "" {
+func checkTelemetryCall(pass *framework.Pass, s framework.LockSite) {
+	if strings.HasSuffix(pass.Pkg.Path(), telemetryPkgSuffix) {
 		return
 	}
-	if strings.HasSuffix(c.pass.Pkg.Path(), telemetryPkgSuffix) {
-		return
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(s.Call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
-	fn, ok := c.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), telemetryPkgSuffix) {
 		return
 	}
 	if !telemetryEntryPoints[fn.Name()] {
 		return
 	}
-	c.pass.Reportf(call.Pos(), "telemetry %s while holding %s (locked at %s): emission and interning take recorder locks; hoist the call outside the critical section",
-		fn.Name(), key, c.pos(st[key].lockPos))
+	pass.Reportf(s.Call.Pos(), "telemetry %s while holding %s (locked at %s): emission and interning take recorder locks; hoist the call outside the critical section",
+		fn.Name(), s.Lock, pass.ShortPos(s.LockPos))
 }
 
 // --- copy-on-write snapshot discipline -------------------------------
@@ -574,6 +200,29 @@ func (c *checker) checkTelemetryCall(call *ast.CallExpr, st state) {
 // with or without a mutex held, because the readers never take one.
 // Fresh maps (make, composite literals, maps.Clone results) clear the
 // taint on assignment, which is exactly what admits the clone path.
+
+// checkSnapshots applies the rule to one function body in source order.
+// Function literal bodies are skipped: they do not run in line.
+func (c *checker) checkSnapshots(body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			c.checkSnapshotMutation(n)
+			c.trackSnapshots(n)
+		case *ast.IncDecStmt:
+			if ix, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok && c.isMapExpr(ix.X) {
+				if pos, ok := c.snapshotView(ix.X); ok {
+					c.reportSnapshotWrite(n.X.Pos(), pos)
+				}
+			}
+		case *ast.CallExpr:
+			c.checkSnapshotDelete(n)
+		}
+		return true
+	})
+}
 
 // isAtomicPointerLoad reports whether e is a zero-argument Load() call on
 // a sync/atomic.Pointer value.
@@ -683,63 +332,11 @@ func (c *checker) checkSnapshotDelete(call *ast.CallExpr) {
 	}
 	if pos, ok := c.snapshotView(call.Args[0]); ok {
 		c.pass.Reportf(call.Pos(), "delete from a map loaded from an atomic.Pointer snapshot (loaded at %s): readers index it lock-free; clone, mutate the clone, and Store the fresh map under the owning mutex",
-			c.pos(pos))
+			c.pass.ShortPos(pos))
 	}
 }
 
 func (c *checker) reportSnapshotWrite(at, loadPos token.Pos) {
 	c.pass.Reportf(at, "write to a map loaded from an atomic.Pointer snapshot (loaded at %s): readers index it lock-free; clone, mutate the clone, and Store the fresh map under the owning mutex",
-		c.pos(loadPos))
-}
-
-// lockOp reports whether call is a Lock/Unlock/RLock/RUnlock on a
-// sync.Mutex or sync.RWMutex, returning the printed receiver expression as
-// the lock key.
-func (c *checker) lockOp(call *ast.CallExpr) (key, op string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel || len(call.Args) != 0 {
-		return "", "", false
-	}
-	name := sel.Sel.Name
-	switch name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	tv, okT := c.pass.TypesInfo.Types[sel.X]
-	if !okT || !isSyncLock(tv.Type) {
-		return "", "", false
-	}
-	return exprString(sel.X), name, true
-}
-
-func isSyncLock(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
-func exprString(e ast.Expr) string {
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, token.NewFileSet(), e); err != nil {
-		return fmt.Sprintf("%T", e)
-	}
-	return buf.String()
-}
-
-func (c *checker) pos(p token.Pos) string {
-	if !p.IsValid() {
-		return "?"
-	}
-	pos := c.pass.Fset.Position(p)
-	return fmt.Sprintf("line %d", pos.Line)
+		c.pass.ShortPos(loadPos))
 }

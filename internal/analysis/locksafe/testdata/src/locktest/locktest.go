@@ -175,3 +175,66 @@ func (s *S) Suppressed() {
 	defer s.mu.Unlock()
 	s.dev.Ping() //vet:allow locksafe fixture: documents the suppression syntax
 }
+
+// Good: the TryLock idiom — the lock is held, under a deferred release,
+// only in the branch where the try succeeded.
+func (s *S) GoodTry() {
+	if s.mu.TryLock() {
+		defer s.mu.Unlock()
+		s.n++
+	}
+}
+
+// Good: the negated TryLock idiom — the failure branch leaves, and the
+// lock is held from the if onwards.
+func (s *S) GoodTryElse() {
+	if !s.mu.TryLock() {
+		return
+	}
+	defer s.mu.Unlock()
+	s.n++
+}
+
+// Bad: a local mutex has no global name but is still checked.
+func BadLocal() {
+	var mu sync.Mutex
+	mu.Lock()
+} // want `returning with mu held`
+
+// Good: two values of one type hold two distinct locks, not a double lock.
+func GoodTwo(a, b *S) {
+	a.mu.Lock()
+	b.mu.Lock()
+	b.mu.Unlock()
+	a.mu.Unlock()
+}
+
+// Good: the loop unlocks before leaving through break.
+func (s *S) GoodBreak() {
+	for {
+		s.mu.Lock()
+		if s.n > 0 {
+			s.mu.Unlock()
+			break
+		}
+		s.n++
+		s.mu.Unlock()
+	}
+}
+
+// Good: a release inside a deferred closure counts as a deferred release.
+func (s *S) GoodDeferClosure() {
+	s.mu.Lock()
+	defer func() {
+		s.mu.Unlock()
+	}()
+	s.n++
+}
+
+// Bad: a function literal is a frame of its own and is checked like one.
+func (s *S) BadClosure() {
+	go func() {
+		s.mu.Lock()
+		s.n++
+	}() // want `returning with s\.mu held`
+}

@@ -30,7 +30,6 @@
 package waitleak
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -118,15 +117,15 @@ func checkChannels(pass *framework.Pass, fd *ast.FuncDecl) {
 		if len(cu.sends) > 0 && len(cu.receives) == 0 {
 			for _, pos := range cu.sends {
 				pass.Reportf(pos,
-					"send on %s can block forever: the unbuffered channel (created at %s) never escapes %s and nothing in it receives",
-					cu.name, shortPos(pass, cu.makePos), fd.Name.Name)
+					"send on %s can block forever: the unbuffered channel (created at line %d) never escapes %s and nothing in it receives",
+					cu.name, pass.Fset.Position(cu.makePos).Line, fd.Name.Name)
 			}
 		}
 		if len(cu.receives) > 0 && len(cu.sends) == 0 && cu.closes == 0 {
 			for _, pos := range cu.receives {
 				pass.Reportf(pos,
-					"receive from %s can block forever: the unbuffered channel (created at %s) never escapes %s and nothing in it sends or closes it",
-					cu.name, shortPos(pass, cu.makePos), fd.Name.Name)
+					"receive from %s can block forever: the unbuffered channel (created at line %d) never escapes %s and nothing in it sends or closes it",
+					cu.name, pass.Fset.Position(cu.makePos).Line, fd.Name.Name)
 			}
 		}
 	}
@@ -450,8 +449,4 @@ func isWGCall(pass *framework.Pass, call *ast.CallExpr, method string) bool {
 	}
 	obj := named.Obj()
 	return obj.Name() == "WaitGroup" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
-}
-
-func shortPos(pass *framework.Pass, pos token.Pos) string {
-	return fmt.Sprintf("line %d", pass.Fset.Position(pos).Line)
 }
