@@ -148,6 +148,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRepeatAdd -fuzztime=$(FUZZTIME) ./internal/detmath
 	$(GO) test -run='^$$' -fuzz=FuzzAppendOrderJSON -fuzztime=$(FUZZTIME) ./internal/cloud
 	$(GO) test -run='^$$' -fuzz=FuzzVDRRoundTrip -fuzztime=$(FUZZTIME) ./internal/cloud
+	$(GO) test -run='^$$' -fuzz=FuzzRecorderArchive -fuzztime=$(FUZZTIME) ./internal/telemetry
 
 # Coverage ratchet: total statement coverage must not drop below the floor
 # recorded in coverage-baseline.txt. Raise the floor when coverage grows.

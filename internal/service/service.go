@@ -78,8 +78,7 @@ type Service struct {
 
 	mu    sync.Mutex
 	fleet []*core.Drone
-	bills map[string]energy.Bill      // order id -> bill
-	defs  map[string]*core.Definition // staged definitions by vdrone name
+	bills map[string]energy.Bill // order id -> bill
 }
 
 type flyResult struct {
@@ -115,7 +114,6 @@ func New(cfg Config) (*Service, error) {
 		vdr:    cloud.NewVDRWith(blobs, cfg.Quotas),
 		orders: cloud.NewOrdersWith(cfg.Quotas),
 		bills:  make(map[string]energy.Bill),
-		defs:   make(map[string]*core.Definition),
 	}
 	pcfg := planner.DefaultConfig(cfg.Base)
 	estimate := func(def []byte) (float64, float64, float64, error) {
@@ -334,10 +332,25 @@ func taskFor(id string, d *core.Definition) planner.Task {
 	}
 }
 
+// orderDefinition parses ord's definition from the order book, named
+// after the order and owned by its tenant unless the definition names an
+// owner.
+func orderDefinition(ord cloud.Order) (*core.Definition, error) {
+	def, err := core.ParseDefinition(ord.Definition)
+	if err != nil {
+		return nil, fmt.Errorf("service: order %s: %w", ord.ID, err)
+	}
+	def.Name = ord.Name
+	if def.Owner == "" {
+		def.Owner = ord.User
+	}
+	return def, nil
+}
+
 // ProcessOrders moves pending orders to scheduled: it parses their
-// definitions, creates virtual drones on the fleet (or restores them from
-// the VDR for repeat orders), plans routes, and fills in each order's
-// operating window and access info.
+// definitions, plans routes, and fills in each order's operating window
+// and access info. The definitions stay in the order book; FlyScheduled
+// parses them again for the orders it flies.
 func (s *Service) ProcessOrders() (*planner.Plan, error) {
 	pending := s.pendingOrders()
 	if len(pending) == 0 {
@@ -352,19 +365,10 @@ func (s *Service) ProcessOrders() (*planner.Plan, error) {
 
 	var tasks []planner.Task
 	for _, ord := range pending {
-		def, err := core.ParseDefinition(ord.Definition)
+		def, err := orderDefinition(ord)
 		if err != nil {
-			return nil, fmt.Errorf("service: order %s: %w", ord.ID, err)
+			return nil, err
 		}
-		def.Name = ord.Name
-		if def.Owner == "" {
-			def.Owner = ord.User
-		}
-		// Stage the definition; FlyScheduled instantiates it on whichever
-		// drone its route lands on.
-		s.mu.Lock()
-		s.defs[def.Name] = def
-		s.mu.Unlock()
 		tasks = append(tasks, taskFor(def.Name, def))
 	}
 
@@ -412,21 +416,16 @@ func (s *Service) FlyScheduled(plan *planner.Plan) ([]*core.FlightReport, error)
 		return nil, ErrNothingToFly
 	}
 	env := &core.CloudEnv{Storage: s.files, VDR: s.vdr}
-
-	for _, ord := range s.orders.List("") {
-		if ord.Status == cloud.OrderScheduled {
-			_ = s.orders.Update(ord.ID, func(o *cloud.Order) { o.Status = cloud.OrderFlying })
-		}
+	defs, err := s.flightDefinitions(plan)
+	if err != nil {
+		return nil, err
 	}
 
 	var reports []*core.FlightReport
 	for i, route := range plan.Routes {
 		drone := s.fleet[route.Drone%len(s.fleet)]
 		for _, stop := range route.Stops {
-			s.mu.Lock()
-			def := s.defs[stop.Task]
-			s.mu.Unlock()
-			if err := drone.Install(s.vdr, stop.Task, def); err != nil {
+			if err := drone.Install(s.vdr, stop.Task, defs[stop.Task]); err != nil {
 				return reports, fmt.Errorf("service: route %d: %w", i, err)
 			}
 		}
@@ -473,6 +472,39 @@ func (s *Service) FlyScheduled(plan *planner.Plan) ([]*core.FlightReport, error)
 		_ = s.orders.Update(ord.ID, func(o *cloud.Order) { o.Status = status })
 	}
 	return reports, nil
+}
+
+// flightDefinitions marks the scheduled orders that plan's stops name as
+// flying and parses the definition of each name a stop flies. A name that
+// no scheduled order holds, such as the later leg of a saved order, takes
+// the last planned order of that name; pending orders were never planned.
+func (s *Service) flightDefinitions(plan *planner.Plan) (map[string]*core.Definition, error) {
+	named := make(map[string]bool)
+	for _, route := range plan.Routes {
+		for _, stop := range route.Stops {
+			named[stop.Task] = true
+		}
+	}
+	flown := make(map[string]cloud.Order)
+	for _, ord := range s.orders.List("") {
+		switch {
+		case !named[ord.Name] || ord.Status == cloud.OrderPending:
+		case ord.Status == cloud.OrderScheduled:
+			_ = s.orders.Update(ord.ID, func(o *cloud.Order) { o.Status = cloud.OrderFlying })
+			flown[ord.Name] = ord
+		case flown[ord.Name].Status != cloud.OrderScheduled:
+			flown[ord.Name] = ord
+		}
+	}
+	defs := make(map[string]*core.Definition, len(flown))
+	for name, ord := range flown {
+		def, err := orderDefinition(ord)
+		if err != nil {
+			return nil, err
+		}
+		defs[name] = def
+	}
+	return defs, nil
 }
 
 // Run is the whole service loop once: process pending orders and fly them.

@@ -212,6 +212,59 @@ func TestServiceInterruptedOrderSavedAndResumed(t *testing.T) {
 	}
 }
 
+// TestFlyScheduledFliesOnlyItsPlan schedules order A in one planning
+// round and order B in the next, then flies only the second round's
+// plan: B completes, and A stays scheduled for its own plan rather than
+// being stranded as flying.
+func TestFlyScheduledFliesOnlyItsPlan(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = t.Name()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	status := func(id string) cloud.OrderStatus {
+		t.Helper()
+		ord, err := s.Orders().Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ord.Status
+	}
+	ordA, err := s.OrderJSON("alice", "round-a", defFor("alice", "round-a", 60, 0, apps.PhotoPackage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planA, err := s.ProcessOrders()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ordB, err := s.OrderJSON("bob", "round-b", defFor("bob", "round-b", -60, 50, apps.PhotoPackage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planB, err := s.ProcessOrders()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.FlyScheduled(planB); err != nil {
+		t.Fatal(err)
+	}
+	if got := status(ordB.ID); got != cloud.OrderCompleted {
+		t.Fatalf("order B after its plan flew: %s, want completed", got)
+	}
+	if got := status(ordA.ID); got != cloud.OrderScheduled {
+		t.Fatalf("order A after another round's plan flew: %s, want scheduled", got)
+	}
+	if _, err := s.FlyScheduled(planA); err != nil {
+		t.Fatal(err)
+	}
+	if got := status(ordA.ID); got != cloud.OrderCompleted {
+		t.Fatalf("order A after its plan flew: %s, want completed", got)
+	}
+}
+
 func TestServiceFleetOfTwo(t *testing.T) {
 	// With two physical drones, the planner may spread orders across the
 	// fleet; every order still completes and bills.

@@ -176,7 +176,7 @@ type Recorder struct {
 	perDroneCap int
 
 	rmu     sync.Mutex
-	records []FlightRecord
+	archive archive
 }
 
 // Ring sizing (see DESIGN.md "Telemetry & flight recorder"): the global

@@ -118,7 +118,12 @@ func TestDumpAndRecords(t *testing.T) {
 	d := K("dumper")
 	r.SetTick(11)
 	r.Emit(d, K("test.op"), 5, 6, "hello")
-	rec := r.Dump(d, "unit-test", map[string]float64{"tries": 3})
+	r.Dump(d, "unit-test", map[string]float64{"tries": 3})
+	recs := r.Records()
+	if len(recs) != 1 {
+		t.Fatalf("archived %d records, want 1", len(recs))
+	}
+	rec := recs[0]
 	if rec.Drone != "dumper" || rec.Trigger != "unit-test" || rec.Tick != 11 {
 		t.Fatalf("bad record header: %+v", rec)
 	}
