@@ -91,7 +91,7 @@ fleet:
 # event-driven mode must produce bit-identical traces, violations, and
 # tick counts to the lockstep oracle, across seed variants; the pinned
 # trace hashes of every builtin and sabotaged scenario in both modes; plus
-# the bit-exactness tests behind the scheduler's bulk leaps, per layer (the
+# the bit-exactness tests behind event mode's bulk leaps, per layer (the
 # controller's estimator replay, the parked physics, the closed-form
 # accumulator) and for the whole drone. See DESIGN.md "Event-driven
 # scheduling".
@@ -102,7 +102,6 @@ equivalence:
 	$(GO) test -count=1 -run 'TestAdvanceDisarmed' ./internal/flight
 	$(GO) test -count=1 -run 'TestAdvanceParkedBitExact' ./internal/sitl
 	$(GO) test -count=1 -run 'TestRepeatAdd' ./internal/detmath
-	$(GO) test -count=1 ./internal/sched
 
 # Every measured experiment at CI size, in one invocation, with the gates
 # of the full runs: scale (cpu8 > cpu1 on >= 8-CPU hosts, vfc-send at 0
@@ -141,7 +140,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/mavlink
 	$(GO) test -run='^$$' -fuzz=FuzzTunnelOpen -fuzztime=$(FUZZTIME) ./internal/netem
 	$(GO) test -run='^$$' -fuzz=FuzzVFCStateMachine -fuzztime=$(FUZZTIME) ./internal/mavproxy
-	$(GO) test -run='^$$' -fuzz=FuzzQueueOps -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerPlan -fuzztime=$(FUZZTIME) ./internal/planner
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/devices
 	$(GO) test -run='^$$' -fuzz=FuzzSincosTan -fuzztime=$(FUZZTIME) ./internal/detmath

@@ -18,10 +18,9 @@
 // hashes, and the run fails if any drone's invariants fail. The same
 // fleet with any -workers value yields identical hashes.
 //
-// With -mode event the harness advances through the deterministic wakeup
-// scheduler instead of stepping every tick, leaping over provably idle
-// stretches — same traces, same hashes, far less wall-clock on
-// duty-cycled scenarios.
+// With -mode event the harness leaps over the provably idle stretches of
+// ground holds instead of stepping every tick — same traces, same hashes,
+// far less wall-clock on duty-cycled scenarios.
 //
 // The tick-stamped event trace goes to stdout; invariant violations go to
 // stderr and make the command exit non-zero — CI and humans share one

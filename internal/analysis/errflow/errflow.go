@@ -89,22 +89,6 @@ func errorResults(fn *types.Func) []int {
 	return out
 }
 
-// calleeOf statically resolves a call's target function, if any.
-func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
-			return sel.Obj().(*types.Func)
-		}
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
 // wrappers computes, once per Program, the helpers whose returned error
 // derives from a risky callee: map from function to the label of the
 // primitive it forwards.
@@ -158,7 +142,7 @@ func forwardsRisky(src *framework.FuncSource, w map[*types.Func]string) string {
 		if !ok {
 			return true
 		}
-		if lbl := riskyLabel(calleeOf(info, call), w); lbl != "" {
+		if lbl := riskyLabel(framework.Callee(info, call.Fun), w); lbl != "" {
 			riskyCalls[call] = true
 			if label == "" {
 				label = lbl
@@ -250,13 +234,13 @@ func run(pass *framework.Pass) error {
 	}
 	info := pass.TypesInfo
 	report := func(call *ast.CallExpr, lbl, how string) {
-		fn := calleeOf(info, call)
+		fn := framework.Callee(info, call.Fun)
 		pass.Reportf(call.Pos(),
 			"error from %s (%s) is %s; check it, propagate it, or suppress with //vet:allow errflow <reason>",
 			fn.Name(), lbl, how)
 	}
 	checkCall := func(call *ast.CallExpr, how string) {
-		if lbl := riskyLabel(calleeOf(info, call), w); lbl != "" {
+		if lbl := riskyLabel(framework.Callee(info, call.Fun), w); lbl != "" {
 			report(call, lbl, how)
 		}
 	}
@@ -288,7 +272,7 @@ func checkAssign(pass *framework.Pass, w map[*types.Func]string, n *ast.AssignSt
 		return ok && id.Name == "_"
 	}
 	flag := func(call *ast.CallExpr, lbl string) {
-		fn := calleeOf(info, call)
+		fn := framework.Callee(info, call.Fun)
 		pass.Reportf(call.Pos(),
 			"error from %s (%s) is assigned to _; check it, propagate it, or suppress with //vet:allow errflow <reason>",
 			fn.Name(), lbl)
@@ -298,7 +282,7 @@ func checkAssign(pass *framework.Pass, w map[*types.Func]string, n *ast.AssignSt
 		if !ok {
 			return
 		}
-		fn := calleeOf(info, call)
+		fn := framework.Callee(info, call.Fun)
 		lbl := riskyLabel(fn, w)
 		if lbl == "" {
 			return
@@ -321,7 +305,7 @@ func checkAssign(pass *framework.Pass, w map[*types.Func]string, n *ast.AssignSt
 		if !ok {
 			continue
 		}
-		fn := calleeOf(info, call)
+		fn := framework.Callee(info, call.Fun)
 		if lbl := riskyLabel(fn, w); lbl != "" && blank(n.Lhs[i]) {
 			flag(call, lbl)
 		}

@@ -1,6 +1,7 @@
 package framework
 
 import (
+	"go/ast"
 	"go/types"
 	"strings"
 )
@@ -12,6 +13,35 @@ import (
 // HasPkgSuffix reports whether pkg's import path ends in suffix.
 func HasPkgSuffix(pkg *types.Package, suffix string) bool {
 	return pkg != nil && strings.HasSuffix(pkg.Path(), suffix)
+}
+
+// HasAnyPkgSuffix reports whether pkg's import path ends in any of
+// suffixes.
+func HasAnyPkgSuffix(pkg *types.Package, suffixes []string) bool {
+	for _, s := range suffixes {
+		if HasPkgSuffix(pkg, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// Callee statically resolves e — a call's Fun, or an expression used as a
+// function value — to the declared function or method it denotes, or nil.
+// A method called through an interface resolves to the interface method.
+func Callee(info *types.Info, e ast.Expr) *types.Func {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[e].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[e]; ok && sel.Kind() == types.MethodVal {
+			return sel.Obj().(*types.Func)
+		}
+		fn, _ := info.Uses[e.Sel].(*types.Func)
+		return fn
+	}
+	return nil
 }
 
 // IsMethod reports whether fn is the method recvType.name declared in a

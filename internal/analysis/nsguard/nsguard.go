@@ -73,13 +73,13 @@ func run(pass *framework.Pass) error {
 			if !ok || !isBinderMethod(fn) {
 				return true
 			}
-			if allowed, isGuarded := guarded[fn.Name()]; isGuarded && !pkgAllowed(pkgPath, allowed) {
+			if allowed, isGuarded := guarded[fn.Name()]; isGuarded && !framework.HasAnyPkgSuffix(pass.Pkg, allowed) {
 				pass.Reportf(call.Pos(),
 					"binder.%s is namespace plumbing reserved for %s; route cross-container access through the publish APIs",
 					fn.Name(), strings.Join(allowed, ", "))
 			}
 			if fn.Name() == "Transact" && len(call.Args) >= 2 &&
-				isAddServiceCode(pass, call.Args[1]) && !pkgAllowed(pkgPath, addServiceAllowed) {
+				isAddServiceCode(pass, call.Args[1]) && !framework.HasAnyPkgSuffix(pass.Pkg, addServiceAllowed) {
 				pass.Reportf(call.Pos(),
 					"direct AddService transaction bypasses the namespace registration path; use the framework (android.Client.AddService) or the publish ioctls")
 			}
@@ -115,13 +115,4 @@ func isAddServiceCode(pass *framework.Pass, e ast.Expr) bool {
 	c, ok := pass.TypesInfo.Uses[id].(*types.Const)
 	return ok && c.Name() == "CodeAddService" &&
 		c.Pkg() != nil && strings.HasSuffix(c.Pkg().Path(), binderPath)
-}
-
-func pkgAllowed(pkgPath string, allowed []string) bool {
-	for _, a := range allowed {
-		if strings.HasSuffix(pkgPath, a) {
-			return true
-		}
-	}
-	return false
 }

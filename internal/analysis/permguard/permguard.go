@@ -200,7 +200,7 @@ func entryPoints(prog *framework.Program) []*types.Func {
 					if tv.IsType() {
 						// Conversion binder.Handler(f).
 						if isHandler(tv.Type) && len(n.Args) == 1 {
-							add(funcValue(info, n.Args[0]))
+							add(framework.Callee(info, n.Args[0]))
 						}
 						return true
 					}
@@ -210,7 +210,7 @@ func entryPoints(prog *framework.Program) []*types.Func {
 					}
 					for i, arg := range n.Args {
 						if pt := paramType(sig, i); pt != nil && isHandler(pt) {
-							add(funcValue(info, arg))
+							add(framework.Callee(info, arg))
 						}
 					}
 				case *ast.AssignStmt:
@@ -219,7 +219,7 @@ func entryPoints(prog *framework.Program) []*types.Func {
 					}
 					for i, lhs := range n.Lhs {
 						if tv, ok := info.Types[lhs]; ok && isHandler(tv.Type) {
-							add(funcValue(info, n.Rhs[i]))
+							add(framework.Callee(info, n.Rhs[i]))
 						}
 					}
 				case *ast.ValueSpec:
@@ -229,7 +229,7 @@ func entryPoints(prog *framework.Program) []*types.Func {
 							continue
 						}
 						if i < len(n.Values) {
-							add(funcValue(info, n.Values[i]))
+							add(framework.Callee(info, n.Values[i]))
 						}
 					}
 				}
@@ -254,23 +254,6 @@ func paramType(sig *types.Signature, i int) types.Type {
 	}
 	if i < params.Len() {
 		return params.At(i).Type()
-	}
-	return nil
-}
-
-// funcValue resolves an expression used as a function value to the
-// declared function or method it denotes, if any.
-func funcValue(info *types.Info, e ast.Expr) *types.Func {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[e].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[e]; ok && sel.Kind() == types.MethodVal {
-			return sel.Obj().(*types.Func)
-		}
-		fn, _ := info.Uses[e.Sel].(*types.Func)
-		return fn
 	}
 	return nil
 }

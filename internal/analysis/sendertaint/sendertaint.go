@@ -169,7 +169,7 @@ func forEachDecision(src *framework.FuncSource, obligated map[*types.Func]map[in
 		if !ok {
 			return true
 		}
-		callee := calleeOf(info, call)
+		callee := framework.Callee(info, call.Fun)
 		if callee == nil {
 			return true
 		}
@@ -224,20 +224,4 @@ func flowFor(src *framework.FuncSource) *framework.FlowResult {
 		seed[p] = o
 	}
 	return flow.Analyze(src.Decl, seed)
-}
-
-// calleeOf statically resolves a call's target.
-func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
-			return sel.Obj().(*types.Func)
-		}
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }

@@ -63,10 +63,10 @@ func run(pass *framework.Pass) error {
 				return true
 			}
 			switch {
-			case isMethod(fn, flightPath, "Controller", "HandleMessage"):
+			case framework.IsMethod(fn, flightPath, "Controller", "HandleMessage"):
 				checkDispatch(pass, file, sel, pkgPath)
-			case isMethod(fn, mavproxyPath, "Proxy", "Master"):
-				if !pkgAllowed(pkgPath, masterAllowed) {
+			case framework.IsMethod(fn, mavproxyPath, "Proxy", "Master"):
+				if !framework.HasAnyPkgSuffix(pass.Pkg, masterAllowed) {
 					pass.Reportf(sel.Pos(),
 						"Proxy.Master hands out the unrestricted MAVLink channel and is reserved for %s; tenant traffic goes through a VFC",
 						strings.Join(masterAllowed, ", "))
@@ -116,36 +116,9 @@ func isCalled(file *ast.File, sel *ast.SelectorExpr) bool {
 	return called
 }
 
-// isMethod reports whether fn is the named method on the named receiver
-// base type declared in a package whose import path has the given suffix.
-func isMethod(fn *types.Func, pkgSuffix, recvType, name string) bool {
-	if fn.Name() != name || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), pkgSuffix) {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == recvType
-}
-
 func funcName(fd *ast.FuncDecl) string {
 	if fd == nil {
 		return "package scope"
 	}
 	return fd.Name.Name
-}
-
-func pkgAllowed(pkgPath string, allowed []string) bool {
-	for _, a := range allowed {
-		if strings.HasSuffix(pkgPath, a) {
-			return true
-		}
-	}
-	return false
 }

@@ -416,7 +416,7 @@ func (s *Service) FlyScheduled(plan *planner.Plan) ([]*core.FlightReport, error)
 		return nil, ErrNothingToFly
 	}
 	env := &core.CloudEnv{Storage: s.files, VDR: s.vdr}
-	defs, err := s.flightDefinitions(plan)
+	defs, flown, err := s.flightDefinitions(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -452,8 +452,8 @@ func (s *Service) FlyScheduled(plan *planner.Plan) ([]*core.FlightReport, error)
 			}
 		}
 	}
-	for _, ord := range s.orders.List("") {
-		vr, ok := byName[ord.Name]
+	for name, ord := range flown {
+		vr, ok := byName[name]
 		if !ok {
 			continue
 		}
@@ -475,17 +475,18 @@ func (s *Service) FlyScheduled(plan *planner.Plan) ([]*core.FlightReport, error)
 }
 
 // flightDefinitions marks the scheduled orders that plan's stops name as
-// flying and parses the definition of each name a stop flies. A name that
+// flying and chooses, for each name a stop flies, the one order that
+// flight settles (flown) and its parsed definition (defs). A name that
 // no scheduled order holds, such as the later leg of a saved order, takes
 // the last planned order of that name; pending orders were never planned.
-func (s *Service) flightDefinitions(plan *planner.Plan) (map[string]*core.Definition, error) {
+func (s *Service) flightDefinitions(plan *planner.Plan) (defs map[string]*core.Definition, flown map[string]cloud.Order, err error) {
 	named := make(map[string]bool)
 	for _, route := range plan.Routes {
 		for _, stop := range route.Stops {
 			named[stop.Task] = true
 		}
 	}
-	flown := make(map[string]cloud.Order)
+	flown = make(map[string]cloud.Order)
 	for _, ord := range s.orders.List("") {
 		switch {
 		case !named[ord.Name] || ord.Status == cloud.OrderPending:
@@ -496,15 +497,15 @@ func (s *Service) flightDefinitions(plan *planner.Plan) (map[string]*core.Defini
 			flown[ord.Name] = ord
 		}
 	}
-	defs := make(map[string]*core.Definition, len(flown))
+	defs = make(map[string]*core.Definition, len(flown))
 	for name, ord := range flown {
 		def, err := orderDefinition(ord)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		defs[name] = def
 	}
-	return defs, nil
+	return defs, flown, nil
 }
 
 // Run is the whole service loop once: process pending orders and fly them.

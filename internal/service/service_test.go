@@ -265,6 +265,51 @@ func TestFlyScheduledFliesOnlyItsPlan(t *testing.T) {
 	}
 }
 
+// TestRepeatOrderKeepsEarlierBill orders "dup" twice for one tenant and
+// runs the service after each: flying the repeat settles the repeat's
+// order only, so the first order's bill and status stay as they were.
+func TestRepeatOrderKeepsEarlierBill(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = t.Name()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	first, err := s.OrderJSON("alice", "dup", defFor("alice", "dup", 60, 0, apps.PhotoPackage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	bill1, ok := s.BillFor(first.ID)
+	if !ok {
+		t.Fatal("first order not billed")
+	}
+	ord1, err := s.Orders().Get(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := s.OrderJSON("alice", "dup", defFor("alice", "dup", -60, 50, apps.PhotoPackage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.BillFor(second.ID); !ok {
+		t.Fatal("repeat order not billed")
+	}
+	if got, _ := s.BillFor(first.ID); got != bill1 {
+		t.Errorf("first order's bill changed when the repeat flew: energy charge %.9g, was %.9g", got.EnergyCharge, bill1.EnergyCharge)
+	}
+	if got, err := s.Orders().Get(first.ID); err != nil || got.Status != ord1.Status {
+		t.Errorf("first order's status changed when the repeat flew: %v (%v), was %s", got.Status, err, ord1.Status)
+	}
+}
+
 func TestServiceFleetOfTwo(t *testing.T) {
 	// With two physical drones, the planner may spread orders across the
 	// fleet; every order still completes and bills.

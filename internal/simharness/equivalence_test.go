@@ -42,7 +42,7 @@ func firstDiff(a, b string) string {
 // sabotaged scenario, across seed variants, must produce bit-identical
 // results in event-driven mode and lockstep mode — same trace, same
 // violations, same tick count, same sim duration. Lockstep is the
-// oracle; any divergence is a bug in the event scheduler's leap logic.
+// oracle; any divergence is a bug in event mode's leap logic.
 func TestEventModeEquivalence(t *testing.T) {
 	scens := append(Builtins(), Sabotaged()...)
 	for _, base := range scens {
@@ -107,11 +107,11 @@ func TestEventModeLeapsDutyCycle(t *testing.T) {
 
 // TestEventModeFaultDuringHold aims two faults into the post-flight
 // ground hold — one anchored on liftoff, one on the first dwell grant —
-// so the event runner must schedule fault wakeups mid-hold, step the
-// squall (a parked drone in wind is not idle), and resume leaping after
-// it expires, all while staying bit-identical to lockstep. This is the
-// hardest equivalence case: a missing or misplaced wakeup fires the
-// fault on the wrong tick and diverges the trace.
+// so the event runner must stop its leaps at the faults' due ticks, step
+// the squall (a parked drone in wind is not idle), and resume leaping
+// after it expires, all while staying bit-identical to lockstep. This is
+// the hardest equivalence case: a missing or misplaced due tick fires
+// the fault on the wrong tick and diverges the trace.
 func TestEventModeFaultDuringHold(t *testing.T) {
 	base := ByName("duty-cycle")
 	sc := *base
@@ -132,7 +132,11 @@ func TestEventModeFaultDuringHold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lockstep: %v", err)
 	}
-	ev, err := RunScenarioMode(&evSC, ModeEvent)
+	r, err := newModeRunner(&evSC, ModeEvent, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := r.Run()
 	if err != nil {
 		t.Fatalf("event: %v", err)
 	}
@@ -148,8 +152,8 @@ func TestEventModeFaultDuringHold(t *testing.T) {
 	}
 
 	// Non-vacuity: both squalls actually fired, and after the flight was
-	// over — i.e. inside the post-landing hold, where only a scheduled
-	// wakeup can place them.
+	// over — i.e. inside the post-landing hold, where only a due tick
+	// can place them.
 	landed := -1
 	var faults []int
 	for _, e := range lock.Events {
@@ -170,6 +174,15 @@ func TestEventModeFaultDuringHold(t *testing.T) {
 		if ft <= landed {
 			t.Errorf("fault at tick %d fired before landing (tick %d); not a during-hold fault", ft, landed)
 		}
+	}
+
+	// The hold must still leap around the squalls, not fall back to
+	// stepping every tick. The two squalls keep 300 ticks busy, and the
+	// runner stepped 319 of the hold's 1800 ticks when the bound was set.
+	const maxStepped = 319
+	t.Logf("event mode stepped %d of %d post-flight hold ticks", r.holdStepped, holdTicks(sc.HoldAfterS))
+	if r.holdStepped > maxStepped {
+		t.Errorf("event mode stepped %d post-flight hold ticks, want <= %d", r.holdStepped, maxStepped)
 	}
 }
 

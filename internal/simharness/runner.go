@@ -16,7 +16,6 @@ import (
 	"androne/internal/mavproxy"
 	"androne/internal/netem"
 	"androne/internal/planner"
-	"androne/internal/sched"
 	"androne/internal/sdk"
 	"androne/internal/telemetry"
 )
@@ -135,12 +134,11 @@ type Runner struct {
 
 	// Event-driven mode state (zero in lockstep; see runner_event.go).
 	mode     Mode
-	queue    *sched.Queue
 	lastFP   uint64
 	fpStable bool
-	// holdStepped counts the ticks advanceToNextWakeup stepped rather
-	// than leapt since the latest hold began. Tests read it; it is not
-	// part of the Result or the trace.
+	// holdStepped counts the ticks advanceTo stepped rather than leapt
+	// since the latest hold began. Tests read it; it is not part of the
+	// Result or the trace.
 	holdStepped int
 }
 
@@ -693,7 +691,7 @@ type clock struct{ *Runner }
 
 // Tick advances one harness tick and reports whether the budget has room.
 func (c clock) Tick(p core.Phase) bool {
-	c.tickOnce(p)
+	c.tickOnce()
 	return c.tick < c.maxTicks
 }
 

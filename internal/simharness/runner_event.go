@@ -1,11 +1,10 @@
 // Event-driven run mode: instead of unconditionally stepping every
-// harness tick, the runner paces itself through a deterministic priority
-// queue of timestamped wakeups (internal/sched) — takeoff climb checks,
-// waypoint-arrival probes, dwell metering, RTL progress, ground-hold
-// expiry, and the exact due ticks of the fault plan. Between the current
-// tick and the next wakeup the runner leaps over runs of provably idle
-// ticks with core.Drone.BulkAdvanceTicks, which replays the accumulator
-// arithmetic of the skipped ticks bit-exactly.
+// harness tick, a ground hold leaps over runs of provably idle ticks with
+// core.Drone.BulkAdvanceTicks, which replays the accumulator arithmetic
+// of the skipped ticks bit-exactly. A leap never passes the hold's next
+// due tick (nextDue): the hold's end or the exact lockstep due tick of an
+// unfired fault, both fixed when the hold starts. Flight ticks are always
+// stepped.
 //
 // The equivalence argument has three legs, each enforced by tests:
 //
@@ -20,10 +19,10 @@
 //     the settling estimate, which BulkAdvanceTicks replays, and the
 //     per-tick proxy flush, pilot, breach relay, and checker calls are
 //     all no-ops.
-//  2. Wakeups only bound leaps, so a spurious wakeup costs one stepped
-//     tick, never correctness; a missing wakeup could leap past a due
-//     time, so fault due ticks are computed with the same float
-//     comparison the lockstep faultDue evaluates.
+//  2. Due ticks only bound leaps, so an early one costs one stepped
+//     tick, never correctness; a late one could leap past a fault, so
+//     fault due ticks are computed with the same float comparison the
+//     lockstep faultDue evaluates.
 //  3. The differential suite (equivalence_test.go) runs every builtin
 //     and sabotaged scenario in both modes across seeds and requires
 //     bit-identical traces, violations, and tick counts.
@@ -35,7 +34,6 @@ import (
 	"androne/internal/core"
 	"androne/internal/flight"
 	"androne/internal/mavproxy"
-	"androne/internal/sched"
 )
 
 // Mode selects how the Runner advances simulation time.
@@ -45,8 +43,8 @@ const (
 	// ModeLockstep steps every harness tick unconditionally — the
 	// original runner, kept as the differential suite's oracle.
 	ModeLockstep Mode = iota
-	// ModeEvent advances through scheduled wakeups and leaps over
-	// provably idle ticks. Must be trace-identical to ModeLockstep.
+	// ModeEvent leaps over provably idle ticks of ground holds. Must be
+	// trace-identical to ModeLockstep.
 	ModeEvent
 )
 
@@ -55,54 +53,36 @@ const (
 // matching what core.Drone.StepSeconds(TickS) executes.
 const stepsPerTick = int(TickS * flight.FastLoopHz)
 
-// Wakeup kinds. Arg carries the fault index for wakeFault.
-const (
-	wakeHoldEnd uint8 = iota // a ground-hold phase reaches its end tick
-	wakeFault                // a fault plan entry's exact due tick
-	wakePhase                // + core.Phase: one flight tick of that phase
-)
-
-// tickOnce advances exactly one harness tick of flight phase p. In
-// lockstep mode it steps directly; in event mode it schedules a next-tick
-// wakeup and advances through the queue, so every active-phase tick flows
-// through the same scheduler machinery as the bulk leaps.
-func (r *Runner) tickOnce(p core.Phase) {
-	if r.mode != ModeEvent {
-		r.stepTick()
-		return
+// tickOnce advances exactly one harness tick of a flight. Event mode
+// also notes the tick's fingerprint, so a hold that follows the flight
+// knows whether the stack has settled.
+func (r *Runner) tickOnce() {
+	r.stepTick()
+	if r.mode == ModeEvent {
+		r.noteFingerprint()
 	}
-	r.queue.Schedule(uint64(r.tick+1), wakePhase+uint8(p), 0)
-	r.advanceToNextWakeup()
 }
 
-// advanceToNextWakeup advances the stack to the earliest scheduled
-// wakeup's tick and pops it. Ticks strictly before the wakeup are leapt
-// over in bulk when the drone is provably idle; the wakeup tick itself is
-// always stepped, so whatever the wakeup was scheduled to observe (a
-// fault coming due, a hold ending) happens under a full tick.
+// advanceTo advances the stack to tick target. Ticks strictly before the
+// target are leapt over in bulk when the drone is provably idle; the
+// target tick itself is always stepped, so whatever comes due there (a
+// fault, the hold's end) happens under a full tick.
 //
 //vet:detpath event-mode time advance feeds the same trace hashes as lockstep
-func (r *Runner) advanceToNextWakeup() (sched.Wakeup, bool) {
-	w, _, ok := r.queue.Peek()
-	if !ok {
-		return sched.Wakeup{}, false
-	}
-	target := int(w.Due)
+func (r *Runner) advanceTo(target int) {
 	for r.tick < target {
 		if k := target - 1 - r.tick; k > 0 && r.fpStable && r.drone.IdleEligible() && r.quiescent() {
 			r.drone.BulkAdvanceTicks(k, stepsPerTick)
 			r.tick += k
 			// The leap is the identity on all fingerprinted state, so
 			// stability carries over the gap; the loop now steps the
-			// final tick before the wakeup.
+			// final tick before the target.
 			continue
 		}
 		r.stepTick()
 		r.holdStepped++
 		r.noteFingerprint()
 	}
-	out, _ := r.queue.Pop()
-	return out, true
 }
 
 // noteFingerprint records whether the tick that just ran was the
@@ -150,8 +130,8 @@ func holdTicks(seconds float64) int {
 
 // hold parks the run for the given sim seconds — the duty-cycle idle
 // between flights — then traces a "<when> ground hold" event. Lockstep
-// pays for every tick; event mode schedules the hold's end and the exact
-// due ticks of any fault landing inside the window, then leaps the gaps.
+// pays for every tick; event mode advances from due tick to due tick,
+// leaping the idle gaps between them.
 func (r *Runner) hold(seconds float64, when string) {
 	if seconds <= 0 {
 		return
@@ -168,40 +148,28 @@ func (r *Runner) hold(seconds float64, when string) {
 		}
 		return
 	}
-	ids := make([]sched.ID, 0, 1+len(r.faults))
-	ids = append(ids, r.queue.Schedule(uint64(end), wakeHoldEnd, 0))
-	ids = append(ids, r.scheduleFaultWakeups(end)...)
 	r.holdStepped = 0
 	for r.tick < end {
-		if _, ok := r.advanceToNextWakeup(); !ok {
-			break // defensive: the hold-end wakeup is always scheduled
-		}
-	}
-	for _, id := range ids {
-		r.queue.Cancel(id) // already-fired IDs are stale and miss exactly
+		r.advanceTo(r.nextDue(end))
 	}
 }
 
-// scheduleFaultWakeups schedules one wakeup per unfired fault that comes
-// due inside the hold window, at its exact lockstep due tick. Pending
-// faults (due but awaiting an eligible moment) need no wakeup: they
-// block quiescence instead, so every tick is stepped and retried.
-func (r *Runner) scheduleFaultWakeups(end int) []sched.ID {
-	var ids []sched.ID
-	for i, f := range r.faults {
+// nextDue is the next tick a hold ending at end must step: the end, or
+// the earliest exact lockstep due tick of an unfired fault, but never
+// before the next tick. Pending faults (due but awaiting an eligible
+// moment) need no due tick: they block quiescence instead, so every tick
+// is stepped and retried.
+func (r *Runner) nextDue(end int) int {
+	next := end
+	for _, f := range r.faults {
 		if f.fired || f.pending {
 			continue
 		}
-		due, ok := r.faultDueTick(f)
-		if !ok || due > end {
-			continue
+		if due, ok := r.faultDueTick(f); ok && due < next {
+			next = due
 		}
-		if due <= r.tick {
-			due = r.tick + 1
-		}
-		ids = append(ids, r.queue.Schedule(uint64(due), wakeFault, uint64(i)))
 	}
-	return ids
+	return max(next, r.tick+1)
 }
 
 // faultDueTick computes the smallest tick at which faultDue(f) becomes
@@ -261,8 +229,5 @@ func newModeRunner(sc *Scenario, mode Mode, env *core.CloudEnv) (*Runner, error)
 		r.env = env
 	}
 	r.mode = mode
-	if mode == ModeEvent {
-		r.queue = sched.New()
-	}
 	return r, nil
 }

@@ -296,6 +296,59 @@ func TestArchiveConcurrent(t *testing.T) {
 	}
 }
 
+// TestConcurrentDumpsKeepSeqOrder races dumpers on one recorder (run it
+// under -race): the archive must list records in strictly ascending Seq,
+// and an incremental RecordsSince walk, as StartFlusher makes, must
+// deliver every dumped Seq exactly once.
+func TestConcurrentDumpsKeepSeqOrder(t *testing.T) {
+	for trial := 0; trial < 50; trial++ {
+		r := NewRecorderSized(64, 16)
+		const dumpers, dumps = 4, 12 // 48 records: none is evicted
+		seen := make(map[uint64]int)
+		var lastSeq uint64
+		walk := func() {
+			for _, rec := range r.RecordsSince(lastSeq) {
+				seen[rec.Seq]++
+				lastSeq = rec.Seq
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < dumpers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < dumps; i++ {
+					r.Dump(archiveDrones[w%len(archiveDrones)], "race", nil)
+				}
+			}(w)
+		}
+		for i := 0; i < dumpers*dumps; i++ {
+			walk()
+			runtime.Gosched()
+		}
+		wg.Wait()
+		walk()
+
+		recs := r.Records()
+		if len(recs) != dumpers*dumps {
+			t.Fatalf("trial %d: archive holds %d records, want %d", trial, len(recs), dumpers*dumps)
+		}
+		for i := 1; i < len(recs); i++ {
+			if recs[i].Seq <= recs[i-1].Seq {
+				t.Fatalf("trial %d: record %d has Seq %d after Seq %d", trial, i, recs[i].Seq, recs[i-1].Seq)
+			}
+		}
+		for _, rec := range recs {
+			if n := seen[rec.Seq]; n != 1 {
+				t.Fatalf("trial %d: the walk delivered Seq %d %d times, want once", trial, rec.Seq, n)
+			}
+		}
+		if len(seen) != len(recs) {
+			t.Fatalf("trial %d: the walk delivered %d Seqs, the archive holds %d", trial, len(seen), len(recs))
+		}
+	}
+}
+
 // BenchmarkDump dumps three drones in turn, each with a full ring, as
 // checkpoint churn does: every drone emits one event before its dump and
 // one after it, beside one system-wide event, so most of each snapshot

@@ -54,10 +54,12 @@ func (r *Recorder) Dump(drone Key, trigger string, meta map[string]float64) {
 		Drone:   KeyName(drone),
 		Trigger: trigger,
 		Tick:    r.tick.Load(),
-		Seq:     r.seq.Add(1),
 		Meta:    meta,
 	}
 	r.rmu.Lock()
+	// The Seq is taken under rmu so the archive stays in Seq order, which
+	// RecordsSince readers such as StartFlusher rely on.
+	head.Seq = r.seq.Add(1)
 	r.archive.add(head, events)
 	r.rmu.Unlock()
 	mDumps.Inc()
