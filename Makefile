@@ -104,19 +104,20 @@ equivalence:
 	$(GO) test -count=1 -run 'TestRepeatAdd' ./internal/detmath
 
 # Every measured experiment at CI size, in one invocation, with the gates
-# of the full runs: scale (cpu8 > cpu1 on >= 8-CPU hosts, vfc-send at 0
-# allocs/op, fleet trace hashes identical at 1/8/64/256 drones), fleet10k
-# (event mode >= 10x lockstep per drone, cross-mode trace hashes, every
-# drone passing), cloud (zero errors and violations, p99 <= 250 ms, churn
-# dedup >= 2x) and planner (kernel >= 25x the cloning baseline's ns/move,
-# bit-level cost parity, bit-identical restarts, the campaign within
-# tolerance, the sabotage control tripped). Each experiment writes its
-# record into a fresh bench-out/ before its gates decide the exit status.
-# The BENCH_*.json records at the repo root are the committed full-size
-# runs (see cmd/androne-bench).
+# of the full runs: baseline (the checkpoint cycle alone, retaining <= 256
+# B of live heap per cycle), scale (cpu8 > cpu1 on >= 8-CPU hosts,
+# vfc-send at 0 allocs/op, fleet trace hashes identical at 1/8/64/256
+# drones), fleet10k (event mode >= 10x lockstep per drone, cross-mode
+# trace hashes, every drone passing), cloud (zero errors and violations,
+# p99 <= 250 ms, churn dedup >= 2x) and planner (kernel >= 25x the cloning
+# baseline's ns/move, bit-level cost parity, bit-identical restarts, the
+# campaign within tolerance, the sabotage control tripped). Each
+# experiment writes its record into a fresh bench-out/ before its gates
+# decide the exit status. The BENCH_*.json records at the repo root are
+# the committed full-size runs (see cmd/androne-bench).
 bench-smoke: build
 	@rm -rf bench-out
-	$(GO) run ./cmd/androne-bench -exp scale,fleet10k,cloud,planner -smoke -out bench-out
+	$(GO) run ./cmd/androne-bench -exp baseline,scale,fleet10k,cloud,planner -smoke -out bench-out
 
 # A tiny androne-load run end to end through the CLI: proves the traffic
 # harness itself works (flags, in-process service boot, JSON output).

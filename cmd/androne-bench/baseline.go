@@ -3,6 +3,8 @@
 // can be diffed against it. Each instrumented op is measured with
 // telemetry enabled and disabled; the derived overhead percentages are the
 // flight recorder's cost on that path (budget: <= 5%, see DESIGN.md).
+// The record also carries the checkpoint cycle (checkpoint.go); a smoke
+// run measures only that, at smaller cycle counts.
 // The binder echo rig and the interleaved A/B estimator here are shared
 // with the scale experiment.
 
@@ -291,14 +293,17 @@ func baselineOps(seed string) (map[string]func(n int), []string, error) {
 // recorder's overhead (the <= 5% budget applies to these).
 var instrumentedOps = []string{"binder.transact", "mavproxy.vfc_send", "flight.fastloop"}
 
-func baseline(seed string) (*record, error) {
+func baseline(seed string, smoke bool) (*record, error) {
+	rec := newRecord("baseline")
+	if smoke {
+		header("Performance baseline, smoke size: the checkpoint cycle alone")
+		return rec, checkpointCycles(rec, seed, checkpointSmokeMarks)
+	}
 	header("Performance baseline (testing.Benchmark over instrumented hot paths)")
 	ops, order, err := baselineOps(seed)
 	if err != nil {
 		return nil, err
 	}
-
-	rec := newRecord("baseline")
 	for _, name := range order {
 		on := benchOp{NsPerOp: math.Inf(1)}
 		off := on
@@ -329,5 +334,5 @@ func baseline(seed string) (*record, error) {
 		telemetry.SetEnabled(true)
 		rec.add(name+"_telemetry_overhead_pct", "%", (ratio-1)*100, "lower")
 	}
-	return rec, nil
+	return rec, checkpointCycles(rec, seed, checkpointMarks)
 }

@@ -7,14 +7,15 @@
 //	androne-bench -exp all
 //	androne-bench -exp fig11 -loops 1000000
 //	androne-bench -exp baseline,scale,fleet10k,cloud,planner -out .
-//	androne-bench -exp scale,fleet10k,cloud,planner -smoke -out bench-out
+//	androne-bench -exp baseline,scale,fleet10k,cloud,planner -smoke -out bench-out
 //
 // Experiments: aed, baseline, cloud, fig10, fig11, fig12, fig13, fleet10k,
 // gcs, jitter, net, planner, scale, sitl, table1. "all" runs the paper's
 // own: table1, fig10–fig13, net, gcs, jitter, aed and sitl.
 //
 // The other five are measured experiments, each returning one record (see
-// record.go): baseline (telemetry overhead on the instrumented hot paths),
+// record.go): baseline (telemetry overhead on the instrumented hot paths,
+// and the checkpoint cycle's time and retained heap),
 // scale (parallel binder transact, the vfc-send allocation budget and
 // fleet replay determinism), fleet10k (event-driven vs lockstep fleet
 // throughput), cloud (multi-tenant load through the service plane under
@@ -77,7 +78,7 @@ func experiments(o *options) map[string]func() (*record, error) {
 		"aed":    printOnly(func() error { return aed(o.seed) }),
 		"sitl":   printOnly(func() error { return sitlFlight(o.seed) }),
 
-		"baseline": func() (*record, error) { return baseline(o.seed) },
+		"baseline": func() (*record, error) { return baseline(o.seed, o.smoke) },
 		"scale":    func() (*record, error) { return scale(o.seed, o.smoke, scaleFleetDrones) },
 		"fleet10k": func() (*record, error) {
 			f := fleet10kOpts{seed: o.seed, eventDrones: fleet10kDrones}

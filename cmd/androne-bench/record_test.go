@@ -118,7 +118,7 @@ func TestRecordShape(t *testing.T) {
 		slow bool // skipped under -short
 		run  func() (*record, error)
 	}{
-		{"baseline", true, shortBenchtime(func() (*record, error) { return baseline("record-test") })},
+		{"baseline", true, shortBenchtime(func() (*record, error) { return baseline("record-test", false) })},
 		{"scale", true, func() (*record, error) { return scale("record-test", true, []int{1, 2}) }},
 		{"fleet10k", false, testFleet10k},
 		{"cloud", true, testCloud},

@@ -98,7 +98,7 @@ func run(pass *framework.Pass) error {
 }
 
 func checkCall(pass *framework.Pass, call *ast.CallExpr) {
-	fn := calleeFunc(pass, call)
+	fn := framework.Callee(pass.TypesInfo, call.Fun)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -224,16 +224,4 @@ func isContext(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
-func calleeFunc(pass *framework.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }

@@ -85,26 +85,30 @@ func (sm *ServiceManager) handleTxn(txn binder.Txn) (binder.Reply, error) {
 		if len(txn.Objects) != 1 {
 			return binder.Reply{}, fmt.Errorf("android: AddService wants 1 object, got %d", len(txn.Objects))
 		}
-		name := string(txn.Data)
-		node, err := sm.proc.NodeFor(txn.Objects[0])
+		name, h := string(txn.Data), txn.Objects[0]
+		node, err := sm.proc.NodeFor(h)
 		if err != nil {
+			_ = sm.proc.Release(h)
 			return binder.Reply{}, err
 		}
 		sm.mu.Lock()
 		sm.services[name] = node
 		hook := sm.hook
 		sm.mu.Unlock()
-		// Drop the registration if the service's process dies, via Binder's
-		// death notification.
-		_ = sm.proc.LinkToDeath(txn.Objects[0], func() {
+		// Drop the registration, and the manager's reference to the node,
+		// if the service's process dies, via Binder's death notification.
+		// Registrations hand out nodes, never this handle, so releasing it
+		// cannot strand a client.
+		_ = sm.proc.LinkToDeath(h, func() {
 			sm.mu.Lock()
 			if sm.services[name] == node {
 				delete(sm.services, name)
 			}
 			sm.mu.Unlock()
+			_ = sm.proc.Release(h)
 		})
 		if hook != nil {
-			if err := hook(sm, name, txn.Objects[0]); err != nil {
+			if err := hook(sm, name, h); err != nil {
 				// Roll the registration back so a lookup cannot find a
 				// service whose cross-namespace publication failed.
 				sm.mu.Lock()

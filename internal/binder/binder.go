@@ -19,6 +19,16 @@
 // already holds one. The device-namespace extension scopes handle 0 per
 // container, so each virtual drone sees only its own ServiceManager.
 //
+// Object lifetimes follow the Android driver's reference rules, so that
+// tearing a container down frees what it held:
+//   - removing a namespace exits every process attached in it;
+//   - a process's exit kills its nodes, fires the death links other
+//     processes registered against them, and drops the links it registered
+//     itself (a dead holder is told nothing);
+//   - a handle stays in its holder's table, answering ErrDeadNode once its
+//     node dies, until the holder releases it (Release, BC_RELEASE);
+//     releasing also drops the holder's death links through that handle.
+//
 // Concurrency model (see DESIGN.md "Fleet scaling & hot-path concurrency"):
 // the read-mostly structures a transaction touches — the namespace table,
 // each namespace's context manager, and each process' handle table — are
@@ -30,8 +40,10 @@
 package binder
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,6 +88,7 @@ var (
 	ErrPermission       = errors.New("binder: permission denied")
 	ErrDeadProc         = errors.New("binder: process has exited")
 	ErrTooLarge         = errors.New("binder: transaction exceeds buffer size")
+	ErrReleased         = errors.New("binder: handle has been released")
 )
 
 // Sender identifies the originator of a transaction. Container is AnDrone's
@@ -130,6 +143,9 @@ type Namespace struct {
 	// transaction fast path loads it with no lock; BecomeContextManager
 	// stores it under driver.mu.
 	mgr atomic.Pointer[Node]
+	// procs are the live processes attached here, each at its procIdx.
+	// Guarded by driver.mu.
+	procs []*Proc
 }
 
 // Name returns the namespace (container) identifier.
@@ -143,11 +159,23 @@ type Proc struct {
 	pid    int
 	euid   int
 	dead   atomic.Bool
-	next   Handle // next free handle; guarded by driver.mu (mutation side only)
+	// next is the next free handle. Handles are never reused, so a handle
+	// below next that is absent from the table was released. Written under
+	// driver.mu; atomic so resolve's error path can read it without one.
+	next atomic.Uint32
 	// handles is the copy-on-write snapshot of the handle table: the
 	// transaction fast path loads and indexes it with no lock; mutations
 	// clone the map, add the entry, and swap the pointer under driver.mu.
 	handles atomic.Pointer[map[Handle]*Node]
+
+	// The rest is guarded by driver.mu. index maps each node in the handle
+	// table to its handle. held are the death links p registered, each at
+	// its heldIdx; obits, oldest first, are those registered against p's
+	// nodes, and lastObit is the newest. procIdx is p's place in ns.procs.
+	index           map[*Node]Handle
+	held            []*deathLink
+	obits, lastObit *deathLink
+	procIdx         int
 }
 
 // PID returns the process id.
@@ -175,9 +203,8 @@ type Driver struct {
 	// performed in the future for any newly created virtual drone
 	// containers").
 	published []publishedService
-	// deathLinks maps a node's owner to the death-notification callbacks
-	// registered against that node (Binder's link-to-death).
-	deathLinks map[*Proc][]deathLink
+	// nextLink numbers death links in registration order.
+	nextLink uint64
 	// tel is the drone's flight recorder; nil when running without one.
 	// Set before use (SetRecorder), never written afterwards.
 	tel *telemetry.Recorder
@@ -189,9 +216,18 @@ type Driver struct {
 	txns *telemetry.ShardedCount
 }
 
+// deathLink is one Binder death notification: fn runs when the owner of
+// the node behind the holder's handle h exits. It sits on two lists, the
+// owner's obits and the holder's held, so that either side's exit or a
+// release unlinks it in O(1).
 type deathLink struct {
-	node *Node
-	fn   func()
+	seq        uint64
+	holder     *Proc
+	owner      *Proc
+	h          Handle
+	fn         func()
+	prev, next *deathLink // neighbours on owner's obits
+	heldIdx    int
 }
 
 type publishedService struct {
@@ -202,9 +238,8 @@ type publishedService struct {
 // NewDriver creates an empty Binder driver.
 func NewDriver() *Driver {
 	d := &Driver{
-		nextPID:    100,
-		deathLinks: make(map[*Proc][]deathLink),
-		txns:       mTransactions.Sharded(),
+		nextPID: 100,
+		txns:    mTransactions.Sharded(),
 	}
 	empty := make(map[string]*Namespace)
 	d.namespaces.Store(&empty)
@@ -232,13 +267,17 @@ func (d *Driver) CreateNamespace(name string) (*Namespace, error) {
 	return ns, nil
 }
 
-// RemoveNamespace tears down a container's namespace. All nodes owned by
-// processes in it become dead.
+// RemoveNamespace tears down a container's namespace: every process
+// attached in it exits, as if the container's init had died, so all nodes
+// they own become dead. Death links registered from outside the namespace
+// against those nodes fire after the driver lock is released, in
+// registration order; links the namespace's processes held are dropped.
 func (d *Driver) RemoveNamespace(name string) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	cur := *d.namespaces.Load()
-	if _, ok := cur[name]; !ok {
+	ns, ok := cur[name]
+	if !ok {
+		d.mu.Unlock()
 		return
 	}
 	next := make(map[string]*Namespace, len(cur))
@@ -248,6 +287,12 @@ func (d *Driver) RemoveNamespace(name string) {
 		}
 	}
 	d.namespaces.Store(&next)
+	fire := d.exitLocked(ns.procs)
+	ns.procs = nil
+	d.mu.Unlock()
+	for _, l := range fire {
+		l.fn()
+	}
 }
 
 // SetDeviceNamespace designates ns as the device container's namespace,
@@ -258,15 +303,36 @@ func (d *Driver) SetDeviceNamespace(ns *Namespace) {
 	d.devcon = ns
 }
 
-// Namespaces returns the names of all current namespaces. Lock-free: it
-// reads the current snapshot.
-func (d *Driver) Namespaces() []string {
-	cur := *d.namespaces.Load()
-	out := make([]string, 0, len(cur))
-	for name := range cur {
-		out = append(out, name)
+// Footprint counts what the driver holds on behalf of live processes, so
+// that tests and benchmarks can check that tearing containers down frees
+// it.
+type Footprint struct {
+	Namespaces int
+	Procs      int
+	Handles    int // entries across every live process's handle table
+	Indexed    int // entries across every live process's node→handle index
+	DeathLinks int // links registered against live processes' nodes
+	HeldLinks  int // links live processes registered
+}
+
+// Footprint returns the driver's current footprint.
+func (d *Driver) Footprint() Footprint {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var f Footprint
+	for _, ns := range *d.namespaces.Load() {
+		f.Namespaces++
+		for _, p := range ns.procs {
+			f.Procs++
+			f.Handles += len(*p.handles.Load())
+			f.Indexed += len(p.index)
+			f.HeldLinks += len(p.held)
+			for l := p.obits; l != nil; l = l.next {
+				f.DeathLinks++
+			}
+		}
 	}
-	return out
+	return f
 }
 
 // LookupNamespace returns the namespace registered under name. Lock-free:
@@ -277,6 +343,11 @@ func (d *Driver) LookupNamespace(name string) (*Namespace, bool) {
 	return ns, ok
 }
 
+// noHandles is the empty handle table every process starts with and every
+// exited process keeps. Handle tables are never written in place, so all
+// of them can share it.
+var noHandles = map[Handle]*Node{}
+
 // Attach creates a process in the namespace with the given effective uid,
 // assigning it a fresh PID.
 func (ns *Namespace) Attach(euid int) *Proc {
@@ -285,14 +356,15 @@ func (ns *Namespace) Attach(euid int) *Proc {
 	defer d.mu.Unlock()
 	d.nextPID++
 	p := &Proc{
-		driver: d,
-		ns:     ns,
-		pid:    d.nextPID,
-		euid:   euid,
-		next:   1, // handle 0 is reserved for the context manager
+		driver:  d,
+		ns:      ns,
+		pid:     d.nextPID,
+		euid:    euid,
+		procIdx: len(ns.procs),
 	}
-	empty := make(map[Handle]*Node)
-	p.handles.Store(&empty)
+	p.next.Store(1) // handle 0 is reserved for the context manager
+	p.handles.Store(&noHandles)
+	ns.procs = append(ns.procs, p)
 	return p
 }
 
@@ -345,7 +417,9 @@ func (p *Proc) BecomeContextManager(node *Node) error {
 func (n *Node) dead() bool { return n.owner == nil || n.owner.dead.Load() }
 
 // Exit detaches the process: all its nodes become dead, its handles are
-// released, and death notifications registered against its nodes fire.
+// released, the death links it registered are dropped, and those
+// registered against its nodes fire, in registration order, once the
+// driver lock is released.
 func (p *Proc) Exit() {
 	d := p.driver
 	d.mu.Lock()
@@ -353,30 +427,129 @@ func (p *Proc) Exit() {
 		d.mu.Unlock()
 		return
 	}
-	p.dead.Store(true)
-	empty := make(map[Handle]*Node)
-	p.handles.Store(&empty)
-	links := d.deathLinks[p]
-	delete(d.deathLinks, p)
+	procs := p.ns.procs
+	last := procs[len(procs)-1]
+	procs[p.procIdx], last.procIdx = last, p.procIdx
+	procs[len(procs)-1] = nil
+	p.ns.procs = procs[:len(procs)-1]
+	fire := d.exitLocked([]*Proc{p})
 	d.mu.Unlock()
-	for _, l := range links {
+	for _, l := range fire {
 		l.fn()
 	}
 }
 
+// exitLocked kills procs together and returns the death links to fire,
+// sorted by registration order. First every process is marked dead and
+// the links it holds are dropped, so that a link between two of them
+// never fires; then each one's obits are collected and its tables
+// emptied. Caller holds d.mu and removes procs from their namespace.
+func (d *Driver) exitLocked(procs []*Proc) []*deathLink {
+	for _, p := range procs {
+		p.dead.Store(true)
+		for len(p.held) > 0 {
+			d.unlinkLocked(p.held[len(p.held)-1])
+		}
+		p.held = nil
+	}
+	var fire []*deathLink
+	for _, p := range procs {
+		for l := p.obits; l != nil; l = l.next {
+			fire = append(fire, l)
+			d.dropHeldLocked(l)
+		}
+		p.obits, p.lastObit = nil, nil
+		p.handles.Store(&noHandles)
+		p.index = nil
+	}
+	slices.SortFunc(fire, func(a, b *deathLink) int { return cmp.Compare(a.seq, b.seq) })
+	return fire
+}
+
 // LinkToDeath registers a callback that fires when the owner of the node
 // behind h exits — Binder's death notification mechanism, which the
-// ServiceManager uses to drop registrations of crashed services.
+// ServiceManager uses to drop registrations of crashed services. The link
+// lives until it fires, p exits, or p releases h.
 func (p *Proc) LinkToDeath(h Handle, fn func()) error {
 	d := p.driver
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	node, err := p.resolve(h)
 	if err != nil {
-		d.mu.Unlock()
 		return err
 	}
-	d.deathLinks[node.owner] = append(d.deathLinks[node.owner], deathLink{node: node, fn: fn})
-	d.mu.Unlock()
+	d.nextLink++
+	owner := node.owner
+	l := &deathLink{seq: d.nextLink, holder: p, owner: owner, h: h, fn: fn,
+		prev: owner.lastObit, heldIdx: len(p.held)}
+	if owner.lastObit == nil {
+		owner.obits = l
+	} else {
+		owner.lastObit.next = l
+	}
+	owner.lastObit = l
+	p.held = append(p.held, l)
+	return nil
+}
+
+// unlinkLocked removes l from both its owner's and its holder's lists.
+// Caller holds d.mu.
+func (d *Driver) unlinkLocked(l *deathLink) {
+	o := l.owner
+	if l.prev == nil {
+		o.obits = l.next
+	} else {
+		l.prev.next = l.next
+	}
+	if l.next == nil {
+		o.lastObit = l.prev
+	} else {
+		l.next.prev = l.prev
+	}
+	l.prev, l.next = nil, nil
+	d.dropHeldLocked(l)
+}
+
+// dropHeldLocked removes l from its holder's held list by moving the last
+// entry into its slot. Caller holds d.mu.
+func (d *Driver) dropHeldLocked(l *deathLink) {
+	held := l.holder.held
+	last := held[len(held)-1]
+	held[l.heldIdx], last.heldIdx = last, l.heldIdx
+	held[len(held)-1] = nil
+	l.holder.held = held[:len(held)-1]
+}
+
+// Release drops p's reference h, Binder's BC_RELEASE: the handle leaves
+// p's table, any death links p registered through it are dropped, and a
+// later transaction on h fails with ErrReleased. Handles are not reused.
+func (p *Proc) Release(h Handle) error {
+	d := p.driver
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if p.dead.Load() {
+		return ErrDeadProc
+	}
+	cur := *p.handles.Load()
+	n, ok := cur[h]
+	if !ok {
+		return p.handleErr(h)
+	}
+	next := make(map[Handle]*Node, len(cur)-1)
+	for k, v := range cur { //vet:allow detguard copy-on-write map clone; order-independent
+		if k != h {
+			next[k] = v
+		}
+	}
+	p.handles.Store(&next)
+	delete(p.index, n)
+	for i := 0; i < len(p.held); {
+		if l := p.held[i]; l.h == h {
+			d.unlinkLocked(l) // moves another link into slot i
+		} else {
+			i++
+		}
+	}
 	return nil
 }
 
@@ -399,7 +572,7 @@ func (p *Proc) resolve(h Handle) (*Node, error) {
 	}
 	n, ok := (*p.handles.Load())[h]
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrBadHandle, h) //vet:allow hotpath cold error path (oversized transaction)
+		return nil, p.handleErr(h)
 	}
 	if n.dead() {
 		return nil, ErrDeadNode
@@ -407,25 +580,37 @@ func (p *Proc) resolve(h Handle) (*Node, error) {
 	return n, nil
 }
 
-// installLocked adds a node to the process' handle table, returning the
-// handle. Caller holds d.mu. The table is never mutated in place: the
-// snapshot readers hold must stay frozen, so installation clones the map,
-// adds the entry, and publishes the clone.
-func (p *Proc) installLocked(n *Node) Handle {
-	cur := *p.handles.Load()
-	for h, existing := range cur { //vet:allow detguard identity scan; a node appears at most once
-		if existing == n {
-			return h
-		}
+// handleErr says why h is not in p's table: p released it, or p never
+// held it.
+func (p *Proc) handleErr(h Handle) error {
+	err := ErrBadHandle
+	if uint32(h) < p.next.Load() {
+		err = ErrReleased
 	}
-	h := p.next
-	p.next++
+	return fmt.Errorf("%w: %d", err, h) //vet:allow hotpath cold error path (bad or released handle)
+}
+
+// installLocked adds a node to the process' handle table, returning the
+// handle; a node already in the table keeps its handle. Caller holds d.mu.
+// The table is never mutated in place: the snapshot readers hold must stay
+// frozen, so installation clones the map, adds the entry, and publishes
+// the clone.
+func (p *Proc) installLocked(n *Node) Handle {
+	if h, ok := p.index[n]; ok {
+		return h
+	}
+	cur := *p.handles.Load()
+	h := Handle(p.next.Add(1) - 1)
 	next := make(map[Handle]*Node, len(cur)+1) //vet:allow hotpath object-transfer slow path; serializes on d.mu by contract
 	for k, v := range cur {                    //vet:allow detguard copy-on-write map clone; order-independent
 		next[k] = v
 	}
 	next[h] = n
 	p.handles.Store(&next)
+	if p.index == nil {
+		p.index = make(map[*Node]Handle) //vet:allow hotpath object-transfer slow path; serializes on d.mu by contract
+	}
+	p.index[n] = h
 	return h
 }
 

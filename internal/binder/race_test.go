@@ -8,6 +8,7 @@
 package binder
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -207,5 +208,111 @@ func TestRaceTransactVsExit(t *testing.T) {
 			owner.Exit()
 		}()
 		wg.Wait()
+	}
+}
+
+// TestRaceRemoveNamespaceVsLifetimes removes a virtual drone's namespace,
+// whose death callbacks run outside Driver.mu, while a device-container
+// process makes permission-style lookups of the drone's ActivityManager
+// (GetService, LinkToDeath, a data-only call, Release), the drone's own
+// client transacts with it, and a bystander transacts in a namespace that
+// stays. Every call must succeed or fail with a lifetime error, and the
+// device-container process must end holding no handle and no link.
+func TestRaceRemoveNamespaceVsLifetimes(t *testing.T) {
+	d, _, checker := setupDevcon(t)
+	stable, err := d.CreateNamespace("vd-stable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newTestManager(t, stable)
+	bystander := stable.Attach(1000)
+	_, echo := svcHandle(t, stable, bystander, "echo")
+
+	lifetimeErr := func(err error) bool {
+		return errors.Is(err, ErrDeadNode) || errors.Is(err, ErrDeadProc) || errors.Is(err, ErrReleased)
+	}
+	for round := 0; round < 20; round++ {
+		name := fmt.Sprintf("vd-%d", round)
+		ns, err := d.CreateNamespace(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newTestManager(t, ns)
+		amProc := ns.Attach(1000)
+		am := echoService(amProc, "activity")
+		if _, _, err := amProc.Transact(0, CodeAddService, []byte("activity"), []*Node{am}); err != nil {
+			t.Fatal(err)
+		}
+		_, hs, err := amProc.Transact(0, CodeGetService, []byte("activity"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := amProc.PublishToDevCon("activity", hs[0]); err != nil {
+			t.Fatal(err)
+		}
+		own := hs[0]
+		scoped := []byte(ScopedName("activity", name))
+
+		var wg sync.WaitGroup
+		wg.Add(4)
+		go func() { // the device container's permission checks
+			defer wg.Done()
+			for {
+				_, hs, err := checker.Transact(0, CodeGetService, scoped, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				h := hs[0]
+				if err := checker.LinkToDeath(h, func() { _ = checker.Release(h) }); err != nil {
+					if !lifetimeErr(err) {
+						t.Error(err)
+					}
+					_ = checker.Release(h)
+					return
+				}
+				_, _, err = checker.Transact(h, CodeUser, []byte("check"), nil)
+				if rerr := checker.Release(h); rerr != nil && !errors.Is(rerr, ErrReleased) {
+					t.Error(rerr)
+				}
+				if err != nil {
+					if !lifetimeErr(err) {
+						t.Error(err)
+					}
+					return
+				}
+			}
+		}()
+		go func() { // the drone's own client
+			defer wg.Done()
+			for {
+				if _, _, err := amProc.Transact(own, CodeUser, nil, nil); err != nil {
+					if !lifetimeErr(err) {
+						t.Error(err)
+					}
+					return
+				}
+			}
+		}()
+		go func() { // a bystander in a namespace that stays
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if _, _, err := bystander.Transact(echo, CodeUser, []byte("x"), nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			d.RemoveNamespace(name)
+		}()
+		wg.Wait()
+	}
+	d.mu.Lock()
+	handles, indexed, held := len(*checker.handles.Load()), len(checker.index), len(checker.held)
+	d.mu.Unlock()
+	if handles != 0 || indexed != 0 || held != 0 {
+		t.Fatalf("checker ends holding %d handles (%d indexed) and %d links, want none", handles, indexed, held)
 	}
 }

@@ -341,10 +341,14 @@ func (v *VDC) create(def *Definition, checkpoint *container.Checkpoint) (*Virtua
 		admitFail("container")
 		return nil, err
 	}
+	// cleanup undoes a failed admission. Removing the namespace exits its
+	// processes, which drops the ActivityManager that BootBridged
+	// published to the device container.
 	cleanup := func() {
 		_ = v.drone.Runtime.Stop(name)
 		_ = v.drone.Runtime.Remove(name)
 		v.drone.Driver.RemoveNamespace(name)
+		v.drone.DevCon.ReleaseContainer(name)
 	}
 	if err := v.drone.Runtime.Start(name); err != nil {
 		_ = v.drone.Runtime.Remove(name)
@@ -443,6 +447,7 @@ func (v *VDC) create(def *Definition, checkpoint *container.Checkpoint) (*Virtua
 			app.SetSavedState(saved)
 		}
 		if err := inst.StartApp(pkg); err != nil {
+			v.drone.Proxy.RemoveVFC(name)
 			cleanup()
 			admitFail("app-start")
 			return nil, err

@@ -3,10 +3,12 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 
 	"androne/internal/cloud"
 	"androne/internal/container"
+	"androne/internal/mavproxy"
 	"androne/internal/sdk"
 )
 
@@ -52,6 +54,30 @@ func TestCreateRejectsInvalidDefinitions(t *testing.T) {
 				t.Fatalf("memory leaked: %d MB, want %d", m, baseMem)
 			}
 		})
+	}
+}
+
+// TestFailedAdmissionReleasesBinderState fails an admission after the
+// Android boot has published the virtual drone's ActivityManager to the
+// device container, because the VFC name is taken. The failure must leave
+// the device container's registry and every binder handle table and death
+// link as they were.
+func TestFailedAdmissionReleasesBinderState(t *testing.T) {
+	d := newTestDrone(t)
+	sm := d.DevCon.Instance().ServiceManager()
+	services := sm.Services()
+	footprint := d.Driver.Footprint()
+	if _, err := d.Proxy.NewVFC("vd-taken", mavproxy.TemplateStandard(), false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.VDC.Create(defWith("vd-taken", 1)); !errors.Is(err, mavproxy.ErrVFCExists) {
+		t.Fatalf("Create with a taken VFC name: %v, want ErrVFCExists", err)
+	}
+	if got := sm.Services(); !slices.Equal(got, services) {
+		t.Fatalf("device container registry after a failed admission = %v, want %v", got, services)
+	}
+	if got := d.Driver.Footprint(); got != footprint {
+		t.Fatalf("binder footprint after a failed admission = %+v, want %+v", got, footprint)
 	}
 }
 

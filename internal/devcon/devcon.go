@@ -221,6 +221,7 @@ func (dc *DeviceContainer) startServices() error {
 			kind:  s.kind,
 			perm:  s.perm,
 			users: make(map[string]map[int]bool),
+			ams:   make(map[string]binder.Handle),
 		}
 		svc.client = android.NewClient(dc.inst.Namespace(), 0)
 		node := svc.client.Proc().NewNode(s.name, svc.handleTxn)
@@ -267,7 +268,8 @@ func (dc *DeviceContainer) ActiveUsers(service, container string) []int {
 }
 
 // ReleaseContainer clears usage tracking for a container across all
-// services, used when a virtual drone is stopped.
+// services, and releases their handles to its ActivityManager, used when
+// a virtual drone is stopped or loses its waypoint devices.
 func (dc *DeviceContainer) ReleaseContainer(container string) {
 	dc.mu.Lock()
 	svcs := make([]*deviceService, 0, len(dc.services))
@@ -315,6 +317,10 @@ type deviceService struct {
 
 	mu    sync.Mutex
 	users map[string]map[int]bool // container -> pids
+	// ams holds the client's handle to each container's ActivityManager
+	// from its first permission check until ReleaseContainer or the
+	// manager's death releases it.
+	ams map[string]binder.Handle
 }
 
 // checkPermission implements the modified permission check: ask the calling
@@ -334,6 +340,7 @@ func (s *deviceService) checkPermission(sender binder.Sender) error {
 		if err != nil {
 			return fmt.Errorf("%w: no ActivityManager for container %q", ErrPermissionDenied, sender.Container)
 		}
+		s.holdAM(sender.Container, h)
 		out, _, err := s.client.Call(h, android.CmdCheckPermission, android.CheckPermissionData(s.perm, sender.EUID))
 		if err != nil {
 			return fmt.Errorf("devcon: permission check: %w", err)
@@ -374,10 +381,41 @@ func (s *deviceService) release(sender binder.Sender) {
 	}
 }
 
+// holdAM records h as the client's handle to container's ActivityManager,
+// linking to the manager's death the first time, so that the handle is
+// released when the container goes even if ReleaseContainer never runs.
+// A manager that died since the lookup is released at once.
+func (s *deviceService) holdAM(container string, h binder.Handle) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ams[container] == h {
+		return
+	}
+	if err := s.client.Proc().LinkToDeath(h, func() { s.releaseAM(container, h) }); err != nil {
+		_ = s.client.Proc().Release(h)
+		return
+	}
+	s.ams[container] = h
+}
+
+// releaseAM releases h, and forgets it if it is still container's handle.
+func (s *deviceService) releaseAM(container string, h binder.Handle) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ams[container] == h {
+		delete(s.ams, container)
+	}
+	_ = s.client.Proc().Release(h)
+}
+
 func (s *deviceService) releaseContainer(container string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.users, container)
+	if h, ok := s.ams[container]; ok {
+		delete(s.ams, container)
+		_ = s.client.Proc().Release(h)
+	}
 }
 
 func (s *deviceService) activeUsers(container string) []int {

@@ -3,6 +3,7 @@ package devcon
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -405,6 +406,58 @@ func TestUsageTrackingAndRelease(t *testing.T) {
 	e.dc.ReleaseContainer(container)
 	if users := e.dc.ActiveUsers(SvcCamera, container); len(users) != 0 {
 		t.Fatalf("after container release: %v", users)
+	}
+}
+
+// TestActivityManagerHandleLifetime: a device service holds one handle to
+// a container's ActivityManager however many checks it makes, gives it up
+// at ReleaseContainer (the next check takes a new one), and gives it up
+// when the container's namespace goes away without ReleaseContainer.
+func TestActivityManagerHandleLifetime(t *testing.T) {
+	e := newEnv(t, 0, nil)
+	sm := e.dc.Instance().ServiceManager()
+	services, before := sm.Services(), e.driver.Footprint()
+	ns, err := e.driver.CreateNamespace("vd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vd, err := BootBridged(ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const uid = 10001
+	vd.ActivityManager().Grant(uid, android.PermCamera)
+	app := android.NewClient(ns, uid)
+	h, err := app.GetService(SvcCamera)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := func() {
+		t.Helper()
+		if _, _, err := app.Call(h, CmdCapture, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	capture()
+	first := e.driver.Footprint()
+	capture()
+	if got := e.driver.Footprint(); got != first {
+		t.Fatalf("a second check changed the footprint: %+v, want %+v", got, first)
+	}
+	e.dc.ReleaseContainer("vd")
+	if got := e.driver.Footprint(); got.Handles != first.Handles-1 || got.HeldLinks != first.HeldLinks-1 {
+		t.Fatalf("ReleaseContainer left footprint %+v (was %+v)", got, first)
+	}
+	capture()
+	if got := e.driver.Footprint(); got != first {
+		t.Fatalf("re-acquired footprint %+v, want %+v", got, first)
+	}
+	e.driver.RemoveNamespace("vd")
+	if got := sm.Services(); !slices.Equal(got, services) {
+		t.Fatalf("registry after removal = %v, want %v", got, services)
+	}
+	if got := e.driver.Footprint(); got != before {
+		t.Fatalf("footprint after removal %+v, want %+v", got, before)
 	}
 }
 
