@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: all build fmt-check test race vet androne-vet vet-smoke sim telemetry fleet equivalence bench-smoke load-smoke perfbench-smoke fuzz cover check clean
+.PHONY: all build fmt-check test race vet androne-vet vet-smoke sim examples telemetry fleet equivalence bench-smoke load-smoke perfbench-smoke fuzz cover check clean
 
 all: build
 
@@ -63,6 +63,15 @@ sim: build
 	@if $(GO) run ./cmd/androne-sim -quiet -file examples/broken-whitelist.json 2>/dev/null; then \
 		echo "sabotaged scenario did NOT fail"; exit 1; \
 	else echo "example broken-whitelist.json: violation detected (expected)"; fi
+
+# The example programs, run end to end. Each exits non-zero on failure,
+# and each flies through core's checked lockstep clock, so an invariant
+# violation (whitelist, allotment, breach conduct) fails it too.
+examples: build
+	@for e in quickstart geofence multitenant survey fleet; do \
+		$(GO) run ./examples/$$e >/dev/null || { echo "example $$e failed"; exit 1; }; \
+		echo "example $$e: OK"; \
+	done
 
 # Telemetry gate: the deterministic black-box replay tests (a sabotaged
 # scenario's FlightRecord must contain the injected fault, the VFC's
@@ -160,7 +169,7 @@ cover:
 		{ echo "total coverage $$total% fell below the $$floor% floor"; exit 1; }
 
 # Everything CI enforces, in CI's order.
-check: build fmt-check vet test race sim telemetry equivalence fleet bench-smoke load-smoke perfbench-smoke fuzz
+check: build fmt-check vet test race sim examples telemetry equivalence fleet bench-smoke load-smoke perfbench-smoke fuzz
 
 clean:
 	$(GO) clean ./...

@@ -2,7 +2,7 @@
 // deterministic simulation harness: the full stack (cloud orders, VDC,
 // device container, MAVProxy VFCs, flight controller, SITL physics, GCS
 // links) flies a declarative scenario with fault injection while the
-// paper's invariant checkers watch every tick.
+// paper's invariant checks run every tick.
 //
 // Usage:
 //

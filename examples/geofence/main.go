@@ -61,11 +61,15 @@ func main() {
 	// granted its waypoint. The squall's duration is bounded in sim time
 	// (SetWindFor), so the drone is pushed out of its fence, the breach
 	// protocol runs, and recovery succeeds once the air calms.
-	clk := &weather{Clock: core.Lockstep{Drone: drone}, drone: drone}
+	lock := &core.Lockstep{Drone: drone}
+	clk := &weather{Clock: lock, drone: drone}
 	env := core.NewCloudEnv()
 	report, err := drone.Fly(plan.Routes[0], clk)
 	check(err)
 	check(drone.Offload(env, clk, report))
+	// The lockstep checked the paper's invariants on every tick: the
+	// breach must end in loiter, never a landing.
+	check(lock.Err())
 
 	executed, rejected := rc.Stats()
 	rep := report.PerDrone["fenced"]
@@ -87,7 +91,8 @@ func main() {
 	fmt.Println("geofence example OK")
 }
 
-// weather is the lockstep mission clock with a squall on waypoint grant.
+// weather is the checked lockstep mission clock with a squall on waypoint
+// grant.
 type weather struct {
 	core.Clock
 	drone *core.Drone

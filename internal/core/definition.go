@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"androne/internal/devices"
 	"androne/internal/geo"
@@ -70,6 +71,7 @@ var (
 	ErrBadBudget        = errors.New("core: max-duration and energy-allotted must be positive")
 	ErrUnknownDevice    = errors.New("core: unknown device")
 	ErrFlightContinuous = errors.New("core: flight-control can only be a waypoint device")
+	ErrDuplicateApp     = errors.New("core: app package listed twice")
 )
 
 // ParseDefinition parses and validates a definition.
@@ -114,6 +116,13 @@ func (d *Definition) Validate() error {
 		}
 		if dev == sdk.FlightControlDevice {
 			return ErrFlightContinuous
+		}
+	}
+	// An app is installed and started once per listing, so a repeat would
+	// run its factory twice and tick the survivor twice per tick.
+	for i, pkg := range d.Apps {
+		if slices.Contains(d.Apps[:i], pkg) {
+			return fmt.Errorf("%w: %q", ErrDuplicateApp, pkg)
 		}
 	}
 	return nil

@@ -88,6 +88,7 @@ func TestDefinitionValidation(t *testing.T) {
 		{"zero energy", `{"waypoints":[{"latitude":1,"longitude":1,"altitude":10,"max-radius":30}],"max-duration":60,"energy-allotted":0}`, ErrBadBudget},
 		{"unknown device", `{"waypoints":[{"latitude":1,"longitude":1,"altitude":10,"max-radius":30}],"max-duration":60,"energy-allotted":1000,"waypoint-devices":["xray"]}`, ErrUnknownDevice},
 		{"continuous flight control", `{"waypoints":[{"latitude":1,"longitude":1,"altitude":10,"max-radius":30}],"max-duration":60,"energy-allotted":1000,"continuous-devices":["flight-control"]}`, ErrFlightContinuous},
+		{"duplicate app", `{"waypoints":[{"latitude":1,"longitude":1,"altitude":10,"max-radius":30}],"max-duration":60,"energy-allotted":1000,"apps":["x","y","x"]}`, ErrDuplicateApp},
 	}
 	for _, tc := range cases {
 		if _, err := ParseDefinition([]byte(tc.json)); !errors.Is(err, tc.err) {

@@ -6,28 +6,16 @@ import (
 	"androne/internal/apps"
 	"androne/internal/core"
 	"androne/internal/geo"
-	"androne/internal/mavlink"
 	"androne/internal/planner"
 	"androne/internal/sdk"
 )
 
-// squallClock is the lockstep clock plus weather: an 18 m/s squall, more
-// than the tilt limit can fight, hits on the tick the virtual drone is
-// granted its waypoint. Every tick it also checks the breach protocol's
-// conduct: the controller never lands while a recovery runs.
+// squallClock is the checked lockstep clock plus weather: an 18 m/s
+// squall, more than the tilt limit can fight, hits on the tick the virtual
+// drone is granted its waypoint.
 type squallClock struct {
 	core.Clock
-	d              *core.Drone
-	vd             *core.VirtualDrone
-	landInRecovery bool
-}
-
-func (c *squallClock) Tick(p core.Phase) bool {
-	ok := c.Clock.Tick(p)
-	if c.vd.VFC.Recovering() && c.d.FC.Mode() == mavlink.ModeLand {
-		c.landInRecovery = true
-	}
-	return ok
+	d *core.Drone
 }
 
 func (c *squallClock) Note(m core.Milestone) {
@@ -79,7 +67,8 @@ func TestExecuteRouteRelaysBreach(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	clk := &squallClock{Clock: core.Lockstep{Drone: d}, d: d, vd: vd}
+	lock := &core.Lockstep{Drone: d}
+	clk := &squallClock{Clock: lock, d: d}
 	report, err := d.Fly(plan.Routes[0], clk)
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +86,10 @@ func TestExecuteRouteRelaysBreach(t *testing.T) {
 	if activeEvents < 2 {
 		t.Errorf("app saw %d waypointActive events, want the grant plus one after recovery", activeEvents)
 	}
-	if clk.landInRecovery {
-		t.Error("controller in LAND during breach recovery")
+	// Breach conduct ran on every tick: no landing during the recovery,
+	// and the recovery ended in loiter.
+	if err := lock.Err(); err != nil {
+		t.Error(err)
 	}
 	if _, rejected := rc.Stats(); rejected == 0 {
 		t.Error("out-of-fence command was not rejected")

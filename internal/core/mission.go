@@ -42,6 +42,9 @@ type FlightReport struct {
 	PerDrone      map[string]*VDReport
 	AED           flight.AEDResult
 	ReturnedHome  bool
+	// Violations are the invariant failures the flight's clock noted, in
+	// tick order; ExecuteRoute fails with ErrInvariant when there are any.
+	Violations []Violation
 }
 
 // entry returns vd's report, creating it on first use.
@@ -86,6 +89,7 @@ const (
 	Recovered                       // Task's recovery ended and control returned
 	Offloaded                       // Task's Files reached cloud storage; one Err note per failed file
 	Saved                           // Task was checkpointed into the VDR, or Err
+	Violated                        // an invariant failed for Task; Err is its Violation
 )
 
 // DwellReason says why a dwell ended.
@@ -117,27 +121,52 @@ type Clock interface {
 	Note(Milestone)
 }
 
-// Lockstep is the clock ExecuteRoute flies on: each tick steps the drone
-// 0.1 s and relays geofence transitions, milestones are dropped, and the
-// budget never runs out. Callers that observe milestones wrap it.
-type Lockstep struct{ Drone *Drone }
+// Lockstep is the checked clock ExecuteRoute flies on: each tick steps the
+// drone 0.1 s, relays geofence transitions and runs the Invariants over
+// every virtual drone, in name order. Violations collects the Violated
+// notes; other milestones are dropped, and the budget never runs out.
+// Callers that observe milestones wrap it.
+type Lockstep struct {
+	Drone      *Drone
+	Violations []Violation
+
+	tick  int
+	check Invariants
+}
 
 // Tick implements Clock.
-func (c Lockstep) Tick(Phase) bool {
+func (c *Lockstep) Tick(Phase) bool {
 	c.Drone.StepSeconds(tickS)
+	c.tick++
 	c.Drone.VDC.RelayBreaches(c)
+	c.check.Run(c.Drone, c.tick, c.Drone.VDC.List(), c)
 	return true
 }
 
 // Note implements Clock.
-func (Lockstep) Note(Milestone) {}
+func (c *Lockstep) Note(m Milestone) {
+	if m.Kind == Violated {
+		c.Violations = append(c.Violations, m.Err.(Violation))
+	}
+}
+
+// Err returns nil on a clean flight, else an error wrapping ErrInvariant
+// that names the first violation.
+func (c *Lockstep) Err() error {
+	if len(c.Violations) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: %d violation(s), first %v", ErrInvariant, len(c.Violations), c.Violations[0])
+}
 
 var errStillAirborne = errors.New("core: still airborne at the RTL cap")
 
-// ExecuteRoute flies one planner route end to end on the lockstep clock:
-// Fly, then Offload (the Figure 4 workflow).
+// ExecuteRoute flies one planner route end to end on a checked lockstep
+// clock: Fly, then Offload (the Figure 4 workflow). A flight that broke an
+// invariant returns its report, whose Violations list the failures, and
+// an error wrapping ErrInvariant.
 func (d *Drone) ExecuteRoute(route planner.Route, env *CloudEnv) (*FlightReport, error) {
-	clk := Lockstep{d}
+	clk := &Lockstep{Drone: d}
 	report, err := d.Fly(route, clk)
 	if err != nil {
 		return nil, err
@@ -145,7 +174,8 @@ func (d *Drone) ExecuteRoute(route planner.Route, env *CloudEnv) (*FlightReport,
 	if err := d.Offload(env, clk, report); err != nil {
 		return nil, err
 	}
-	return report, nil
+	report.Violations = clk.Violations
+	return report, clk.Err()
 }
 
 // mission is one Fly call in progress.

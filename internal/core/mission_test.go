@@ -425,7 +425,7 @@ func TestFlyOnRecordingClock(t *testing.T) {
 	}
 
 	d, route = twin()
-	clk := &recordingClock{Clock: Lockstep{Drone: d}}
+	clk := &recordingClock{Clock: &Lockstep{Drone: d}}
 	got, err := d.Fly(route, clk)
 	if err != nil {
 		t.Fatal(err)

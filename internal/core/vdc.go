@@ -341,15 +341,6 @@ func (v *VDC) create(def *Definition, checkpoint *container.Checkpoint) (*Virtua
 		admitFail("container")
 		return nil, err
 	}
-	// cleanup undoes a failed admission. Removing the namespace exits its
-	// processes, which drops the ActivityManager that BootBridged
-	// published to the device container.
-	cleanup := func() {
-		_ = v.drone.Runtime.Stop(name)
-		_ = v.drone.Runtime.Remove(name)
-		v.drone.Driver.RemoveNamespace(name)
-		v.drone.DevCon.ReleaseContainer(name)
-	}
 	if err := v.drone.Runtime.Start(name); err != nil {
 		_ = v.drone.Runtime.Remove(name)
 		admitFail("start")
@@ -359,13 +350,13 @@ func (v *VDC) create(def *Definition, checkpoint *container.Checkpoint) (*Virtua
 	// Binder namespace + Android Things boot wired for AnDrone.
 	ns, err := v.drone.Driver.CreateNamespace(name)
 	if err != nil {
-		cleanup()
+		v.teardown(name, false)
 		admitFail("namespace")
 		return nil, err
 	}
 	inst, err := devcon.BootBridged(ns)
 	if err != nil {
-		cleanup()
+		v.teardown(name, false)
 		admitFail("boot")
 		return nil, err
 	}
@@ -373,7 +364,8 @@ func (v *VDC) create(def *Definition, checkpoint *container.Checkpoint) (*Virtua
 	// VFC connection with the provider's whitelist template.
 	vfc, err := v.drone.Proxy.NewVFC(name, mavproxy.TemplateStandard(), len(def.ContinuousDevices) > 0)
 	if err != nil {
-		cleanup()
+		// The name's VFC, if any, is not this admission's to remove.
+		v.teardown(name, false)
 		admitFail("vfc")
 		return nil, err
 	}
@@ -447,8 +439,7 @@ func (v *VDC) create(def *Definition, checkpoint *container.Checkpoint) (*Virtua
 			app.SetSavedState(saved)
 		}
 		if err := inst.StartApp(pkg); err != nil {
-			v.drone.Proxy.RemoveVFC(name)
-			cleanup()
+			v.teardown(name, true)
 			admitFail("app-start")
 			return nil, err
 		}
@@ -464,6 +455,21 @@ func (v *VDC) create(def *Definition, checkpoint *container.Checkpoint) (*Virtua
 	}
 	v.drone.Tel.Emit(key, kAdmit, int64(len(def.Apps)), int64(len(def.Waypoints)), how)
 	return vd, nil
+}
+
+// teardown releases what admitting name acquired: the container stops and
+// goes, removing the namespace exits its processes (dropping the
+// ActivityManager BootBridged published to the device container), the VFC
+// goes when withVFC, and the device container forgets the name. Save runs
+// it, and so does an admission that fails once its container is running.
+func (v *VDC) teardown(name string, withVFC bool) {
+	_ = v.drone.Runtime.Stop(name)
+	_ = v.drone.Runtime.Remove(name)
+	v.drone.Driver.RemoveNamespace(name)
+	if withVFC {
+		v.drone.Proxy.RemoveVFC(name)
+	}
+	v.drone.DevCon.ReleaseContainer(name)
 }
 
 // grantPermissions grants the Android permissions matching the definition's
@@ -845,12 +851,7 @@ func (v *VDC) Save(name string) (cloud.VDREntry, error) {
 		"waypoints": float64(total),
 	})
 
-	// Tear down.
-	_ = v.drone.Runtime.Stop(name)
-	_ = v.drone.Runtime.Remove(name)
-	v.drone.Driver.RemoveNamespace(name)
-	v.drone.Proxy.RemoveVFC(name)
-	v.drone.DevCon.ReleaseContainer(name)
+	v.teardown(name, true)
 	v.mu.Lock()
 	delete(v.vds, name)
 	v.mu.Unlock()

@@ -81,6 +81,22 @@ func TestFailedAdmissionReleasesBinderState(t *testing.T) {
 	}
 }
 
+// TestFailedAdmissionKeepsTakenVFC fails an admission because its VFC name
+// is taken. The teardown must leave that VFC to whoever made it.
+func TestFailedAdmissionKeepsTakenVFC(t *testing.T) {
+	d := newTestDrone(t)
+	taken, err := d.Proxy.NewVFC("vd-taken", mavproxy.TemplateStandard(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.VDC.Create(defWith("vd-taken", 1)); !errors.Is(err, mavproxy.ErrVFCExists) {
+		t.Fatalf("Create with a taken VFC name: %v, want ErrVFCExists", err)
+	}
+	if got, err := d.Proxy.VFCByName("vd-taken"); err != nil || got != taken {
+		t.Fatalf("taken VFC after the failed admission: %v, %v", got, err)
+	}
+}
+
 // savedEntry creates a virtual drone with progress, saves it, and returns
 // the VDR entry — the fixture for the corrupt-restore table.
 func savedEntry(t *testing.T, d *Drone, name string) cloud.VDREntry {

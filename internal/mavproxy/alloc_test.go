@@ -73,3 +73,19 @@ func TestSendDeniedZeroAlloc(t *testing.T) {
 		t.Fatalf("denied vfc-send allocated %.1f/op, want 0", allocs)
 	}
 }
+
+// TestTickZeroAlloc pins the 10 Hz proxy tick over three VFCs at 0
+// allocs/op: the name-ordered registry is walked as it stands, with no
+// per-tick copy or sort.
+func TestTickZeroAlloc(t *testing.T) {
+	vfc := allocVFC(t)
+	for _, name := range []string{"c", "a"} {
+		if _, err := vfc.proxy.NewVFC(name, TemplateStandard(), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, vfc.proxy.Tick)
+	if allocs != 0 {
+		t.Fatalf("proxy tick over 3 VFCs allocated %.1f/op, want 0", allocs)
+	}
+}

@@ -21,7 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -135,9 +136,12 @@ func (s VFCState) String() string {
 
 // Proxy is the modified MAVProxy instance in the flight container.
 type Proxy struct {
-	mu   sync.Mutex
-	fc   *flight.Controller
-	vfcs map[string]*VFC
+	mu sync.Mutex
+	fc *flight.Controller
+	// vfcs is sorted by name and copy-on-write: NewVFC and RemoveVFC swap
+	// in a new slice under mu, so a slice read under mu may be walked
+	// without it.
+	vfcs []*VFC
 	// tel is the drone's flight recorder; nil when running without one.
 	// Set during bring-up (SetRecorder), before VFCs exist.
 	tel *telemetry.Recorder
@@ -145,7 +149,7 @@ type Proxy struct {
 
 // New creates a proxy in front of the flight controller.
 func New(fc *flight.Controller) *Proxy {
-	return &Proxy{fc: fc, vfcs: make(map[string]*VFC)}
+	return &Proxy{fc: fc}
 }
 
 // Master returns the unrestricted connection used by the cloud flight
@@ -177,14 +181,23 @@ func (p *Proxy) NewVFC(name string, wl Whitelist, continuous bool) (*VFC, error)
 	key := telemetry.K(name) // intern outside p.mu: K takes its own lock
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.vfcs[name]; ok {
+	i, ok := p.find(name)
+	if ok {
 		return nil, fmt.Errorf("%w: %q", ErrVFCExists, name)
 	}
 	v := &VFC{proxy: p, name: name, key: key, tel: p.tel, continuous: continuous, state: VFCIdle,
 		sends: mSends.Local()}
 	v.wl.Store(&wl)
-	p.vfcs[name] = v
+	p.vfcs = slices.Concat(p.vfcs[:i], []*VFC{v}, p.vfcs[i:])
 	return v, nil
+}
+
+// find binary-searches p.vfcs for name, returning its index or where it
+// would be inserted. The caller holds p.mu.
+func (p *Proxy) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(p.vfcs, name, func(v *VFC, name string) int {
+		return strings.Compare(v.name, name)
+	})
 }
 
 // RemoveVFC tears down a virtual drone's connection (the VDC calls this
@@ -193,7 +206,9 @@ func (p *Proxy) NewVFC(name string, wl Whitelist, continuous bool) (*VFC, error)
 func (p *Proxy) RemoveVFC(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	delete(p.vfcs, name)
+	if i, ok := p.find(name); ok {
+		p.vfcs = slices.Concat(p.vfcs[:i], p.vfcs[i+1:])
+	}
 }
 
 // SetWhitelist swaps a VFC's whitelist template in place — the provider
@@ -217,11 +232,11 @@ func (p *Proxy) SetWhitelist(name string, wl Whitelist) error {
 func (p *Proxy) VFCByName(name string) (*VFC, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	v, ok := p.vfcs[name]
+	i, ok := p.find(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoVFC, name)
 	}
-	return v, nil
+	return p.vfcs[i], nil
 }
 
 // Activate hands flight control to the named VFC at the waypoint: the
@@ -321,15 +336,9 @@ const maxRecoverAttempts = 10
 // hold position and returns control to the virtual drone.
 func (p *Proxy) Tick() {
 	p.mu.Lock()
-	vfcs := make([]*VFC, 0, len(p.vfcs))
-	for _, v := range p.vfcs {
-		vfcs = append(vfcs, v)
-	}
+	vfcs := p.vfcs
 	p.mu.Unlock()
-	// Recovery progresses (and emits trace events) per VFC; run them in
-	// name order so replays do not inherit map iteration order.
-	sort.Slice(vfcs, func(i, j int) bool { return vfcs[i].name < vfcs[j].name })
-
+	// Recovery progresses (and emits trace events) per VFC, in name order.
 	for _, v := range vfcs {
 		v.mu.Lock()
 		v.sends.Flush()

@@ -505,3 +505,32 @@ func TestServiceScaleSixTenants(t *testing.T) {
 		}
 	}
 }
+
+// TestFlyScheduledFailsOnBrokenMeter orders a virtual drone whose app
+// never ends its dwell, with a 3 s allotment, on a fleet drone whose meter
+// never reports exhaustion (VDC.BreakMeter). The drone keeps flight
+// control past its allotment, so the planning round flies checked and
+// fails with core.ErrInvariant.
+func TestFlyScheduledFailsOnBrokenMeter(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = t.Name()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range s.Fleet() {
+		d.VDC.BreakMeter()
+	}
+	def := defFor("erin", "overstay", 60, 0) // no apps: nothing ends the dwell
+	def.MaxDuration = 3
+	if _, err := s.OrderJSON("erin", "overstay", def); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.ProcessOrders()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.FlyScheduled(plan); !errors.Is(err, core.ErrInvariant) {
+		t.Fatalf("FlyScheduled err = %v, want core.ErrInvariant", err)
+	}
+}

@@ -47,21 +47,10 @@ func (e Event) String() string {
 	return s
 }
 
-// Violation is one invariant checker failure.
-type Violation struct {
-	Tick    int    `json:"tick"`
-	Checker string `json:"checker"`
-	Drone   string `json:"drone,omitempty"`
-	Detail  string `json:"detail"`
-}
-
-func (v Violation) String() string {
-	s := fmt.Sprintf("[%05d] %s", v.Tick, v.Checker)
-	if v.Drone != "" {
-		s += " " + v.Drone
-	}
-	return s + ": " + v.Detail
-}
+// Violation is one invariant failure: core's per-tick checks, or one of
+// the harness's own (restore round trip, GCS path, flight-end delivery and
+// order lifecycle).
+type Violation = core.Violation
 
 // Result is a completed scenario run.
 type Result struct {
@@ -101,7 +90,7 @@ type droneMeta struct {
 	// every tick until the fence trips: the induced breach must win the
 	// tug-of-war against a pilot re-targeting the drone inside the fence.
 	pushTarget *geo.Position
-	// files offloaded at flight end, for the delivery checker.
+	// files offloaded at flight end, for the delivery check.
 	files []string
 }
 
@@ -120,7 +109,7 @@ type Runner struct {
 	orders  *cloud.Orders
 	station *gcs.Station
 
-	checkers []Checker
+	check    core.Invariants
 	events   []Event
 	fails    []Violation
 	tick     int
@@ -143,7 +132,7 @@ type Runner struct {
 }
 
 // NewRunner builds the full stack for a scenario: drone, cloud environment,
-// orders, virtual drones and their route, optional GCS pilot, checkers.
+// orders, virtual drones and their route, optional GCS pilot.
 func NewRunner(sc *Scenario) (*Runner, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -244,7 +233,6 @@ func NewRunner(sc *Scenario) (*Runner, error) {
 			[]byte("vpn-"+sc.Seed), sc.Seed+"/gcs")
 	}
 
-	r.checkers = DefaultCheckers()
 	return r, nil
 }
 
@@ -317,22 +305,13 @@ func (r *Runner) Violate(checker, drone, detail string) {
 	r.drone.Tel.Dump(telemetry.K(drone), "violation:"+checker, nil)
 }
 
-// Drone exposes the assembled stack to checkers.
-func (r *Runner) Drone() *core.Drone { return r.drone }
-
-// Env exposes the cloud environment to checkers.
-func (r *Runner) Env() *core.CloudEnv { return r.env }
-
-// DroneNames returns the scenario's virtual drone names in declaration
-// order (checkers must never iterate a map).
-func (r *Runner) DroneNames() []string { return r.names }
-
 // --------------------------------------------------------------------------
 // The tick
 
 // stepTick advances the whole stack one harness tick: physics + controller
 // at the fast-loop rate (proxy ticked inside), then fault triggers, the
-// scripted pilot, core's breach relay, and every invariant checker.
+// scripted pilot, core's breach relay, and core's invariants over the
+// virtual drones in declaration order.
 func (r *Runner) stepTick() {
 	r.drone.StepSeconds(TickS)
 	r.tick++
@@ -340,9 +319,7 @@ func (r *Runner) stepTick() {
 	r.pushBreaches()
 	r.pilotAct()
 	r.drone.VDC.RelayBreaches(clock{r})
-	for _, c := range r.checkers {
-		c.Tick(r)
-	}
+	r.check.Run(r.drone, r.tick, r.names, clock{r})
 }
 
 // --------------------------------------------------------------------------
@@ -653,7 +630,7 @@ func ackSummary(replies []mavlink.Message) string {
 
 // Run executes the scenario end to end and returns the result: the ground
 // holds around core's mission executor, which flies the scenario's route
-// and offloads on the runner's clock, then the checkers' final verdicts.
+// and offloads on the runner's clock, then the flight-end checks.
 func (r *Runner) Run() (*Result, error) {
 	r.maxTicks = r.sc.MaxTicks
 	if r.maxTicks == 0 {
@@ -669,8 +646,31 @@ func (r *Runner) Run() (*Result, error) {
 	r.hold(r.sc.HoldAfterS, "post-flight")
 	_ = r.drone.Offload(r.env, clock{r}, report) // failures become violations in Note
 
-	for _, c := range r.checkers {
-		c.Finish(r)
+	// File delivery: every file an app marked for its user is in cloud
+	// storage under the owner's account.
+	for _, name := range r.names {
+		m := r.meta[name]
+		for _, dst := range m.files {
+			if _, err := r.env.Storage.Get(m.spec.Owner, dst); err != nil {
+				r.Violate("file-delivery", name, "marked file missing from cloud storage: "+dst)
+			}
+		}
+	}
+	// Order lifecycle (Figure 4): every order ends completed or saved,
+	// never stuck, and every virtual drone is checkpointed into the VDR.
+	for _, name := range r.names {
+		ord, err := r.orders.Get(r.meta[name].orderID)
+		if err != nil {
+			r.Violate("order-lifecycle", name, "order vanished: "+r.meta[name].orderID)
+			continue
+		}
+		if ord.Status != cloud.OrderCompleted && ord.Status != cloud.OrderSaved {
+			r.Violate("order-lifecycle", name,
+				fmt.Sprintf("order %s ended %q, want completed or saved", ord.ID, ord.Status))
+		}
+		if _, err := r.env.VDR.Load(name); err != nil {
+			r.Violate("order-lifecycle", name, "not in VDR at flight end")
+		}
 	}
 
 	res := &Result{
@@ -761,6 +761,9 @@ func (c clock) Note(m core.Milestone) {
 		if len(md.files) > 0 {
 			r.event("offload", m.Task, fmt.Sprintf("%d files to cloud storage", len(md.files)))
 		}
+	case core.Violated:
+		v := m.Err.(core.Violation)
+		r.Violate(v.Checker, v.Drone, v.Detail)
 	case core.Saved:
 		if m.Err != nil {
 			r.Violate("vdr-save", m.Task, m.Err.Error())

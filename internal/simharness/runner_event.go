@@ -17,7 +17,7 @@
 //     VFC, no induced breach in flight, no pending fault retry). Under
 //     those conditions a stepped tick changes only the accumulators and
 //     the settling estimate, which BulkAdvanceTicks replays, and the
-//     per-tick proxy flush, pilot, breach relay, and checker calls are
+//     per-tick proxy flush, pilot, breach relay, and invariant check are
 //     all no-ops.
 //  2. Due ticks only bound leaps, so an early one costs one stepped
 //     tick, never correctness; a late one could leap past a fault, so
@@ -99,7 +99,7 @@ func (r *Runner) noteFingerprint() {
 
 // quiescent reports whether skipping a tick's non-stepping work — proxy
 // metric folds, fault retries, the scripted pilot, breach relay, and the
-// invariant checkers — is the identity. All of those only act on active
+// invariant check — is the identity. All of those only act on active
 // or recovering VFCs, open breaches, induced pushes, or pending faults.
 func (r *Runner) quiescent() bool {
 	for _, f := range r.faults {

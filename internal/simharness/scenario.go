@@ -2,12 +2,16 @@
 // reproduction: it wires cloud orders and the VDR, the VDC's virtual
 // drones, the device container, the MAVProxy VFCs, the flight controller,
 // the SITL physics, and the emulated GCS link into one deterministic
-// tick-driven simulation, injects faults from a declarative plan, and
-// checks the paper's cross-layer invariants after every tick.
+// tick-driven simulation, and injects faults from a declarative plan.
 //
 // The flight itself is core's mission executor (Drone.Fly and
 // Drone.Offload, as in ExecuteRoute) on the runner's clock: each executor
 // tick is one harness tick, and each milestone becomes a trace event.
+// Every tick runs core.Invariants, the same per-tick check ExecuteRoute's
+// lockstep clock runs, and each Violated milestone becomes a violation.
+// The harness adds only checks on its own books: the save-restore round
+// trip, the GCS path, and at flight end file delivery and the order
+// lifecycle.
 //
 // Scenarios are declarative (Go structs or JSON): the virtual drones to
 // order (waypoints as metric offsets from home, apps, allotments), an
