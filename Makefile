@@ -103,7 +103,8 @@ fleet:
 # the bit-exactness tests behind event mode's bulk leaps, per layer (the
 # controller's estimator replay, the parked physics, the closed-form
 # accumulator) and for the whole drone. See DESIGN.md "Event-driven
-# scheduling".
+# scheduling". The planner's pinned plan digests over a fixed corpus and its
+# kernel tests hold the annealing kernel to bit-identical plans.
 equivalence:
 	$(GO) test -count=1 -run 'TestEventMode' ./internal/simharness
 	$(GO) test -count=1 -run 'TestTraceHashesPinned' ./internal/simharness
@@ -111,6 +112,7 @@ equivalence:
 	$(GO) test -count=1 -run 'TestAdvanceDisarmed' ./internal/flight
 	$(GO) test -count=1 -run 'TestAdvanceParkedBitExact' ./internal/sitl
 	$(GO) test -count=1 -run 'TestRepeatAdd' ./internal/detmath
+	$(GO) test -count=1 -run 'TestPlanHashesPinned|TestKernel' ./internal/planner
 
 # Every measured experiment at CI size, in one invocation, with the gates
 # of the full runs: baseline (the checkpoint cycle alone, retaining <= 256
