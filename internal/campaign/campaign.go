@@ -170,7 +170,11 @@ func (cfg *Config) tasksAndDefs() ([]planner.Task, map[string]*core.Definition) 
 }
 
 // Run plans and flies the campaign.
-func (cfg Config) Run() (*Result, error) {
+func (cfg Config) Run() (*Result, error) { return cfg.run(nil) }
+
+// run is Run with prepare, when non-nil, applied to each physical drone
+// once it is built, before it flies.
+func (cfg Config) run(prepare func(*core.Drone)) (*Result, error) {
 	if cfg.ToleranceFrac <= 0 {
 		cfg.ToleranceFrac = 0.35
 	}
@@ -215,6 +219,9 @@ func (cfg Config) Run() (*Result, error) {
 				return nil, err
 			}
 			d.VDC.RegisterAppFactory(dwellAppPkg, newDwellFactory())
+			if prepare != nil {
+				prepare(d)
+			}
 			drones[i] = d
 		}
 		return drones[i], nil

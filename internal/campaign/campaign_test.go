@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"androne/internal/android"
+	"androne/internal/core"
 	"androne/internal/geo"
 	"androne/internal/planner"
 )
@@ -85,6 +87,39 @@ func TestCampaignSabotageTripsChecker(t *testing.T) {
 	if !errors.Is(err, ErrEnergyCheck) {
 		t.Fatalf("sabotaged campaign returned %v (max deviation %.2f), want ErrEnergyCheck",
 			err, res.MaxDeviationFrac)
+	}
+}
+
+func TestCampaignBrokenMeterTripsInvariant(t *testing.T) {
+	// A tenant app that ignores its waypoints holds flight control until
+	// its allotment runs out. With every drone's meter broken
+	// (VDC.BreakMeter) exhaustion is never reported, so the first flight
+	// leaves a spent tenant in control: the campaign fails through
+	// ExecuteRoute with ErrInvariant and an allotment-guard violation, not
+	// with ErrEnergyCheck. With a working meter the same campaign passes:
+	// exhaustion ends each dwell.
+	for _, broken := range []bool{false, true} {
+		_, err := testConfig(t, 2, "camp-meter").run(func(d *core.Drone) {
+			d.VDC.RegisterAppFactory(dwellAppPkg, func(ctx *core.AppContext) android.Lifecycle {
+				return &dwellApp{ctx: ctx}
+			})
+			if broken {
+				d.VDC.BreakMeter()
+			}
+		})
+		if !broken {
+			if err != nil {
+				t.Fatalf("working meter: %v", err)
+			}
+			continue
+		}
+		var v core.Violation
+		if !errors.Is(err, core.ErrInvariant) || !errors.As(err, &v) {
+			t.Fatalf("broken meter: campaign returned %v, want ErrInvariant with a Violation", err)
+		}
+		if v.Checker != "allotment-guard" || errors.Is(err, ErrEnergyCheck) {
+			t.Fatalf("broken meter: first violation %v (err %v), want allotment-guard", v, err)
+		}
 	}
 }
 

@@ -151,12 +151,12 @@ func (c *Lockstep) Note(m Milestone) {
 }
 
 // Err returns nil on a clean flight, else an error wrapping ErrInvariant
-// that names the first violation.
+// and the first violation.
 func (c *Lockstep) Err() error {
 	if len(c.Violations) == 0 {
 		return nil
 	}
-	return fmt.Errorf("%w: %d violation(s), first %v", ErrInvariant, len(c.Violations), c.Violations[0])
+	return fmt.Errorf("%w: %d violation(s), first %w", ErrInvariant, len(c.Violations), c.Violations[0])
 }
 
 var errStillAirborne = errors.New("core: still airborne at the RTL cap")

@@ -239,7 +239,11 @@ type VDC struct {
 
 	mu        sync.Mutex
 	factories map[string]AppFactory
-	vds       map[string]*VirtualDrone
+	// vds is sorted by name and copy-on-write: create and Save swap in a
+	// new slice under mu, so a slice read under mu may be walked without
+	// it. Every per-tick walk (snapshot) is then a slice read, in name
+	// order, with no copy and no sort.
+	vds []*VirtualDrone
 
 	meterFault atomic.Bool // see BreakMeter
 }
@@ -248,7 +252,6 @@ func newVDC(d *Drone) *VDC {
 	return &VDC{
 		drone:     d,
 		factories: make(map[string]AppFactory),
-		vds:       make(map[string]*VirtualDrone),
 	}
 }
 
@@ -261,24 +264,38 @@ func (v *VDC) RegisterAppFactory(pkg string, f AppFactory) {
 
 // Get retrieves a virtual drone by name.
 func (v *VDC) Get(name string) (*VirtualDrone, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	vd, ok := v.vds[name]
-	if !ok {
+	vd := v.lookup(name)
+	if vd == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoVD, name)
 	}
 	return vd, nil
 }
 
-// List returns virtual drone names, sorted.
-func (v *VDC) List() []string {
+// lookup returns the named virtual drone, or nil.
+func (v *VDC) lookup(name string) *VirtualDrone {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	out := make([]string, 0, len(v.vds))
-	for n := range v.vds {
-		out = append(out, n)
+	if i, ok := v.find(name); ok {
+		return v.vds[i]
 	}
-	sort.Strings(out)
+	return nil
+}
+
+// find binary-searches v.vds for name, returning its index or where it
+// would be inserted. The caller holds v.mu.
+func (v *VDC) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(v.vds, name, func(vd *VirtualDrone, name string) int {
+		return strings.Compare(vd.Name, name)
+	})
+}
+
+// List returns virtual drone names, sorted.
+func (v *VDC) List() []string {
+	vds := v.snapshot()
+	out := make([]string, len(vds))
+	for i, vd := range vds {
+		out[i] = vd.Name
+	}
 	return out
 }
 
@@ -315,7 +332,7 @@ func (v *VDC) create(def *Definition, checkpoint *container.Checkpoint) (*Virtua
 		v.drone.Tel.Emit(key, kAdmitFail, 0, 0, why)
 	}
 	v.mu.Lock()
-	if _, ok := v.vds[name]; ok {
+	if _, ok := v.find(name); ok {
 		v.mu.Unlock()
 		admitFail("duplicate")
 		return nil, fmt.Errorf("%w: %q", ErrVDExists, name)
@@ -446,7 +463,11 @@ func (v *VDC) create(def *Definition, checkpoint *container.Checkpoint) (*Virtua
 	}
 
 	v.mu.Lock()
-	v.vds[name] = vd
+	if i, ok := v.find(name); ok {
+		v.vds = slices.Concat(v.vds[:i], []*VirtualDrone{vd}, v.vds[i+1:])
+	} else {
+		v.vds = slices.Concat(v.vds[:i], []*VirtualDrone{vd}, v.vds[i:])
+	}
 	v.mu.Unlock()
 	mAdmissions.Inc()
 	how := "create"
@@ -509,10 +530,8 @@ func (v *VDC) AllowDevice(containerName string, kind devices.Kind) bool {
 	if containerName == devcon.NamespaceName || containerName == FlightConName {
 		return true
 	}
-	v.mu.Lock()
-	vd, ok := v.vds[containerName]
-	v.mu.Unlock()
-	if !ok {
+	vd := v.lookup(containerName)
+	if vd == nil {
 		return false
 	}
 	vd.mu.Lock()
@@ -668,16 +687,12 @@ func (v *VDC) suspendOthers(active string, suspend bool) {
 }
 
 // snapshot returns every virtual drone in name order — callers notify
-// and tick apps through it, so its order must be replay-stable.
+// and tick apps through it, so its order must be replay-stable. The slice
+// is shared and must not be modified.
 func (v *VDC) snapshot() []*VirtualDrone {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	out := make([]*VirtualDrone, 0, len(v.vds))
-	for _, vd := range v.vds {
-		out = append(out, vd)
-	}
-	slices.SortFunc(out, func(a, b *VirtualDrone) int { return strings.Compare(a.Name, b.Name) })
-	return out
+	return v.vds
 }
 
 // MeterActive charges dwell time and energy against the active virtual
@@ -853,7 +868,9 @@ func (v *VDC) Save(name string) (cloud.VDREntry, error) {
 
 	v.teardown(name, true)
 	v.mu.Lock()
-	delete(v.vds, name)
+	if i, ok := v.find(name); ok {
+		v.vds = slices.Concat(v.vds[:i], v.vds[i+1:])
+	}
 	v.mu.Unlock()
 
 	return cloud.VDREntry{

@@ -86,6 +86,25 @@ func TestCreateVirtualDrones(t *testing.T) {
 	}
 }
 
+func TestRelayBreachesZeroAlloc(t *testing.T) {
+	// Clocks relay breaches every tick; with no transition to note, the
+	// walk over the registry allocates nothing, and List and the relay
+	// see the drones in name order.
+	d := newTestDrone(t)
+	for _, name := range []string{"vd3", "vd1", "vd2"} {
+		if _, err := d.VDC.Create(defWith(name, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprint(d.VDC.List()); got != "[vd1 vd2 vd3]" {
+		t.Fatalf("list = %s", got)
+	}
+	clk := &Lockstep{Drone: d}
+	if allocs := testing.AllocsPerRun(100, func() { d.VDC.RelayBreaches(clk) }); allocs != 0 {
+		t.Fatalf("RelayBreaches allocates %.1f times per tick with three virtual drones, want 0", allocs)
+	}
+}
+
 func TestCreateValidation(t *testing.T) {
 	d := newTestDrone(t)
 	def := defWith("", 1)

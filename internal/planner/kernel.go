@@ -6,10 +6,13 @@
 // any move sequence, which recompute() and the parity gates verify.
 //
 // Routes live in one doubly-linked list per fleet drone: nodes 0..n-1 are
-// stops, nodes n..n+R-1 are route sentinels (base). A swap or relocate move
-// touches at most eight legs, so evaluation is O(1) leg-delta arithmetic
-// over the lazy leg table, and a rejected move is undone in place. The warm
-// move loop (step) performs no allocation and takes no locks.
+// stops, nodes n..n+R-1 are route sentinels (base). A move is priced before
+// it is made: eval reads at most eight legs from the lazy leg table and the
+// pre-move counters, and step applies the move only when the Metropolis test
+// accepts it. The test skips math.Exp where it cannot pass, and a one-route
+// problem of at most seven stops has its optimum enumerated up front, so a
+// chain that reaches it stops. The warm move loop (step) performs no
+// allocation and takes no locks.
 
 package planner
 
@@ -115,11 +118,12 @@ type kernel struct {
 
 	bestNext []int32
 	bestCost int64
+	floor    int64 // optimum(): the least cost any tour has, or noFloor
 }
 
 func newKernel(p *problem) *kernel {
 	nn := p.n + p.nRoutes
-	return &kernel{
+	k := &kernel{
 		p: p, legs: newLegTable(p.stops, p.base), nNodes: nn,
 		next: make([]int32, nn), prev: make([]int32, nn),
 		routeOf:  make([]int32, nn),
@@ -129,6 +133,8 @@ func newKernel(p *problem) *kernel {
 		taskRoutes: make([]int32, p.nTasks),
 		bestNext:   make([]int32, nn),
 	}
+	k.floor = k.optimum()
+	return k
 }
 
 // id maps a node to its leg-table id (all sentinels collapse onto base).
@@ -335,12 +341,10 @@ const (
 	moveRelocate = int32(1)
 )
 
-// move is one candidate mutation. Relocate records the original predecessor
-// so a rejected move is undone in place; swap is its own inverse.
+// move is one candidate mutation.
 type move struct {
-	kind  int32
-	a, b  int32 // swap: the two stops; relocate: stop and insertion anchor
-	prevA int32
+	kind int32
+	a, b int32 // swap: the two stops; relocate: stop and insertion anchor
 }
 
 func kintn(r *rng, n int) int {
@@ -371,9 +375,8 @@ func (k *kernel) randomMove(r *rng) move {
 	return move{kind: moveRelocate, a: a, b: t}
 }
 
-// swap exchanges the tour positions of stops a and b. It is an involution:
-// applying it twice restores the links and, because every aggregate delta
-// is exact integer arithmetic over pure leg values, the aggregates too.
+// swap exchanges the tour positions of stops a and b. Adjacent stops swap
+// by relocating the first after the second.
 func (k *kernel) swap(a, b int32) {
 	switch {
 	case k.next[a] == b:
@@ -391,61 +394,268 @@ func (k *kernel) swap(a, b int32) {
 	}
 }
 
-// apply performs the move and returns it annotated for undo.
-func (k *kernel) apply(m move) move {
-	if m.kind == moveSwap {
-		k.swap(m.a, m.b)
-		return m
-	}
-	m.prevA = k.prev[m.a]
-	k.unlink(m.a)
-	k.insertAfter(m.a, m.b)
-	return m
-}
-
-// undo reverts a move applied by apply.
-func (k *kernel) undo(m move) {
+// apply performs the move.
+func (k *kernel) apply(m move) {
 	if m.kind == moveSwap {
 		k.swap(m.a, m.b)
 		return
 	}
 	k.unlink(m.a)
-	k.insertAfter(m.a, m.prevA)
+	k.insertAfter(m.a, m.b)
 }
 
-// step is one warm-loop annealing iteration: draw a move, apply it, accept
-// by the Metropolis criterion or undo in place, and snapshot the tour on
+// eval returns the cost the tour would have after apply(m), without
+// touching the tour: leg lookups for the legs the move removes and adds,
+// the touched routes' battery penalties, the inversions on those edges, and
+// the cap and split counters, all from the pre-move counts. Every aggregate
+// is a pure function of the tour and all arithmetic is integer, so the
+// result equals cost() after apply(m) bit for bit.
+func (k *kernel) eval(m move) int64 {
+	a, b := m.a, m.b
+	switch {
+	case m.kind == moveRelocate || k.next[a] == b:
+		return k.evalRelocate(a, b)
+	case k.next[b] == a:
+		return k.evalRelocate(b, a)
+	}
+	return k.evalSwap(a, b)
+}
+
+// evalRelocate prices moving stop x from between a and b to between at and
+// c = next[at]: six legs. at is neither x nor prev[x], so next[at] is the
+// same before and after x leaves.
+func (k *kernel) evalRelocate(x, at int32) int64 {
+	p := k.p
+	a, b, c := k.prev[x], k.next[x], k.next[at]
+	rx, rt := k.routeOf[x], k.routeOf[at]
+	axD, axE := k.leg(a, x)
+	xbD, xbE := k.leg(x, b)
+	abD, abE := k.leg(a, b)
+	txD, txE := k.leg(at, x)
+	xcD, xcE := k.leg(x, c)
+	tcD, tcE := k.leg(at, c)
+	outD := abD - axD - xbD - p.dwellDur[x]
+	outE := abE - axE - xbE - p.dwellEn[x]
+	inD := txD + xcD - tcD + p.dwellDur[x]
+	inE := txE + xcE - tcE + p.dwellEn[x]
+	batPen := k.batPen + k.penaltyDelta(rx, rt, outE, inE)
+	capOver, splitViol := k.capOver, k.splitViol
+	if rx != rt {
+		t := int(p.task[x])
+		leaves := b2i(k.trc[t*p.nRoutes+int(rx)] == 1)
+		joins := b2i(k.trc[t*p.nRoutes+int(rt)] == 0)
+		if p.cap > 0 {
+			capOver += k.overCap(k.distinct[rx]-leaves) - k.overCap(k.distinct[rx]) +
+				k.overCap(k.distinct[rt]+joins) - k.overCap(k.distinct[rt])
+		}
+		if p.orderedT[t] {
+			tr := k.taskRoutes[t]
+			splitViol += split(tr-leaves+joins) - split(tr)
+		}
+	}
+	adjViol := k.adjViol
+	if p.anyOrdered {
+		adjViol += k.viol(a, b) - k.viol(a, x) - k.viol(x, b) +
+			k.viol(at, x) + k.viol(x, c) - k.viol(at, c)
+	}
+	return k.durTot + outD + inD + batPen + (adjViol+splitViol+capOver)*orderPenaltyUnits
+}
+
+// evalSwap prices exchanging non-adjacent stops a and b: eight legs, a's
+// slot pa -> a -> na becoming pa -> b -> na and b's slot likewise.
+func (k *kernel) evalSwap(a, b int32) int64 {
+	p := k.p
+	pa, na, pb, nb := k.prev[a], k.next[a], k.prev[b], k.next[b]
+	ra, rb := k.routeOf[a], k.routeOf[b]
+	paD, paE := k.leg(pa, a)
+	anD, anE := k.leg(a, na)
+	pbD, pbE := k.leg(pb, b)
+	bnD, bnE := k.leg(b, nb)
+	pabD, pabE := k.leg(pa, b)
+	bnaD, bnaE := k.leg(b, na)
+	pbaD, pbaE := k.leg(pb, a)
+	anbD, anbE := k.leg(a, nb)
+	dwD := p.dwellDur[b] - p.dwellDur[a]
+	dwE := p.dwellEn[b] - p.dwellEn[a]
+	inAD := pabD + bnaD - paD - anD + dwD // route ra: a's slot now holds b
+	inAE := pabE + bnaE - paE - anE + dwE
+	inBD := pbaD + anbD - pbD - bnD - dwD // route rb: b's slot now holds a
+	inBE := pbaE + anbE - pbE - bnE - dwE
+	batPen := k.batPen + k.penaltyDelta(ra, rb, inAE, inBE)
+	capOver, splitViol := k.capOver, k.splitViol
+	ta, tb := int(p.task[a]), int(p.task[b])
+	if ra != rb && ta != tb {
+		R := p.nRoutes
+		aLeaves := b2i(k.trc[ta*R+int(ra)] == 1)
+		aJoins := b2i(k.trc[ta*R+int(rb)] == 0)
+		bLeaves := b2i(k.trc[tb*R+int(rb)] == 1)
+		bJoins := b2i(k.trc[tb*R+int(ra)] == 0)
+		if p.cap > 0 {
+			capOver += k.overCap(k.distinct[ra]-aLeaves+bJoins) - k.overCap(k.distinct[ra]) +
+				k.overCap(k.distinct[rb]-bLeaves+aJoins) - k.overCap(k.distinct[rb])
+		}
+		if p.orderedT[ta] {
+			tr := k.taskRoutes[ta]
+			splitViol += split(tr-aLeaves+aJoins) - split(tr)
+		}
+		if p.orderedT[tb] {
+			tr := k.taskRoutes[tb]
+			splitViol += split(tr-bLeaves+bJoins) - split(tr)
+		}
+	}
+	adjViol := k.adjViol
+	if p.anyOrdered {
+		adjViol += k.viol(pa, b) + k.viol(b, na) + k.viol(pb, a) + k.viol(a, nb) -
+			k.viol(pa, a) - k.viol(a, na) - k.viol(pb, b) - k.viol(b, nb)
+	}
+	return k.durTot + inAD + inBD + batPen + (adjViol+splitViol+capOver)*orderPenaltyUnits
+}
+
+// penaltyDelta is the battery-penalty change when route ra's energy moves
+// by da and route rb's by db; ra and rb may be the same route.
+func (k *kernel) penaltyDelta(ra, rb int32, da, db int64) int64 {
+	budget := k.p.budget
+	if ra == rb {
+		e := k.routeEn[ra]
+		return penalty(e+da+db, budget) - penalty(e, budget)
+	}
+	ea, eb := k.routeEn[ra], k.routeEn[rb]
+	return penalty(ea+da, budget) - penalty(ea, budget) + penalty(eb+db, budget) - penalty(eb, budget)
+}
+
+// viol is isViol as a count.
+func (k *kernel) viol(u, v int32) int64 {
+	if k.isViol(u, v) {
+		return 1
+	}
+	return 0
+}
+
+// overCap is a route's capacity overage with d distinct tasks.
+func (k *kernel) overCap(d int32) int64 {
+	if d > k.p.cap {
+		return int64(d - k.p.cap)
+	}
+	return 0
+}
+
+// split is an ordered task's split count when it spans tr routes.
+func split(tr int32) int64 {
+	if tr > 1 {
+		return int64(tr - 1)
+	}
+	return 0
+}
+
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// metropolisFloor is the exponent below which the Metropolis test cannot
+// pass: uniform never returns less than 2^-54, and e^x < 2^-54 for every
+// x < -40 (e^-40 is about 4.2e-18, 2^-54 about 5.6e-17).
+const metropolisFloor = -40
+
+// accept is the Metropolis test u < e^(delta/temp) for a move that raises
+// the cost by -delta units. It draws u whatever the verdict, so the RNG
+// stream is the one the plain test consumes, and skips math.Exp where the
+// test cannot pass.
+func accept(r *rng, delta int64, temp float64) bool {
+	u := r.uniform()
+	x := float64(delta) / temp
+	return x >= metropolisFloor && u < math.Exp(x)
+}
+
+// step is one warm-loop annealing iteration: draw a move, price it, apply
+// it only if the Metropolis criterion accepts it, and snapshot the tour on
 // improvement. No allocation, no locking.
 //
 //vet:hotpath the annealing move loop runs O(iterations x restarts) per plan
 func (k *kernel) step(r *rng, temp float64) {
 	m := k.randomMove(r)
 	before := k.cost()
-	m = k.apply(m)
-	after := k.cost()
-	if after < before || r.uniform() < math.Exp(float64(before-after)/temp) {
+	after := k.eval(m)
+	if after < before || accept(r, before-after, temp) {
+		k.apply(m)
 		if after < k.bestCost {
 			k.bestCost = after
 			copy(k.bestNext, k.next)
 		}
-		return
 	}
-	k.undo(m)
 }
 
 // anneal runs one chain over the loaded state with geometric cooling,
 // leaving the best tour found in bestNext/bestCost. load must have been
-// called first.
+// called first. A chain whose best reaches the kernel's proven floor stops
+// there: a snapshot needs after < bestCost, which no tour can then give, so
+// the rest of the chain could not change bestNext or bestCost.
 func (k *kernel) anneal(r *rng, iterations int) {
 	if k.p.n == 0 || (k.p.n == 1 && k.p.nRoutes == 1) {
 		return
 	}
 	temp := math.Max(float64(k.bestCost)*0.1, unitScale)
 	cooling := math.Pow(0.001*unitScale/temp, 1/float64(iterations))
-	for i := 0; i < iterations; i++ {
+	for i := 0; i < iterations && k.bestCost != k.floor; i++ {
 		k.step(r, temp)
 		temp *= cooling
 	}
+}
+
+// floorStops bounds the problems whose optimum optimum enumerates.
+const floorStops = 7
+
+// noFloor is the floor of a problem optimum does not solve; no cost equals
+// it, since every cost is non-negative.
+const noFloor = int64(-1)
+
+// optimum returns the least cost any tour can have when the problem is one
+// route of at most floorStops stops, and noFloor otherwise. It enumerates
+// the stop orders depth first under the objective recompute sums — legs,
+// dwells, battery penalty, inversions and cap overage (one route cannot
+// split a task) — pruning a prefix once its partial sum, which only grows
+// as stops are appended, reaches the best complete order.
+func (k *kernel) optimum() int64 {
+	p := k.p
+	if p.nRoutes != 1 || p.n > floorStops {
+		return noFloor
+	}
+	var fixedDur, dwellEn int64 // dwells and cap overage: the same in every order
+	for x := 0; x < p.n; x++ {
+		fixedDur += p.dwellDur[x]
+		dwellEn += p.dwellEn[x]
+	}
+	if p.cap > 0 && int32(p.nTasks) > p.cap {
+		fixedDur += int64(int32(p.nTasks)-p.cap) * orderPenaltyUnits
+	}
+	home := int32(p.n)
+	all := uint32(1)<<p.n - 1
+	best := int64(math.MaxInt64)
+	var visit func(last int32, used uint32, dur, en, adj int64)
+	visit = func(last int32, used uint32, dur, en, adj int64) {
+		if used == all {
+			d, e := k.leg(last, home)
+			dur, en = dur+d, en+e
+		}
+		c := fixedDur + dur + penalty(en+dwellEn, p.budget) + adj*orderPenaltyUnits
+		if c >= best {
+			return
+		}
+		if used == all {
+			best = c
+			return
+		}
+		for x := int32(0); x < int32(p.n); x++ {
+			if used&(1<<x) == 0 {
+				d, e := k.leg(last, x)
+				visit(x, used|1<<x, dur+d, en+e, adj+k.viol(last, x))
+			}
+		}
+	}
+	visit(home, 0, 0, 0, 0)
+	return best
 }
 
 // recompute walks the link structure and rebuilds the objective from

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -46,18 +47,7 @@ func TestKernelParityRandomMoves(t *testing.T) {
 	// The incremental cost must equal the naive from-scratch cost
 	// bit-for-bit after every move, across fleet sizes, ordering
 	// constraints, and capacity caps.
-	cases := []struct {
-		name    string
-		fleet   int
-		cap     int
-		ordered float64
-	}{
-		{"single-route", 1, 0, 0},
-		{"fleet", 4, 0, 0},
-		{"ordered", 3, 0, 0.5},
-		{"capped", 3, 3, 0.3},
-	}
-	for _, tc := range cases {
+	for _, tc := range parityCases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(base)
 			cfg.FleetSize = tc.fleet
@@ -71,30 +61,153 @@ func TestKernelParityRandomMoves(t *testing.T) {
 	}
 }
 
-func TestKernelApplyUndoExact(t *testing.T) {
-	// A rejected move must leave every aggregate exactly as it was: apply
-	// followed by undo restores the cost bit-for-bit (and the naive
-	// recomputation agrees).
-	cfg := DefaultConfig(base)
-	cfg.FleetSize = 3
-	cfg.MaxTasksPerRoute = 3
-	tasks := genTasks(newRNG("undo"), 24, 3, 0.4)
-	_, k := loadKernel(cfg, tasks)
-	r := newRNG("undo/moves")
-	for i := 0; i < 3000; i++ {
-		before := k.cost()
-		m := k.apply(k.randomMove(r))
-		k.undo(m)
-		if after := k.cost(); after != before {
-			t.Fatalf("move %d: cost %d -> %d after apply+undo", i, before, after)
+// parityCases are the kernel configurations the parity and eval tests run.
+var parityCases = []struct {
+	name    string
+	fleet   int
+	cap     int
+	ordered float64
+}{
+	{"single-route", 1, 0, 0},
+	{"fleet", 4, 0, 0},
+	{"ordered", 3, 0, 0.5},
+	{"capped", 3, 3, 0.3},
+}
+
+func TestKernelEvalExact(t *testing.T) {
+	// eval(m) must equal cost() after apply(m) bit for bit. Every 500
+	// moves the kernel is reloaded with every stop on route 0, so the walk
+	// keeps meeting empty routes as well as adjacent swaps.
+	const moves = 20000
+	for _, tc := range parityCases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(base)
+			cfg.FleetSize = tc.fleet
+			cfg.MaxTasksPerRoute = tc.cap
+			prob, k := loadKernel(cfg, genTasks(newRNG("eval-"+tc.name), 30, 3, tc.ordered))
+			all := make([]int32, prob.n)
+			for i := range all {
+				all[i] = int32(i)
+			}
+			r := newRNG("eval/" + tc.name)
+			var adjacent, intoEmpty int
+			for i := 0; i < moves; i++ {
+				if i%500 == 0 {
+					k.load([][]int32{all})
+				}
+				m := k.randomMove(r)
+				if m.kind == moveSwap && (k.next[m.a] == m.b || k.next[m.b] == m.a) {
+					adjacent++
+				}
+				if m.kind == moveRelocate && k.next[m.b] == m.b {
+					intoEmpty++
+				}
+				want := k.eval(m)
+				k.apply(m)
+				if got := k.cost(); got != want {
+					t.Fatalf("move %d %+v: eval %d, cost after apply %d", i, m, want, got)
+				}
+				if i%1000 == 999 {
+					if got, naive := k.cost(), k.recompute(); got != naive {
+						t.Fatalf("move %d: incremental %d != naive %d", i, got, naive)
+					}
+				}
+			}
+			if adjacent == 0 || (tc.fleet > 1 && intoEmpty == 0) {
+				t.Fatalf("walk met %d adjacent swaps and %d relocations into empty routes", adjacent, intoEmpty)
+			}
+		})
+	}
+}
+
+// permutations calls f with every order of 0..n-1 (Heap's algorithm).
+func permutations(n int, f func([]int32)) {
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	var gen func(m int)
+	gen = func(m int) {
+		if m <= 1 {
+			f(perm)
+			return
 		}
-		// Drift the state with an accepted move so undo is exercised from
-		// many configurations.
-		k.apply(k.randomMove(r))
+		for i := 0; i < m; i++ {
+			gen(m - 1)
+			if m%2 == 0 {
+				perm[i], perm[m-1] = perm[m-1], perm[i]
+			} else {
+				perm[0], perm[m-1] = perm[m-1], perm[0]
+			}
+		}
 	}
-	if got, want := k.cost(), k.recompute(); got != want {
-		t.Fatalf("final incremental cost %d != naive %d", got, want)
+	gen(n)
+}
+
+func TestKernelFloor(t *testing.T) {
+	// On every one-route instance of the pinned corpus with at most
+	// floorStops stops, the floor equals the least recompute() over all
+	// stop orders; larger or multi-route problems have none.
+	checked := 0
+	for _, in := range pinCorpus() {
+		cfg := in.cfg
+		prob, k := loadKernel(cfg, in.tasks)
+		if cfg.FleetSize != 1 || prob.n > floorStops {
+			if k.floor != noFloor {
+				t.Fatalf("%s: %d stops on %d routes, floor %d", in.group, prob.n, cfg.FleetSize, k.floor)
+			}
+			continue
+		}
+		brute := int64(math.MaxInt64)
+		permutations(prob.n, func(perm []int32) {
+			k.load([][]int32{perm})
+			if c := k.recompute(); c < brute {
+				brute = c
+			}
+		})
+		if k.floor != brute {
+			t.Fatalf("%s %s: floor %d, brute-force minimum %d", in.group, cfg.Seed, k.floor, brute)
+		}
+		checked++
 	}
+	if checked != 432 {
+		t.Fatalf("checked %d one-route instances, want 432", checked)
+	}
+}
+
+func TestKernelMetropolisShortcut(t *testing.T) {
+	// accept refuses without math.Exp when x < metropolisFloor. That is
+	// the plain test's verdict only because uniform's least value, at
+	// next()>>11 == 0, is 2^-54 and e^x lies below it for every such x.
+	r := &rng{state: unxorshift(1)}
+	if got := r.uniform(); got != 0x1p-54 {
+		t.Fatalf("uniform at next()==1 is %g, want 2^-54", got)
+	}
+	for x := float64(metropolisFloor); x > -800; x -= 0.37 {
+		if math.Exp(x) >= 0x1p-54 {
+			t.Fatalf("e^%g is not below 2^-54", x)
+		}
+	}
+}
+
+// unxorshift returns the state whose next() is y, inverting each of
+// rng.next's three xorshift steps in reverse order.
+func unxorshift(y uint64) uint64 {
+	undoLeft := func(y uint64, s uint) uint64 {
+		x := y
+		for i := s; i < 64; i += s {
+			x ^= y << i
+		}
+		return x
+	}
+	undoRight := func(y uint64, s uint) uint64 {
+		x := y
+		for i := s; i < 64; i += s {
+			x ^= y >> i
+		}
+		return x
+	}
+	return undoLeft(undoRight(undoLeft(y, 17), 7), 13)
 }
 
 func TestKernelStepZeroAlloc(t *testing.T) {
