@@ -159,6 +159,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzAppendOrderJSON -fuzztime=$(FUZZTIME) ./internal/cloud
 	$(GO) test -run='^$$' -fuzz=FuzzVDRRoundTrip -fuzztime=$(FUZZTIME) ./internal/cloud
 	$(GO) test -run='^$$' -fuzz=FuzzRecorderArchive -fuzztime=$(FUZZTIME) ./internal/telemetry
+	$(GO) test -run='^$$' -fuzz=FuzzRoutes -fuzztime=$(FUZZTIME) ./internal/service
 
 # Coverage ratchet: total statement coverage must not drop below the floor
 # recorded in coverage-baseline.txt. Raise the floor when coverage grows.
