@@ -1060,7 +1060,8 @@ const tenantMemoKey = "framework.tenant"
 // TenantReachable computes (once, memoized) the set of functions reachable
 // from tenant entry points — binder transaction handlers (functions
 // assignable to the binder Handler func type) and portal HTTP handlers
-// (func(http.ResponseWriter, *http.Request)) — mapped to the entry that
+// (func(http.ResponseWriter, *http.Request), or a route table's handler
+// that takes its path values after them) — mapped to the entry that
 // reaches them, breadth-first in declaration order so the attribution is
 // deterministic. Interface edges are followed with the usual fan-out
 // bound; function values and reflection stay unresolved.
@@ -1134,9 +1135,12 @@ func isTenantEntry(fn *types.Func, handlerSig *types.Signature) bool {
 	return isHTTPHandlerSig(sig)
 }
 
-// isHTTPHandlerSig matches func(net/http.ResponseWriter, *net/http.Request).
+// isHTTPHandlerSig matches func(net/http.ResponseWriter, *net/http.Request),
+// with or without further parameters after them: a route table calls its
+// handlers through function values, which the call graph does not follow,
+// so each handler is an entry of its own.
 func isHTTPHandlerSig(sig *types.Signature) bool {
-	if sig.Params().Len() != 2 || sig.Results().Len() != 0 {
+	if sig.Params().Len() < 2 || sig.Results().Len() != 0 {
 		return false
 	}
 	isHTTP := func(t types.Type, name string) bool {

@@ -1,8 +1,9 @@
 // Package critbad exercises the critical-path blocking contract: a
 // //vet:hotpath-rooted function acquiring a lock that tenant-reachable
-// code (a binder transaction handler, a portal HTTP handler) also holds
-// is convicted unless the lock is on the sanctioned hot-path list. The
-// hot-only mutex and the sanctioned VFC lock prove the silent side.
+// code (a binder transaction handler, a portal HTTP handler, a route
+// table's handler) also holds is convicted unless the lock is on the
+// sanctioned hot-path list. The hot-only mutex and the sanctioned VFC lock
+// prove the silent side.
 package critbad
 
 import (
@@ -62,4 +63,23 @@ func ServeStat(w http.ResponseWriter, r *http.Request) {
 func Flush() {
 	web.wmu.Lock() // want `flight-critical path from Flush acquires critbad.Web.wmu, which tenant-reachable code also holds \(ServeStat via ServeStat`
 	web.wmu.Unlock()
+}
+
+// Board's bmu is shared between a route table's handler, which takes its
+// path values after the request, and a hot root.
+type Board struct {
+	bmu sync.Mutex
+}
+
+var board Board
+
+func ServeRow(w http.ResponseWriter, r *http.Request, v [2]string) {
+	board.bmu.Lock()
+	board.bmu.Unlock()
+}
+
+//vet:hotpath fixture: a hot root sharing a routed handler's mutex
+func Post() {
+	board.bmu.Lock() // want `flight-critical path from Post acquires critbad.Board.bmu, which tenant-reachable code also holds \(ServeRow via ServeRow`
+	board.bmu.Unlock()
 }

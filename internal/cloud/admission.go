@@ -3,10 +3,12 @@ package cloud
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"androne/internal/telemetry"
 )
 
 // Admission control is the portal's front door (ROADMAP item 2): per-tenant
@@ -16,7 +18,7 @@ import (
 // portal answers some requests fast and refuses the rest cheaply, rather
 // than answering all of them late. One flooding tenant exhausts its own
 // bucket, not the service: the isolation contract is pinned by
-// TestFloodingTenantIsolation.
+// TestFloodingTenantDoesNotRaiseVictimP99 (internal/loadgen).
 
 // TenantHeader carries the tenant identity on portal requests. Admission
 // falls back to the user query parameter, then to "anon" — so unauthenticated
@@ -112,12 +114,18 @@ type AdmissionConfig struct {
 
 // Admission is the portal's admission-control middleware.
 type Admission struct {
-	limiter    *RateLimiter
-	sem        chan struct{}
-	maxQueued  int64
-	queued     atomic.Int64
-	maxWait    time.Duration
-	retryAfter time.Duration
+	limiter     *RateLimiter
+	maxInFlight int
+	maxQueued   int
+	maxWait     time.Duration
+	retryAfter  time.Duration
+
+	mu       sync.Mutex
+	inFlight int
+	// waiters queue, first come first served, for an in-flight slot. A
+	// release hands its slot to waiters[0] through its 1-buffered channel
+	// instead of freeing it.
+	waiters []chan struct{}
 }
 
 // NewAdmission builds the middleware from cfg.
@@ -141,18 +149,19 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 		cfg.RetryAfter = time.Second
 	}
 	return &Admission{
-		limiter:    NewRateLimiter(cfg.RatePerTenant, cfg.Burst, cfg.Now),
-		sem:        make(chan struct{}, cfg.MaxInFlight),
-		maxQueued:  int64(cfg.MaxQueued),
-		maxWait:    cfg.MaxWait,
-		retryAfter: cfg.RetryAfter,
+		limiter:     NewRateLimiter(cfg.RatePerTenant, cfg.Burst, cfg.Now),
+		maxInFlight: cfg.MaxInFlight,
+		maxQueued:   cfg.MaxQueued,
+		maxWait:     cfg.MaxWait,
+		retryAfter:  cfg.RetryAfter,
 	}
 }
 
 // TenantOf extracts the tenant identity from a request.
 func TenantOf(r *http.Request) string {
-	if t := r.Header.Get(TenantHeader); t != "" {
-		return t
+	// TenantHeader is in canonical form: index the map with it as it is.
+	if v := r.Header[TenantHeader]; len(v) > 0 && v[0] != "" {
+		return v[0]
 	}
 	if t := r.URL.Query().Get("user"); t != "" {
 		return t
@@ -184,24 +193,54 @@ func endpointOf(r *http.Request) string {
 // acquire takes an in-flight slot, waiting up to maxWait in the bounded
 // queue. It reports false when the request must be shed.
 func (a *Admission) acquire() bool {
-	select {
-	case a.sem <- struct{}{}:
+	a.mu.Lock()
+	if a.inFlight < a.maxInFlight {
+		a.inFlight++
+		a.mu.Unlock()
 		return true
-	default:
 	}
-	if a.queued.Add(1) > a.maxQueued {
-		a.queued.Add(-1)
+	if len(a.waiters) >= a.maxQueued {
+		a.mu.Unlock()
 		return false
 	}
-	defer a.queued.Add(-1)
+	ready := make(chan struct{}, 1)
+	a.waiters = append(a.waiters, ready)
+	a.mu.Unlock()
+
 	t := time.NewTimer(a.maxWait)
 	defer t.Stop()
 	select {
-	case a.sem <- struct{}{}:
+	case <-ready:
 		return true
 	case <-t.C:
+	}
+	a.mu.Lock()
+	if i := slices.Index(a.waiters, ready); i >= 0 {
+		a.waiters = slices.Delete(a.waiters, i, i+1)
+		a.mu.Unlock()
 		return false
 	}
+	a.mu.Unlock()
+	// A release handed this request a slot as its wait ran out: pass the
+	// slot on.
+	<-ready
+	a.release()
+	return false
+}
+
+// release frees an in-flight slot, or hands it to the longest waiter.
+func (a *Admission) release() {
+	a.mu.Lock()
+	if len(a.waiters) == 0 {
+		a.inFlight--
+		a.mu.Unlock()
+		return
+	}
+	next := a.waiters[0]
+	a.waiters[0] = nil
+	a.waiters = a.waiters[1:]
+	a.mu.Unlock()
+	next <- struct{}{} // never blocks: next was dequeued once, and holds one
 }
 
 func (a *Admission) shed(w http.ResponseWriter, reason string) {
@@ -210,27 +249,44 @@ func (a *Admission) shed(w http.ResponseWriter, reason string) {
 		map[string]string{"error": "overloaded: " + reason + ", retry later"})
 }
 
+// admit runs r through the tenant's token bucket, then the bounded queue.
+// A request shed by either is answered 429 and admit reports false; an
+// admitted one holds an in-flight slot until done.
+func (a *Admission) admit(w http.ResponseWriter, r *http.Request) bool {
+	if !a.limiter.Allow(TenantOf(r)) {
+		mShedRate.Inc()
+		a.shed(w, "tenant rate limit")
+		return false
+	}
+	if !a.acquire() {
+		mShedQueue.Inc()
+		a.shed(w, "service queue full")
+		return false
+	}
+	return true
+}
+
+// done releases an admitted request's slot and times it, from start, in
+// its endpoint's latency histogram lat (nil: not timed).
+func (a *Admission) done(lat *telemetry.Histogram, start time.Time) {
+	a.release()
+	mAdmitted.Inc()
+	if lat != nil {
+		lat.Observe(time.Since(start).Seconds())
+	}
+}
+
 // Wrap applies admission control around next: token bucket per tenant,
-// then the bounded queue, then per-endpoint latency accounting.
+// then the bounded queue, then per-endpoint latency accounting, the
+// endpoint named by endpointOf. A route table admits its rows itself.
 func (a *Admission) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		endpoint := endpointOf(r)
-		if !a.limiter.Allow(TenantOf(r)) {
-			mShedRate.Inc()
-			a.shed(w, "tenant rate limit")
-			return
-		}
-		if !a.acquire() {
-			mShedQueue.Inc()
-			a.shed(w, "service queue full")
+		lat := mEndpointLatency[endpointOf(r)]
+		if !a.admit(w, r) {
 			return
 		}
 		start := time.Now()
 		next.ServeHTTP(w, r)
-		<-a.sem
-		mAdmitted.Inc()
-		if h, ok := mEndpointLatency[endpoint]; ok {
-			h.Observe(time.Since(start).Seconds())
-		}
+		a.done(lat, start)
 	})
 }

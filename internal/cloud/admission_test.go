@@ -3,6 +3,7 @@ package cloud
 import (
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -260,5 +261,93 @@ func TestEndpointClassification(t *testing.T) {
 		if got := endpointOf(httptest.NewRequest(http.MethodGet, path, nil)); got != want {
 			t.Errorf("endpointOf(%s) = %q, want %q", path, got, want)
 		}
+	}
+}
+
+// queued reports how many requests wait for an in-flight slot.
+func (a *Admission) queued() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.waiters)
+}
+
+// TestAdmissionServesQueueInOrder parks the only in-flight slot, queues
+// three requests one after another, and checks that each release hands
+// the slot to the longest waiter.
+func TestAdmissionServesQueueInOrder(t *testing.T) {
+	adm := NewAdmission(AdmissionConfig{RatePerTenant: -1, MaxInFlight: 1, MaxQueued: 3, MaxWait: 5 * time.Second})
+	release := make(chan struct{})
+	entered := make(chan string)
+	h := adm.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		entered <- TenantOf(r)
+		<-release
+	}))
+	var wg sync.WaitGroup
+	do := func(tenant string) {
+		defer wg.Done()
+		req := httptest.NewRequest(http.MethodGet, "/api/vdr", nil)
+		req.Header.Set(TenantHeader, tenant)
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	wg.Add(1)
+	go do("first")
+	<-entered
+	for i, tenant := range []string{"q1", "q2", "q3"} {
+		wg.Add(1)
+		go do(tenant)
+		for adm.queued() != i+1 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, want := range []string{"q1", "q2", "q3"} {
+		release <- struct{}{}
+		if got := <-entered; got != want {
+			t.Fatalf("slot went to %s, want %s", got, want)
+		}
+	}
+	release <- struct{}{}
+	wg.Wait()
+	if adm.inFlight != 0 || adm.queued() != 0 {
+		t.Fatalf("after the queue drained: %d in flight, %d queued", adm.inFlight, adm.queued())
+	}
+}
+
+// TestAdmissionLateHandoffPassesSlotOn times a waiter out while a release
+// is handing it the slot: the waiter is shed and passes the slot on, so
+// no slot leaks.
+func TestAdmissionLateHandoffPassesSlotOn(t *testing.T) {
+	adm := NewAdmission(AdmissionConfig{RatePerTenant: -1, MaxInFlight: 1, MaxQueued: 1, MaxWait: 50 * time.Millisecond})
+	if !adm.acquire() {
+		t.Fatal("free slot refused")
+	}
+	got := make(chan bool)
+	go func() { got <- adm.acquire() }()
+	for adm.queued() != 1 {
+		runtime.Gosched()
+	}
+	// Hold the lock past MaxWait, so the waiter's timer fires before it
+	// can look for itself in the queue, then release as release does.
+	adm.mu.Lock()
+	time.Sleep(100 * time.Millisecond)
+	next := adm.waiters[0]
+	adm.waiters = adm.waiters[1:]
+	adm.mu.Unlock()
+	next <- struct{}{}
+	if <-got {
+		t.Fatal("waiter admitted after MaxWait")
+	}
+	if adm.inFlight != 0 {
+		t.Fatalf("%d slots in flight after the handoff was passed on, want 0", adm.inFlight)
+	}
+	if !adm.acquire() {
+		t.Fatal("slot leaked")
+	}
+}
+
+// TestTenantHeaderCanonical pins that TenantHeader is in canonical form,
+// which lets TenantOf index the header map without canonicalising.
+func TestTenantHeaderCanonical(t *testing.T) {
+	if c := http.CanonicalHeaderKey(TenantHeader); c != TenantHeader {
+		t.Fatalf("TenantHeader %q is not canonical (%q)", TenantHeader, c)
 	}
 }

@@ -29,7 +29,7 @@ type Portal struct {
 	Validate DefinitionValidator
 	Estimate EstimateFunc
 
-	mux *http.ServeMux
+	routes *Routes
 }
 
 // NewPortal assembles the portal over the cloud components. validate may be
@@ -38,29 +38,29 @@ func NewPortal(apps *AppStore, files *Storage, repo *VDR, orders *Orders,
 	validate DefinitionValidator, estimate EstimateFunc) *Portal {
 	p := &Portal{Apps: apps, Files: files, Repo: repo, Orders: orders,
 		Validate: validate, Estimate: estimate}
-	p.mux = http.NewServeMux()
-	p.Register(p.mux)
+	p.routes = NewRoutes(nil, p.Routes()...)
 	return p
 }
 
-// Register adds the portal's routes to mux. NewPortal registers them on
-// the portal's own mux, which ServeHTTP serves; a service registers them
-// on the mux behind its admission control, beside its operator routes, so
-// a request is routed once.
-func (p *Portal) Register(mux *http.ServeMux) {
-	mux.HandleFunc("GET /api/apps", p.listApps)
-	mux.HandleFunc("GET /api/apps/{pkg}", p.getApp)
-	mux.HandleFunc("POST /api/apps", p.publishApp)
-	mux.HandleFunc("POST /api/orders", p.createOrder)
-	mux.HandleFunc("GET /api/orders", p.listOrders)
-	mux.HandleFunc("GET /api/orders/{id}", p.getOrder)
-	mux.HandleFunc("GET /api/files/{user}", p.listFiles)
-	mux.HandleFunc("GET /api/files/{user}/{path...}", p.getFile)
-	mux.HandleFunc("GET /api/vdr", p.listVDR)
+// Routes returns the portal's rows of a route table. ServeHTTP serves them
+// alone; a service serves them beside its operator routes, behind its
+// admission control.
+func (p *Portal) Routes() []Route {
+	return []Route{
+		{"GET", "/api/apps", "apps", p.listApps},
+		{"GET", "/api/apps/{pkg}", "apps", p.getApp},
+		{"POST", "/api/apps", "apps", p.publishApp},
+		{"POST", "/api/orders", "orders", p.createOrder},
+		{"GET", "/api/orders", "orders", p.listOrders},
+		{"GET", "/api/orders/{id}", "order", p.getOrder},
+		{"GET", "/api/files/{user}", "files", p.listFiles},
+		{"GET", "/api/files/{user}/{path...}", "files", p.getFile},
+		{"GET", "/api/vdr", "vdr", p.listVDR},
+	}
 }
 
 // ServeHTTP implements http.Handler.
-func (p *Portal) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.mux.ServeHTTP(w, r) }
+func (p *Portal) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.routes.ServeHTTP(w, r) }
 
 // WriteJSON answers with status and v encoded as encoding/json's Encoder
 // writes it (trailing newline included). v is encoded before the header
@@ -111,7 +111,7 @@ func writeOrder(w http.ResponseWriter, status int, ord *Order) {
 	writeBody(w, status, append(body, '\n'))
 }
 
-func (p *Portal) listApps(w http.ResponseWriter, r *http.Request) {
+func (p *Portal) listApps(w http.ResponseWriter, r *http.Request, _ PathValues) {
 	body, err := p.Apps.ListingJSON()
 	if err != nil {
 		writeEncodeError(w, err)
@@ -120,8 +120,8 @@ func (p *Portal) listApps(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, body)
 }
 
-func (p *Portal) getApp(w http.ResponseWriter, r *http.Request) {
-	app, err := p.Apps.Get(r.PathValue("pkg"))
+func (p *Portal) getApp(w http.ResponseWriter, r *http.Request, v PathValues) {
+	app, err := p.Apps.Get(v[0])
 	if err != nil {
 		writeError(w, err)
 		return
@@ -129,7 +129,7 @@ func (p *Portal) getApp(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, app)
 }
 
-func (p *Portal) publishApp(w http.ResponseWriter, r *http.Request) {
+func (p *Portal) publishApp(w http.ResponseWriter, r *http.Request, _ PathValues) {
 	var app StoreApp
 	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&app); err != nil {
 		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
@@ -149,7 +149,7 @@ type orderRequest struct {
 	Definition json.RawMessage `json:"definition"`
 }
 
-func (p *Portal) createOrder(w http.ResponseWriter, r *http.Request) {
+func (p *Portal) createOrder(w http.ResponseWriter, r *http.Request, _ PathValues) {
 	var req orderRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 4<<20)).Decode(&req); err != nil {
 		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
@@ -190,7 +190,7 @@ func (p *Portal) createOrder(w http.ResponseWriter, r *http.Request) {
 	writeOrder(w, http.StatusCreated, got)
 }
 
-func (p *Portal) listOrders(w http.ResponseWriter, r *http.Request) {
+func (p *Portal) listOrders(w http.ResponseWriter, r *http.Request, _ PathValues) {
 	orders := p.Orders.List(r.URL.Query().Get("user"))
 	size := 2
 	for i := range orders {
@@ -204,8 +204,8 @@ func (p *Portal) listOrders(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, body)
 }
 
-func (p *Portal) getOrder(w http.ResponseWriter, r *http.Request) {
-	ord, err := p.Orders.Get(r.PathValue("id"))
+func (p *Portal) getOrder(w http.ResponseWriter, r *http.Request, v PathValues) {
+	ord, err := p.Orders.Get(v[0])
 	if err != nil {
 		writeError(w, err)
 		return
@@ -213,13 +213,12 @@ func (p *Portal) getOrder(w http.ResponseWriter, r *http.Request) {
 	writeOrder(w, http.StatusOK, ord)
 }
 
-func (p *Portal) listFiles(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, p.Files.List(r.PathValue("user")))
+func (p *Portal) listFiles(w http.ResponseWriter, r *http.Request, v PathValues) {
+	WriteJSON(w, http.StatusOK, p.Files.List(v[0]))
 }
 
-func (p *Portal) getFile(w http.ResponseWriter, r *http.Request) {
-	user := r.PathValue("user")
-	path := r.PathValue("path")
+func (p *Portal) getFile(w http.ResponseWriter, r *http.Request, v PathValues) {
+	user, path := v[0], v[1]
 	if !strings.HasPrefix(path, "/") {
 		path = "/" + path
 	}
@@ -233,7 +232,7 @@ func (p *Portal) getFile(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
-func (p *Portal) listVDR(w http.ResponseWriter, r *http.Request) {
+func (p *Portal) listVDR(w http.ResponseWriter, r *http.Request, _ PathValues) {
 	// Manifests are the layer-level view: a few hundred bytes per entry,
 	// no checkpoint reassembly, no payload bytes leaked into listings.
 	body, err := p.Repo.ManifestsJSON()

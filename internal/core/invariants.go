@@ -70,59 +70,71 @@ type vdCheck struct {
 // notes each failure on clk as a Violated milestone. Names not on d (a
 // drone saved mid-flight) reset their per-tick state.
 func (iv *Invariants) Run(d *Drone, tick int, names []string, clk Clock) {
+	for _, name := range names {
+		if vd := d.VDC.lookup(name); vd != nil {
+			iv.check(d, tick, vd, clk)
+		} else if st := iv.state[name]; st != nil {
+			st.over, st.recovering = 0, false
+		}
+	}
+}
+
+// runAll checks tick for every virtual drone on d, in name order.
+func (iv *Invariants) runAll(d *Drone, tick int, clk Clock) {
+	for _, vd := range d.VDC.snapshot() {
+		iv.check(d, tick, vd, clk)
+	}
+}
+
+// check runs the checks on one virtual drone.
+func (iv *Invariants) check(d *Drone, tick int, vd *VirtualDrone, clk Clock) {
 	if iv.state == nil {
 		iv.state = make(map[string]*vdCheck)
 	}
-	for _, name := range names {
-		st := iv.state[name]
-		if st == nil {
-			st = &vdCheck{}
-			iv.state[name] = st
-		}
-		vd, err := d.VDC.Get(name)
-		if err != nil {
-			st.over, st.recovering = 0, false
-			continue
-		}
-		violate := func(checker, detail string) {
-			clk.Note(Milestone{Kind: Violated, Task: name,
-				Err: Violation{Tick: tick, Checker: checker, Drone: name, Detail: detail}})
-		}
-		active := vd.VFC.State() == mavproxy.VFCActive
-
-		if active && tick%canaryPeriod == 0 {
-			canary := &mavlink.CommandLong{Command: mavlink.CmdComponentArmDisarm, Param1: 1}
-			for _, reply := range vd.VFC.Send(canary) {
-				if ack, ok := reply.(*mavlink.CommandAck); ok && ack.Result == mavlink.ResultAccepted {
-					violate("whitelist-canary", "non-whitelisted COMPONENT_ARM_DISARM accepted by the controller")
-				}
-			}
-		}
-
-		if active && vd.Allotment.Exhausted() {
-			st.over++
-		} else {
-			st.over = 0
-		}
-		if st.over > graceTicks && !st.fired {
-			st.fired = true
-			violate("allotment-guard", fmt.Sprintf(
-				"allotment exhausted (time %.1fs, energy %.0fJ left) but VFC still active after %.1fs",
-				vd.Allotment.TimeLeftS(), vd.Allotment.EnergyLeftJ(), float64(st.over)*tickS))
-		}
-
-		rec := vd.VFC.Recovering()
-		mode := d.FC.Mode()
-		if rec {
-			if mode == mavlink.ModeLand {
-				violate("breach-conduct", "controller in LAND mode during breach recovery")
-			}
-			if d.Sim.OnGround() {
-				violate("breach-conduct", "drone landed during breach recovery")
-			}
-		} else if st.recovering && mode != mavlink.ModeLoiter {
-			violate("breach-conduct", "recovery ended in "+strings.ToLower(mavlink.ModeName(mode))+", want loiter")
-		}
-		st.recovering = rec
+	name := vd.Name
+	st := iv.state[name]
+	if st == nil {
+		st = &vdCheck{}
+		iv.state[name] = st
 	}
+	violate := func(checker, detail string) {
+		clk.Note(Milestone{Kind: Violated, Task: name,
+			Err: Violation{Tick: tick, Checker: checker, Drone: name, Detail: detail}})
+	}
+	active := vd.VFC.State() == mavproxy.VFCActive
+
+	if active && tick%canaryPeriod == 0 {
+		canary := &mavlink.CommandLong{Command: mavlink.CmdComponentArmDisarm, Param1: 1}
+		for _, reply := range vd.VFC.Send(canary) {
+			if ack, ok := reply.(*mavlink.CommandAck); ok && ack.Result == mavlink.ResultAccepted {
+				violate("whitelist-canary", "non-whitelisted COMPONENT_ARM_DISARM accepted by the controller")
+			}
+		}
+	}
+
+	if active && vd.Allotment.Exhausted() {
+		st.over++
+	} else {
+		st.over = 0
+	}
+	if st.over > graceTicks && !st.fired {
+		st.fired = true
+		violate("allotment-guard", fmt.Sprintf(
+			"allotment exhausted (time %.1fs, energy %.0fJ left) but VFC still active after %.1fs",
+			vd.Allotment.TimeLeftS(), vd.Allotment.EnergyLeftJ(), float64(st.over)*tickS))
+	}
+
+	rec := vd.VFC.Recovering()
+	mode := d.FC.Mode()
+	if rec {
+		if mode == mavlink.ModeLand {
+			violate("breach-conduct", "controller in LAND mode during breach recovery")
+		}
+		if d.Sim.OnGround() {
+			violate("breach-conduct", "drone landed during breach recovery")
+		}
+	} else if st.recovering && mode != mavlink.ModeLoiter {
+		violate("breach-conduct", "recovery ended in "+strings.ToLower(mavlink.ModeName(mode))+", want loiter")
+	}
+	st.recovering = rec
 }

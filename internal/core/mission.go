@@ -139,7 +139,7 @@ func (c *Lockstep) Tick(Phase) bool {
 	c.Drone.StepSeconds(tickS)
 	c.tick++
 	c.Drone.VDC.RelayBreaches(c)
-	c.check.Run(c.Drone, c.tick, c.Drone.VDC.List(), c)
+	c.check.runAll(c.Drone, c.tick, c)
 	return true
 }
 

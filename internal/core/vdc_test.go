@@ -105,6 +105,25 @@ func TestRelayBreachesZeroAlloc(t *testing.T) {
 	}
 }
 
+func TestLockstepTickZeroAlloc(t *testing.T) {
+	// The checked clock steps the drone, relays breaches and runs the
+	// invariants over the registry itself: with nothing to note, a tick
+	// allocates nothing.
+	d := newTestDrone(t)
+	for _, name := range []string{"vd3", "vd1", "vd2"} {
+		if _, err := d.VDC.Create(defWith(name, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk := &Lockstep{Drone: d}
+	if allocs := testing.AllocsPerRun(100, func() { clk.Tick(Transit) }); allocs != 0 {
+		t.Fatalf("Lockstep.Tick allocates %.1f times per tick with three virtual drones, want 0", allocs)
+	}
+	if len(clk.Violations) != 0 {
+		t.Fatalf("violations on an idle drone: %v", clk.Violations)
+	}
+}
+
 func TestCreateValidation(t *testing.T) {
 	d := newTestDrone(t)
 	def := defWith("", 1)

@@ -11,30 +11,48 @@ import (
 	"testing"
 
 	"androne/internal/cloud"
-	"androne/internal/telemetry"
 )
 
-// muxChain is the reference router: the chain the service routed through
-// when every request met two http.ServeMuxes — an outer mux holding
-// /metrics and /debug/trace beside a catch-all, admission, and an api mux
-// holding the portal's routes and the operator routes.
+// muxChain is the reference router for svc.Handler(): the chain the
+// service routed through when every request met two http.ServeMuxes — an
+// outer mux holding the ops rows (/metrics, /debug/trace) beside a
+// catch-all, admission, and an api mux holding the rest.
 func muxChain(s *Service) http.Handler {
-	api := http.NewServeMux()
-	s.portal.Register(api)
-	api.HandleFunc("POST /api/admin/fly", s.handleFly)
-	api.HandleFunc("GET /api/admin/bills", s.handleBills)
-	api.Handle("/api/admin/fly", http.NotFoundHandler())
-	api.Handle("/api/admin/bills", http.NotFoundHandler())
-	admitted := cloud.NewAdmission(s.cfg.Admission).Wrap(api)
-
-	mux := http.NewServeMux()
-	mux.Handle("/", admitted)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprint(w, telemetry.DefaultRegistry.Exposition())
-	})
-	mux.HandleFunc("GET /debug/trace", s.handleTrace)
+	api, mux := http.NewServeMux(), http.NewServeMux()
+	for _, rt := range s.routes() {
+		if rt.Endpoint == "" {
+			register(mux, rt)
+		} else {
+			register(api, rt)
+		}
+	}
+	mux.Handle("/", cloud.NewAdmission(s.cfg.Admission).Wrap(api))
 	return mux
+}
+
+// portalMux is the reference router for Portal.ServeHTTP: the portal's
+// rows on a mux of their own.
+func portalMux(s *Service) http.Handler {
+	mux := http.NewServeMux()
+	for _, rt := range s.portal.Routes() {
+		register(mux, rt)
+	}
+	return mux
+}
+
+// register adds rt to mux, its handler given the mux's wildcard values.
+func register(mux *http.ServeMux, rt cloud.Route) {
+	mux.HandleFunc(strings.TrimSpace(rt.Method+" "+rt.Pattern), func(w http.ResponseWriter, r *http.Request) {
+		var v cloud.PathValues
+		n := 0
+		for _, seg := range strings.Split(rt.Pattern, "/") {
+			if name, ok := strings.CutPrefix(seg, "{"); ok {
+				v[n] = r.PathValue(strings.TrimSuffix(strings.TrimSuffix(name, "}"), "..."))
+				n++
+			}
+		}
+		rt.Serve(w, r, v)
+	})
 }
 
 // routeMethods are the methods every routed path is tried under.
@@ -160,24 +178,39 @@ func sameAnswer(got, want answer) string {
 	return ""
 }
 
+// routerPair is a router under test and its reference.
+type routerPair struct {
+	name   string
+	h, ref http.Handler
+}
+
+func routerPairs(s *Service) []routerPair {
+	return []routerPair{
+		{"svc.Handler", s.Handler(), muxChain(s)},
+		{"Portal.ServeHTTP", s.portal, portalMux(s)},
+	}
+}
+
 // TestRoutesMatchServeMux holds svc.Handler() to the reference chain of
-// ServeMuxes on every route under every method, and on every way a path
-// can miss one: status, headers (Allow, Location, Content-Type) and body.
+// ServeMuxes, and Portal.ServeHTTP to a mux of the portal's rows, on every
+// route under every method and on every way a path can miss one: status,
+// headers (Allow, Location, Content-Type) and body.
 func TestRoutesMatchServeMux(t *testing.T) {
 	s, order := routeService(t)
-	ref, h := muxChain(s), s.Handler()
 	checked := 0
 	for _, c := range routeCases(order) {
-		want, ok := serveRoute(ref, c.method, c.target)
-		if !ok {
-			t.Errorf("%s %s: request line refused", c.method, c.target)
-			continue
+		for _, pair := range routerPairs(s) {
+			want, ok := serveRoute(pair.ref, c.method, c.target)
+			if !ok {
+				t.Errorf("%s %s: request line refused", c.method, c.target)
+				continue
+			}
+			got, _ := serveRoute(pair.h, c.method, c.target)
+			if d := sameAnswer(got, want); d != "" {
+				t.Errorf("%s: %s %s: %s", pair.name, c.method, c.target, d)
+			}
+			checked++
 		}
-		got, _ := serveRoute(h, c.method, c.target)
-		if d := sameAnswer(got, want); d != "" {
-			t.Errorf("%s %s: %s", c.method, c.target, d)
-		}
-		checked++
 	}
 	// Spot checks that the cases reach what they are meant to.
 	for _, c := range []struct {
@@ -192,8 +225,9 @@ func TestRoutesMatchServeMux(t *testing.T) {
 		{"GET", "/api/files/alice/flight/photo.jpg", 200, "", ""},
 		{"POST", "/metrics", 404, "", ""},
 		{"DELETE", "/api/admin/fly", 404, "", ""},
+		{"CONNECT", "example.com:443", 301, "", "/"},
 	} {
-		a, _ := serveRoute(h, c.method, c.target)
+		a, _ := serveRoute(s.Handler(), c.method, c.target)
 		if a.status != c.status || a.header.Get("Allow") != c.allow || a.header.Get("Location") != c.loc {
 			t.Errorf("%s %s: %d Allow %q Location %q, want %d %q %q", c.method, c.target,
 				a.status, a.header.Get("Allow"), a.header.Get("Location"), c.status, c.allow, c.loc)
@@ -202,22 +236,24 @@ func TestRoutesMatchServeMux(t *testing.T) {
 	t.Logf("%d requests answered alike", checked)
 }
 
-// FuzzRoutes holds svc.Handler() to the reference chain on arbitrary
-// request lines; the seed corpus is TestRoutesMatchServeMux's table.
+// FuzzRoutes holds both routers to their references on arbitrary request
+// lines; the seed corpus is TestRoutesMatchServeMux's table.
 func FuzzRoutes(f *testing.F) {
 	s, order := routeService(f)
 	for _, c := range routeCases(order) {
 		f.Add(c.method, c.target)
 	}
-	ref, h := muxChain(s), s.Handler()
+	pairs := routerPairs(s)
 	f.Fuzz(func(t *testing.T, method, target string) {
-		want, ok := serveRoute(ref, method, target)
-		if !ok {
-			return
-		}
-		got, _ := serveRoute(h, method, target)
-		if d := sameAnswer(got, want); d != "" {
-			t.Errorf("%s %s: %s", method, target, d)
+		for _, pair := range pairs {
+			want, ok := serveRoute(pair.ref, method, target)
+			if !ok {
+				return
+			}
+			got, _ := serveRoute(pair.h, method, target)
+			if d := sameAnswer(got, want); d != "" {
+				t.Errorf("%s: %s %s: %s", pair.name, method, target, d)
+			}
 		}
 	})
 }

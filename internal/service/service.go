@@ -153,35 +153,40 @@ func New(cfg Config) (*Service, error) {
 // Close; the rest of the service keeps working.
 func (s *Service) Close() { close(s.flyCh) }
 
-// assembleHandler builds the service's full HTTP surface: the portal API
-// plus the operator endpoints, with the /api/ routes behind admission
-// control. /metrics and /debug/trace stay outside admission — the ops
-// plane must answer precisely when the service is shedding.
+// assembleHandler builds the service's full HTTP surface: one route table
+// over the portal API and the operator endpoints, behind admission
+// control, and /metrics and /debug/trace outside it — the ops plane must
+// answer precisely when the service is shedding.
 func (s *Service) assembleHandler() http.Handler {
-	api := http.NewServeMux()
-	s.portal.Register(api)
-	api.HandleFunc("POST /api/admin/fly", s.handleFly)
-	api.HandleFunc("GET /api/admin/bills", s.handleBills)
-	// Other methods on the operator paths answer 404, not 405: they were
-	// the portal's to refuse before its routes shared this mux, and the
-	// portal knows no such path.
-	api.Handle("/api/admin/fly", http.NotFoundHandler())
-	api.Handle("/api/admin/bills", http.NotFoundHandler())
-	admitted := cloud.NewAdmission(s.cfg.Admission).Wrap(api)
+	return cloud.NewRoutes(cloud.NewAdmission(s.cfg.Admission), s.routes()...)
+}
 
-	mux := http.NewServeMux()
-	mux.Handle("/", admitted)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		fmt.Fprint(w, telemetry.DefaultRegistry.Exposition())
-	})
-	mux.HandleFunc("GET /debug/trace", s.handleTrace)
-	return mux
+// routes is the service's route table: the portal's rows, the operator
+// rows and the ops rows.
+func (s *Service) routes() []cloud.Route {
+	notFound := func(w http.ResponseWriter, r *http.Request, _ cloud.PathValues) { http.NotFound(w, r) }
+	return append(s.portal.Routes(),
+		cloud.Route{Method: "POST", Pattern: "/api/admin/fly", Endpoint: "other", Serve: s.handleFly},
+		cloud.Route{Method: "GET", Pattern: "/api/admin/bills", Endpoint: "other", Serve: s.handleBills},
+		// Other methods on the operator paths answer 404, not 405: they
+		// were the portal's to refuse before the portal's routes and the
+		// operator's shared a table, and the portal knows no such path.
+		cloud.Route{Pattern: "/api/admin/fly", Endpoint: "other", Serve: notFound},
+		cloud.Route{Pattern: "/api/admin/bills", Endpoint: "other", Serve: notFound},
+		cloud.Route{Method: "GET", Pattern: "/metrics", Serve: handleMetrics},
+		cloud.Route{Method: "GET", Pattern: "/debug/trace", Serve: s.handleTrace},
+	)
+}
+
+// handleMetrics renders the telemetry registry (GET /metrics).
+func handleMetrics(w http.ResponseWriter, r *http.Request, _ cloud.PathValues) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	fmt.Fprint(w, telemetry.DefaultRegistry.Exposition())
 }
 
 // handleFly plans and flies all pending orders (POST /api/admin/fly). The
 // flight itself runs on the fly worker; this handler just waits for it.
-func (s *Service) handleFly(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleFly(w http.ResponseWriter, r *http.Request, _ cloud.PathValues) {
 	resp := make(chan flyResult, 1)
 	s.flyCh <- resp
 	res := <-resp
@@ -211,7 +216,7 @@ func (s *Service) handleFly(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBills lists settled bills by order id (GET /api/admin/bills).
-func (s *Service) handleBills(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleBills(w http.ResponseWriter, r *http.Request, _ cloud.PathValues) {
 	bills := make(map[string]map[string]float64)
 	for _, ord := range s.orders.List("") {
 		if b, ok := s.BillFor(ord.ID); ok {
@@ -226,7 +231,7 @@ func (s *Service) handleBills(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace dumps recent trace events per fleet drone (GET /debug/trace);
 // filter with ?drone=<virtual drone name>.
-func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
+func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request, _ cloud.PathValues) {
 	droneName := r.URL.Query().Get("drone")
 	key := telemetry.Key(0)
 	if droneName != "" {
