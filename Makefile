@@ -137,13 +137,20 @@ load-smoke: build
 	@echo "androne-load: smoke run completed"
 
 # The benchmark module (perfbench/, declared by BENCHMARK.json) is a Go
-# module of its own, so `go test ./...` never compiles it. Run its tests
-# and a one-second pass of each workload, so an API change it depends on
-# fails here rather than in the benchmark run.
+# module of its own, so `go test ./...` never compiles it. Run its tests,
+# a one-second pass of each workload, and a traced pass of each: the
+# traced portal-mixed pass rebuilds svc.Handler()'s chain from the public
+# cloud and service API and fails on any answer that differs. It runs 4 s,
+# since a traced portal-mixed pass too short for a planning round never
+# ends. So an API change the benchmark depends on fails here rather than in
+# the benchmark run.
 perfbench-smoke:
 	cd perfbench && $(GO) test ./...
 	@for w in fleet-survey fleet-dutycycle portal-mixed; do \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
+	@for w in fleet-survey:1 fleet-dutycycle:1 portal-mixed:4; do \
+		bash perfbench/run.sh --workload $${w%%:*} --seed 1 --seconds $${w##*:} --trace 1 || exit 1; \
 	done
 
 # Fuzz smoke: each native fuzz target for FUZZTIME (default 15s) on top of

