@@ -159,9 +159,8 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 
 // TenantOf extracts the tenant identity from a request.
 func TenantOf(r *http.Request) string {
-	// TenantHeader is in canonical form: index the map with it as it is.
-	if v := r.Header[TenantHeader]; len(v) > 0 && v[0] != "" {
-		return v[0]
+	if t := r.Header.Get(TenantHeader); t != "" {
+		return t
 	}
 	if t := r.URL.Query().Get("user"); t != "" {
 		return t

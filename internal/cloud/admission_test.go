@@ -343,11 +343,3 @@ func TestAdmissionLateHandoffPassesSlotOn(t *testing.T) {
 		t.Fatal("slot leaked")
 	}
 }
-
-// TestTenantHeaderCanonical pins that TenantHeader is in canonical form,
-// which lets TenantOf index the header map without canonicalising.
-func TestTenantHeaderCanonical(t *testing.T) {
-	if c := http.CanonicalHeaderKey(TenantHeader); c != TenantHeader {
-		t.Fatalf("TenantHeader %q is not canonical (%q)", TenantHeader, c)
-	}
-}

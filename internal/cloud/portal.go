@@ -75,9 +75,14 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	writeBody(w, status, append(body, '\n'))
 }
 
+// jsonContentType is every JSON answer's Content-Type value. Answers
+// share it rather than allocate one each; a header's values are replaced
+// or appended to, never written in place.
+var jsonContentType = []string{"application/json"}
+
 // writeBody answers with status and an already encoded JSON body.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }
