@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"cmp"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -21,8 +20,8 @@ type PathValues [2]string
 // Route is one row of a route table.
 type Route struct {
 	// Method is the request method the row serves; a GET row also serves
-	// HEAD. A row without a method serves every method that no row with
-	// one serves on its path.
+	// HEAD. A row without a method serves every method: list it after the
+	// rows with one on its path, since rows are tried in order.
 	Method string
 	// Pattern is the row's path: literal segments, then wildcards that
 	// match one segment ({name}) or the rest of the path ({name...}), at
@@ -36,13 +35,14 @@ type Route struct {
 	Serve func(w http.ResponseWriter, r *http.Request, v PathValues)
 }
 
-// Routes is a route table: it answers as http.ServeMux does for the same
-// patterns registered on an outer mux (the ops routes beside a catch-all),
-// behind admission, an inner mux (the rest) — the same 301 for an unclean
-// path, 405 with Allow, 404, and the same wildcard values — but matches a
-// request by plain method and segment compares, once, and picks the
-// admission histogram from the matched row. A table never redirects /p to
-// /p/: no row ends in a wildcard that could ask for one.
+// Routes is a route table. It answers as http.ServeMux does for the same
+// patterns registered on an outer mux (the ops rows beside a catch-all)
+// and, behind admission, an inner mux (the rest): the same 301 for an
+// unclean path, 405 with Allow, 404, and the same wildcard values. But it
+// matches a request once, by plain method and segment compares, and the
+// matched row names the admission histogram. Unlike a mux, a table never
+// redirects /p to /p/ because a {name...} row matches /p/ alone; give such
+// a row a sibling for /p, as the portal's file routes have.
 type Routes struct {
 	adm  *Admission
 	rows []row
@@ -51,67 +51,23 @@ type Routes struct {
 // row is a Route with its pattern split into segments.
 type row struct {
 	Route
-	segs []segment
+	segs []string
 	lat  *telemetry.Histogram
 }
 
-// segment is one segment of a pattern: a literal, or a wildcard taking one
-// segment or (rest) the remainder of the path.
-type segment struct {
-	lit        string
-	wild, rest bool
-}
-
 // NewRoutes builds a table over routes. adm may be nil: every row is then
-// served without admission control. A malformed pattern panics, as it
-// does for http.ServeMux.
+// served without admission control.
 func NewRoutes(adm *Admission, routes ...Route) *Routes {
 	t := &Routes{adm: adm}
 	for _, rt := range routes {
-		t.rows = append(t.rows, row{Route: rt, segs: parsePattern(rt.Pattern), lat: mEndpointLatency[rt.Endpoint]})
-	}
-	// Ops rows first, as the outer mux matched them; then rows with a
-	// method, which a mux prefers to rows without one.
-	slices.SortStableFunc(t.rows, func(a, b row) int {
-		return cmp.Compare(rank(a.Route), rank(b.Route))
-	})
-	return t
-}
-
-func rank(rt Route) int {
-	switch {
-	case rt.Endpoint == "":
-		return 0
-	case rt.Method != "":
-		return 1
-	}
-	return 2
-}
-
-func parsePattern(p string) []segment {
-	if !strings.HasPrefix(p, "/") || strings.HasSuffix(p, "/") {
-		panic(fmt.Sprintf("cloud: route pattern %q must start and not end with /", p))
-	}
-	var segs []segment
-	wild := 0
-	for _, s := range strings.Split(p[1:], "/") {
-		inner, open := strings.CutPrefix(s, "{")
-		name, isWild := strings.CutSuffix(inner, "}")
-		switch {
-		case len(segs) > 0 && segs[len(segs)-1].rest:
-			panic(fmt.Sprintf("cloud: route pattern %q continues after a {name...} wildcard", p))
-		case open != isWild || strings.Trim(name, ".") == "" || strings.ContainsAny(name, "{}"):
-			panic(fmt.Sprintf("cloud: route pattern %q has a bad segment %q", p, s))
-		case !isWild:
-			segs = append(segs, segment{lit: s})
-		case wild == len(PathValues{}):
-			panic(fmt.Sprintf("cloud: route pattern %q has more than %d wildcards", p, wild))
-		default:
-			wild++
-			segs = append(segs, segment{wild: true, rest: strings.HasSuffix(name, "...")})
+		segs := strings.Split(strings.TrimPrefix(rt.Pattern, "/"), "/")
+		if !strings.HasPrefix(rt.Pattern, "/") || slices.Contains(segs, "") ||
+			strings.Count(rt.Pattern, "{") > len(PathValues{}) {
+			panic(fmt.Sprintf("cloud: bad route pattern %q", rt.Pattern))
 		}
+		t.rows = append(t.rows, row{Route: rt, segs: segs, lat: mEndpointLatency[rt.Endpoint]})
 	}
-	return segs
+	return t
 }
 
 // match reports whether path matches the row's pattern, and the
@@ -122,15 +78,15 @@ func (rw *row) match(path string) (v PathValues, ok bool) {
 		if path == "" {
 			return v, false
 		}
-		if s.rest {
+		if strings.HasSuffix(s, "...}") {
 			v[n] = pathUnescape(path[1:])
 			return v, true
 		}
 		var seg string
 		seg, path = firstSegment(path)
 		switch {
-		case !s.wild:
-			if seg != s.lit {
+		case s[0] != '{':
+			if seg != s {
 				return v, false
 			}
 		case seg == "/":
@@ -188,7 +144,8 @@ func cleanPath(p string) string {
 	return np
 }
 
-// lookup returns the row serving method on path, and its wildcard values.
+// lookup returns the first row serving method on path, and its wildcard
+// values.
 func (t *Routes) lookup(method, path string) (*row, PathValues) {
 	for i := range t.rows {
 		rw := &t.rows[i]
@@ -234,9 +191,11 @@ func (t *Routes) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		t.serve(w, r, rw, v, p)
 		return
 	}
-	lat := mEndpointLatency[endpointOf(r)]
+	var lat *telemetry.Histogram
 	if rw != nil {
 		lat = rw.lat
+	} else {
+		lat = mEndpointLatency[endpointOf(r)]
 	}
 	if !t.adm.admit(w, r) {
 		return

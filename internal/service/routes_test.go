@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"androne/internal/cloud"
+	"androne/internal/telemetry"
 )
 
 // muxChain is the reference router for svc.Handler(): the chain the
@@ -178,6 +180,33 @@ func sameAnswer(got, want answer) string {
 	return ""
 }
 
+// latencies are the observation counts of admission's latency
+// histograms, by endpoint, read from the exposition.
+type latencies map[string]int
+
+func latencyCounts() latencies {
+	l := latencies{}
+	for _, line := range strings.Split(telemetry.DefaultRegistry.Exposition(), "\n") {
+		name, n, ok := strings.Cut(line, "_seconds_count ")
+		if endpoint, isLat := strings.CutPrefix(name, "androne_portal_latency_"); ok && isLat {
+			l[endpoint], _ = strconv.Atoi(n)
+		}
+	}
+	return l
+}
+
+// sub names the endpoints whose counts grew since before.
+func (l latencies) sub(before latencies) string {
+	var grew []string
+	for endpoint, n := range l {
+		if n != before[endpoint] {
+			grew = append(grew, endpoint)
+		}
+	}
+	slices.Sort(grew)
+	return strings.Join(grew, ",")
+}
+
 // routerPair is a router under test and its reference.
 type routerPair struct {
 	name   string
@@ -194,20 +223,26 @@ func routerPairs(s *Service) []routerPair {
 // TestRoutesMatchServeMux holds svc.Handler() to the reference chain of
 // ServeMuxes, and Portal.ServeHTTP to a mux of the portal's rows, on every
 // route under every method and on every way a path can miss one: status,
-// headers (Allow, Location, Content-Type) and body.
+// headers (Allow, Location, Content-Type), body, and the admission latency
+// histogram the request is timed in.
 func TestRoutesMatchServeMux(t *testing.T) {
 	s, order := routeService(t)
 	checked := 0
 	for _, c := range routeCases(order) {
 		for _, pair := range routerPairs(s) {
+			before := latencyCounts()
 			want, ok := serveRoute(pair.ref, c.method, c.target)
 			if !ok {
 				t.Errorf("%s %s: request line refused", c.method, c.target)
 				continue
 			}
+			timed := latencyCounts()
 			got, _ := serveRoute(pair.h, c.method, c.target)
 			if d := sameAnswer(got, want); d != "" {
 				t.Errorf("%s: %s %s: %s", pair.name, c.method, c.target, d)
+			}
+			if ref, table := timed.sub(before), latencyCounts().sub(timed); ref != table {
+				t.Errorf("%s: %s %s: timed in %q, want %q", pair.name, c.method, c.target, table, ref)
 			}
 			checked++
 		}
