@@ -114,10 +114,9 @@ func firstSegment(path string) (seg, rest string) {
 	return pathUnescape(path[:i]), path[i:]
 }
 
+// pathUnescape unescapes p as a mux does: an invalid escape leaves p as
+// it is.
 func pathUnescape(p string) string {
-	if strings.IndexByte(p, '%') < 0 {
-		return p
-	}
 	if u, err := url.PathUnescape(p); err == nil {
 		return u
 	}
