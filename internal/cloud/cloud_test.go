@@ -155,6 +155,34 @@ func TestOrders(t *testing.T) {
 	}
 }
 
+func TestOrdersListStatusFiltersListing(t *testing.T) {
+	// ListStatus is List("") with the other statuses taken out, in the
+	// same id order, across every shard.
+	o := NewOrders()
+	for i := 0; i < 60; i++ {
+		ord, err := o.Create(fmt.Sprintf("tenant-%d", i%13), "", json.RawMessage(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%3 != 0 {
+			if err := o.Update(ord.ID, func(ord *Order) { ord.Status = OrderScheduled }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, st := range []OrderStatus{OrderPending, OrderScheduled, OrderCompleted} {
+		want := []Order{}
+		for _, ord := range o.List("") {
+			if ord.Status == st {
+				want = append(want, ord)
+			}
+		}
+		if got := o.ListStatus(st); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ListStatus(%s) = %d orders, listing holds %d", st, len(got), len(want))
+		}
+	}
+}
+
 func TestSanitizeName(t *testing.T) {
 	cases := map[string]string{
 		"Survey Drone #1": "survey-drone--1",

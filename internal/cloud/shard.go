@@ -354,28 +354,32 @@ func (o *Orders) Update(id string, fn func(*Order)) error {
 // A user filter touches only the owning shard; the full listing visits
 // shards one at a time — never two locks at once.
 func (o *Orders) List(user string) []Order {
-	var out []Order
 	if user != "" {
-		sh := &o.shards[ShardOf(user)]
+		i := ShardOf(user)
+		return listOrders(o.shards[i:i+1], user, "")
+	}
+	return listOrders(o.shards[:], "", "")
+}
+
+// ListStatus returns the orders in status st sorted by id, copying only
+// those: a planning round keeps the pending few of a long book.
+func (o *Orders) ListStatus(st OrderStatus) []Order {
+	return listOrders(o.shards[:], "", st)
+}
+
+// listOrders copies the orders of shards that belong to user and are in
+// status st ("" matches any), one shard lock at a time, sorted by id.
+func listOrders(shards []orderShard, user string, st OrderStatus) []Order {
+	out := []Order{}
+	for i := range shards {
+		sh := &shards[i]
 		sh.mu.Lock()
 		for _, ord := range sh.orders {
-			if ord.User == user {
+			if (user == "" || ord.User == user) && (st == "" || ord.Status == st) {
 				out = append(out, *ord)
 			}
 		}
 		sh.mu.Unlock()
-	} else {
-		for i := range o.shards {
-			sh := &o.shards[i]
-			sh.mu.Lock()
-			for _, ord := range sh.orders {
-				out = append(out, *ord)
-			}
-			sh.mu.Unlock()
-		}
-	}
-	if out == nil {
-		out = []Order{}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

@@ -47,20 +47,32 @@ func rad2deg(r float64) float64 { return r * 180 / math.Pi }
 // coordinates using the haversine formula, which is numerically stable for
 // the short distances typical of drone flights.
 func Distance(a, b LatLon) float64 {
-	la1, la2 := deg2rad(a.Lat), deg2rad(b.Lat)
-	dLat := deg2rad(b.Lat - a.Lat)
-	dLon := deg2rad(b.Lon - a.Lon)
-	s := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	return haversine(a, b, CosLat(a), CosLat(b))
+}
+
+// CosLat returns the cosine of p's latitude, the per-point factor of the
+// haversine that Distance3DCos takes precomputed.
+func CosLat(p LatLon) float64 { return math.Cos(deg2rad(p.Lat)) }
+
+// haversine is Distance given both points' CosLat.
+func haversine(a, b LatLon, cosA, cosB float64) float64 {
+	sLat := math.Sin(deg2rad(b.Lat-a.Lat) / 2)
+	sLon := math.Sin(deg2rad(b.Lon-a.Lon) / 2)
+	s := sLat*sLat + cosA*cosB*sLon*sLon
 	return 2 * EarthRadius * math.Asin(math.Min(1, math.Sqrt(s)))
 }
 
 // Distance3D returns the 3D separation in meters between two positions:
 // great-circle ground distance combined with the altitude difference.
 func Distance3D(a, b Position) float64 {
-	d := Distance(a.LatLon, b.LatLon)
-	dz := b.Alt - a.Alt
-	return math.Hypot(d, dz)
+	return Distance3DCos(a, b, CosLat(a.LatLon), CosLat(b.LatLon))
+}
+
+// Distance3DCos is Distance3D for a caller that holds cosA and cosB, the
+// CosLat of a and b: it returns the same float64 without computing them,
+// for callers that measure many legs between a fixed set of points.
+func Distance3DCos(a, b Position, cosA, cosB float64) float64 {
+	return math.Hypot(haversine(a.LatLon, b.LatLon, cosA, cosB), b.Alt-a.Alt)
 }
 
 // Bearing returns the initial great-circle bearing in degrees [0,360) from a

@@ -353,3 +353,28 @@ func TestDeg360MatchesMod(t *testing.T) {
 		}
 	}
 }
+
+// TestDistanceMatchesTwoSineForm holds Distance to the haversine that
+// evaluates each half-angle sine twice, bit for bit: taking each sine once
+// and squaring it multiplies the same two float64s.
+func TestDistanceMatchesTwoSineForm(t *testing.T) {
+	ref := func(a, b LatLon) float64 {
+		la1, la2 := deg2rad(a.Lat), deg2rad(b.Lat)
+		dLat := deg2rad(b.Lat - a.Lat)
+		dLon := deg2rad(b.Lon - a.Lon)
+		s := math.Sin(dLat/2)*math.Sin(dLat/2) +
+			math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+		return 2 * EarthRadius * math.Asin(math.Min(1, math.Sqrt(s)))
+	}
+	r := rand.New(rand.NewPCG(5, 6))
+	for i := 0; i < 200_000; i++ {
+		a := LatLon{Lat: r.Float64()*180 - 90, Lon: r.Float64()*360 - 180}
+		b := OffsetNE(a, r.Float64()*4000-2000, r.Float64()*4000-2000)
+		if i%4 == 0 {
+			b = LatLon{Lat: r.Float64()*180 - 90, Lon: r.Float64()*360 - 180}
+		}
+		if got, want := Distance(a, b), ref(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Distance(%v, %v) = %v, two-sine form %v", a, b, got, want)
+		}
+	}
+}

@@ -6,10 +6,12 @@
 // any move sequence, which recompute() and the parity gates verify.
 //
 // Routes live in one doubly-linked list per fleet drone: nodes 0..n-1 are
-// stops, nodes n..n+R-1 are route sentinels (base). A move is priced before
-// it is made: eval reads at most eight legs from the lazy leg table and the
-// pre-move counters, and step applies the move only when the Metropolis test
-// accepts it. The test skips math.Exp where it cannot pass, and a one-route
+// stops, nodes n..n+R-1 are route sentinels (base). Every node keeps the
+// integer cost of its tour edge to next. A move is priced before it is made:
+// eval takes the legs the move removes from those edge costs, looks up the
+// at most four legs it creates in the lazy leg-cost table (legtable.go), and
+// reads the pre-move counters; step applies the move only when the
+// Metropolis test accepts it. The test skips math.Exp where it cannot pass, and a one-route
 // problem of at most seven stops has its optimum enumerated up front, so a
 // chain that reaches it stops. The warm move loop (step) performs no
 // allocation and takes no locks.
@@ -37,7 +39,7 @@ func toUnits(x float64) int64 { return int64(x*unitScale + 0.5) }
 
 // problem is the immutable planning instance shared by all restart chains:
 // stop metadata flattened into dense arrays, integer dwell costs, and the
-// lazily-filled leg table factory inputs.
+// inputs of each chain's lazily-filled leg-cost table.
 type problem struct {
 	stops   []Stop
 	n       int // stop count; node ids n..n+nRoutes-1 are route sentinels
@@ -97,11 +99,12 @@ func (cfg *Config) newProblem(stops []Stop, ordered map[string]bool) *problem {
 // across the restarts they execute.
 type kernel struct {
 	p      *problem
-	legs   *legTable
+	legs   legTable
 	nNodes int
 
-	next, prev []int32 // doubly-linked tour per route
-	routeOf    []int32 // node -> route index
+	next, prev []int32   // doubly-linked tour per route
+	routeOf    []int32   // node -> route index
+	edge       []legCost // node x -> cost of its tour edge x -> next[x]
 
 	// Incremental aggregates. durTot/batPen are sums over routes; the
 	// violation counters weight into the cost via orderPenaltyUnits.
@@ -124,9 +127,9 @@ type kernel struct {
 func newKernel(p *problem) *kernel {
 	nn := p.n + p.nRoutes
 	k := &kernel{
-		p: p, legs: newLegTable(p.stops, p.base), nNodes: nn,
+		p: p, legs: newLegTable(p), nNodes: nn,
 		next: make([]int32, nn), prev: make([]int32, nn),
-		routeOf:  make([]int32, nn),
+		routeOf: make([]int32, nn), edge: make([]legCost, nn),
 		routeDur: make([]int64, p.nRoutes), routeEn: make([]int64, p.nRoutes),
 		trc:        make([]int32, p.nTasks*p.nRoutes),
 		distinct:   make([]int32, p.nRoutes),
@@ -135,20 +138,6 @@ func newKernel(p *problem) *kernel {
 	}
 	k.floor = k.optimum()
 	return k
-}
-
-// id maps a node to its leg-table id (all sentinels collapse onto base).
-func (k *kernel) id(x int32) int {
-	if int(x) >= k.p.n {
-		return k.p.n
-	}
-	return int(x)
-}
-
-// leg returns the (duration, energy) cost in units of the edge i -> j.
-func (k *kernel) leg(i, j int32) (dur, en int64) {
-	d := k.legs.dist(k.id(i), k.id(j))
-	return int64(d*k.p.durPerM*unitScale + 0.5), int64(d*k.p.enPerM*unitScale + 0.5)
 }
 
 func penalty(en, budget int64) int64 {
@@ -208,9 +197,10 @@ func (k *kernel) load(routes [][]int32) {
 		s := int32(p.n + r)
 		var dur, en int64
 		for x := k.next[s]; x != s; x = k.next[x] {
-			d, e := k.leg(k.prev[x], x)
-			dur += d + p.dwellDur[x]
-			en += e + p.dwellEn[x]
+			l := k.legs.cost(k.prev[x], x)
+			k.edge[k.prev[x]] = l
+			dur += l.dur + p.dwellDur[x]
+			en += l.en + p.dwellEn[x]
 			t := p.task[x]
 			c := &k.trc[int(t)*p.nRoutes+r]
 			if *c == 0 {
@@ -224,9 +214,10 @@ func (k *kernel) load(routes [][]int32) {
 				k.adjViol++
 			}
 		}
-		d, e := k.leg(k.prev[s], s)
-		dur += d
-		en += e
+		l := k.legs.cost(k.prev[s], s)
+		k.edge[k.prev[s]] = l
+		dur += l.dur
+		en += l.en
 		k.routeDur[r], k.routeEn[r] = dur, en
 		k.durTot += dur
 		k.batPen += penalty(en, p.budget)
@@ -249,11 +240,9 @@ func (k *kernel) unlink(x int32) {
 	p := k.p
 	a, b := k.prev[x], k.next[x]
 	r := k.routeOf[x]
-	axD, axE := k.leg(a, x)
-	xbD, xbE := k.leg(x, b)
-	abD, abE := k.leg(a, b)
-	dDur := abD - axD - xbD - p.dwellDur[x]
-	dEn := abE - axE - xbE - p.dwellEn[x]
+	ax, xb, ab := k.edge[a], k.edge[x], k.legs.cost(a, b)
+	dDur := ab.dur - ax.dur - xb.dur - p.dwellDur[x]
+	dEn := ab.en - ax.en - xb.en - p.dwellEn[x]
 	k.routeDur[r] += dDur
 	k.durTot += dDur
 	oldEn := k.routeEn[r]
@@ -286,6 +275,7 @@ func (k *kernel) unlink(x int32) {
 		}
 	}
 	k.next[a], k.prev[b] = b, a
+	k.edge[a] = ab
 }
 
 // insertAfter links stop x back in immediately after node at (a stop or a
@@ -294,11 +284,9 @@ func (k *kernel) insertAfter(x, at int32) {
 	p := k.p
 	b := k.next[at]
 	r := k.routeOf[at]
-	axD, axE := k.leg(at, x)
-	xbD, xbE := k.leg(x, b)
-	abD, abE := k.leg(at, b)
-	dDur := axD + xbD - abD + p.dwellDur[x]
-	dEn := axE + xbE - abE + p.dwellEn[x]
+	ax, xb, ab := k.legs.cost(at, x), k.legs.cost(x, b), k.edge[at]
+	dDur := ax.dur + xb.dur - ab.dur + p.dwellDur[x]
+	dEn := ax.en + xb.en - ab.en + p.dwellEn[x]
 	k.routeDur[r] += dDur
 	k.durTot += dDur
 	oldEn := k.routeEn[r]
@@ -332,6 +320,7 @@ func (k *kernel) insertAfter(x, at int32) {
 	*c++
 	k.next[at], k.prev[x] = x, at
 	k.next[x], k.prev[b] = b, x
+	k.edge[at], k.edge[x] = ax, xb
 	k.routeOf[x] = r
 }
 
@@ -405,11 +394,12 @@ func (k *kernel) apply(m move) {
 }
 
 // eval returns the cost the tour would have after apply(m), without
-// touching the tour: leg lookups for the legs the move removes and adds,
-// the touched routes' battery penalties, the inversions on those edges, and
-// the cap and split counters, all from the pre-move counts. Every aggregate
-// is a pure function of the tour and all arithmetic is integer, so the
-// result equals cost() after apply(m) bit for bit.
+// touching the tour: the cached costs of the edges the move removes, leg
+// lookups for the legs it adds, the touched routes' battery penalties, the
+// inversions on those edges, and the cap and split counters, all from the
+// pre-move counts. Every aggregate is a pure function of the tour and all
+// arithmetic is integer, so the result equals cost() after apply(m) bit for
+// bit.
 func (k *kernel) eval(m move) int64 {
 	a, b := m.a, m.b
 	switch {
@@ -422,22 +412,18 @@ func (k *kernel) eval(m move) int64 {
 }
 
 // evalRelocate prices moving stop x from between a and b to between at and
-// c = next[at]: six legs. at is neither x nor prev[x], so next[at] is the
-// same before and after x leaves.
+// c = next[at]: three tour edges out, three legs in. at is neither x nor
+// prev[x], so next[at] is the same before and after x leaves.
 func (k *kernel) evalRelocate(x, at int32) int64 {
 	p := k.p
 	a, b, c := k.prev[x], k.next[x], k.next[at]
 	rx, rt := k.routeOf[x], k.routeOf[at]
-	axD, axE := k.leg(a, x)
-	xbD, xbE := k.leg(x, b)
-	abD, abE := k.leg(a, b)
-	txD, txE := k.leg(at, x)
-	xcD, xcE := k.leg(x, c)
-	tcD, tcE := k.leg(at, c)
-	outD := abD - axD - xbD - p.dwellDur[x]
-	outE := abE - axE - xbE - p.dwellEn[x]
-	inD := txD + xcD - tcD + p.dwellDur[x]
-	inE := txE + xcE - tcE + p.dwellEn[x]
+	ax, xb, tc := k.edge[a], k.edge[x], k.edge[at]
+	ab, tx, xc := k.legs.cost(a, b), k.legs.cost(at, x), k.legs.cost(x, c)
+	outD := ab.dur - ax.dur - xb.dur - p.dwellDur[x]
+	outE := ab.en - ax.en - xb.en - p.dwellEn[x]
+	inD := tx.dur + xc.dur - tc.dur + p.dwellDur[x]
+	inE := tx.en + xc.en - tc.en + p.dwellEn[x]
 	batPen := k.batPen + k.penaltyDelta(rx, rt, outE, inE)
 	capOver, splitViol := k.capOver, k.splitViol
 	if rx != rt {
@@ -461,26 +447,22 @@ func (k *kernel) evalRelocate(x, at int32) int64 {
 	return k.durTot + outD + inD + batPen + (adjViol+splitViol+capOver)*orderPenaltyUnits
 }
 
-// evalSwap prices exchanging non-adjacent stops a and b: eight legs, a's
-// slot pa -> a -> na becoming pa -> b -> na and b's slot likewise.
+// evalSwap prices exchanging non-adjacent stops a and b: four tour edges
+// out, four legs in, a's slot pa -> a -> na becoming pa -> b -> na and b's
+// slot likewise.
 func (k *kernel) evalSwap(a, b int32) int64 {
 	p := k.p
 	pa, na, pb, nb := k.prev[a], k.next[a], k.prev[b], k.next[b]
 	ra, rb := k.routeOf[a], k.routeOf[b]
-	paD, paE := k.leg(pa, a)
-	anD, anE := k.leg(a, na)
-	pbD, pbE := k.leg(pb, b)
-	bnD, bnE := k.leg(b, nb)
-	pabD, pabE := k.leg(pa, b)
-	bnaD, bnaE := k.leg(b, na)
-	pbaD, pbaE := k.leg(pb, a)
-	anbD, anbE := k.leg(a, nb)
+	paA, aNa, pbB, bNb := k.edge[pa], k.edge[a], k.edge[pb], k.edge[b]
+	paB, bNa := k.legs.cost(pa, b), k.legs.cost(b, na)
+	pbA, aNb := k.legs.cost(pb, a), k.legs.cost(a, nb)
 	dwD := p.dwellDur[b] - p.dwellDur[a]
 	dwE := p.dwellEn[b] - p.dwellEn[a]
-	inAD := pabD + bnaD - paD - anD + dwD // route ra: a's slot now holds b
-	inAE := pabE + bnaE - paE - anE + dwE
-	inBD := pbaD + anbD - pbD - bnD - dwD // route rb: b's slot now holds a
-	inBE := pbaE + anbE - pbE - bnE - dwE
+	inAD := paB.dur + bNa.dur - paA.dur - aNa.dur + dwD // route ra: a's slot now holds b
+	inAE := paB.en + bNa.en - paA.en - aNa.en + dwE
+	inBD := pbA.dur + aNb.dur - pbB.dur - bNb.dur - dwD // route rb: b's slot now holds a
+	inBE := pbA.en + aNb.en - pbB.en - bNb.en - dwE
 	batPen := k.batPen + k.penaltyDelta(ra, rb, inAE, inBE)
 	capOver, splitViol := k.capOver, k.splitViol
 	ta, tb := int(p.task[a]), int(p.task[b])
@@ -636,8 +618,8 @@ func (k *kernel) optimum() int64 {
 	var visit func(last int32, used uint32, dur, en, adj int64)
 	visit = func(last int32, used uint32, dur, en, adj int64) {
 		if used == all {
-			d, e := k.leg(last, home)
-			dur, en = dur+d, en+e
+			l := k.legs.cost(last, home)
+			dur, en = dur+l.dur, en+l.en
 		}
 		c := fixedDur + dur + penalty(en+dwellEn, p.budget) + adj*orderPenaltyUnits
 		if c >= best {
@@ -649,8 +631,8 @@ func (k *kernel) optimum() int64 {
 		}
 		for x := int32(0); x < int32(p.n); x++ {
 			if used&(1<<x) == 0 {
-				d, e := k.leg(last, x)
-				visit(x, used|1<<x, dur+d, en+e, adj+k.viol(last, x))
+				l := k.legs.cost(last, x)
+				visit(x, used|1<<x, dur+l.dur, en+l.en, adj+k.viol(last, x))
 			}
 		}
 	}
@@ -674,9 +656,9 @@ func (k *kernel) recompute() int64 {
 		var distinct int32
 		touched = touched[:0]
 		for x := k.next[s]; x != s; x = k.next[x] {
-			d, e := k.leg(k.prev[x], x)
-			dur += d + p.dwellDur[x]
-			en += e + p.dwellEn[x]
+			l := k.legs.cost(k.prev[x], x)
+			dur += l.dur + p.dwellDur[x]
+			en += l.en + p.dwellEn[x]
 			t := p.task[x]
 			if cnt[t] == 0 {
 				distinct++
@@ -690,9 +672,9 @@ func (k *kernel) recompute() int64 {
 				adjViol++
 			}
 		}
-		d, e := k.leg(k.prev[s], s)
-		dur += d
-		en += e
+		l := k.legs.cost(k.prev[s], s)
+		dur += l.dur
+		en += l.en
 		durTot += dur
 		batPen += penalty(en, p.budget)
 		if p.cap > 0 && distinct > p.cap {

@@ -111,6 +111,11 @@ func TestKernelEvalExact(t *testing.T) {
 					if got, naive := k.cost(), k.recompute(); got != naive {
 						t.Fatalf("move %d: incremental %d != naive %d", i, got, naive)
 					}
+					for x := int32(0); x < int32(k.nNodes); x++ {
+						if got, want := k.edge[x], k.legs.cost(x, k.next[x]); got != want {
+							t.Fatalf("move %d: edge %d -> %d cached as %+v, costs %+v", i, x, k.next[x], got, want)
+						}
+					}
 				}
 			}
 			if adjacent == 0 || (tc.fleet > 1 && intoEmpty == 0) {
@@ -118,6 +123,43 @@ func TestKernelEvalExact(t *testing.T) {
 			}
 		})
 	}
+}
+
+func TestKernelLegCostsExact(t *testing.T) {
+	// Every leg cost the kernel reads, route sentinels included, is the
+	// unit conversion of geo.Distance3D between the two positions, whether
+	// the lookup fills the cache, hits it (each pair is read in both
+	// orders) or goes through the probe table above legDenseLimit.
+	check := func(name string, cfg Config, tasks []Task) {
+		t.Helper()
+		_, k := loadKernel(cfg, tasks)
+		p := k.p
+		pos := func(x int) geo.Position {
+			if x >= p.n {
+				return p.base
+			}
+			return p.stops[x].Waypoint.Position
+		}
+		for i := 0; i < k.nNodes; i++ {
+			for j := 0; j < k.nNodes; j++ {
+				d := geo.Distance3D(pos(i), pos(j))
+				want := legCost{int64(d*p.durPerM*unitScale + 0.5), int64(d*p.enPerM*unitScale + 0.5)}
+				if got := k.legs.cost(int32(i), int32(j)); got != want {
+					t.Fatalf("%s: leg %d -> %d costs %+v, Distance3D gives %+v", name, i, j, got, want)
+				}
+			}
+		}
+	}
+	for _, in := range pinCorpus() {
+		check(in.cfg.Seed, in.cfg, in.tasks)
+	}
+	cfg := DefaultConfig(base)
+	cfg.FleetSize = 3
+	tasks := genTasks(newRNG("legs-probe"), legDenseLimit+40, 1, 0)
+	if n := len(explode(tasks)); n+1 <= legDenseLimit {
+		t.Fatalf("%d stops fit the dense cache", n)
+	}
+	check("probe", cfg, tasks)
 }
 
 // permutations calls f with every order of 0..n-1 (Heap's algorithm).

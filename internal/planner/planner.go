@@ -222,7 +222,8 @@ func (cfg Config) PlanStops(stops []Stop, orderedIDs []string) (*Plan, error) {
 // array of the best chain). Each chain depends only on its own derived seed
 // and the shared immutable problem, and the winner is selected by (cost,
 // restart index), so the result does not depend on how many workers ran the
-// chains or in what order they finished.
+// chains or in what order they finished. With one worker the chains run on
+// the caller's goroutine.
 func (cfg Config) annealRestarts(prob *problem, seed [][]int32) []int32 {
 	restarts := cfg.Restarts
 	if restarts <= 0 {
@@ -240,27 +241,37 @@ func (cfg Config) annealRestarts(prob *problem, seed [][]int32) []int32 {
 		next []int32
 	}
 	results := make([]result, restarts)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One kernel (and leg-table) per worker, reused across the
-			// restarts it draws from the queue.
-			k := newKernel(prob)
-			for ri := range idx {
-				k.load(seed)
-				k.anneal(newRNG(fmt.Sprintf("%s/restart-%02d", cfg.Seed, ri)), cfg.Iterations)
-				results[ri] = result{cost: k.bestCost, next: append([]int32(nil), k.bestNext...)}
-			}
-		}()
+	// Each worker builds one kernel (and leg table) and reuses it across
+	// the restarts it runs.
+	chain := func(k *kernel, ri int) {
+		k.load(seed)
+		k.anneal(newRNG(fmt.Sprintf("%s/restart-%02d", cfg.Seed, ri)), cfg.Iterations)
+		results[ri] = result{cost: k.bestCost, next: append([]int32(nil), k.bestNext...)}
 	}
-	for ri := 0; ri < restarts; ri++ {
-		idx <- ri
+	if workers == 1 {
+		k := newKernel(prob)
+		for ri := range results {
+			chain(k, ri)
+		}
+	} else {
+		idx := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				k := newKernel(prob)
+				for ri := range idx {
+					chain(k, ri)
+				}
+			}()
+		}
+		for ri := range results {
+			idx <- ri
+		}
+		close(idx)
+		wg.Wait()
 	}
-	close(idx)
-	wg.Wait()
 	best := 0
 	for ri := 1; ri < restarts; ri++ {
 		if results[ri].cost < results[best].cost {

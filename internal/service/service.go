@@ -357,7 +357,7 @@ func orderDefinition(ord cloud.Order) (*core.Definition, error) {
 // and access info. The definitions stay in the order book; FlyScheduled
 // parses them again for the orders it flies.
 func (s *Service) ProcessOrders() (*planner.Plan, error) {
-	pending := s.pendingOrders()
+	pending := s.orders.ListStatus(cloud.OrderPending)
 	if len(pending) == 0 {
 		return nil, ErrNothingToFly
 	}
@@ -396,16 +396,6 @@ func (s *Service) ProcessOrders() (*planner.Plan, error) {
 		})
 	}
 	return plan, nil
-}
-
-func (s *Service) pendingOrders() []cloud.Order {
-	var out []cloud.Order
-	for _, ord := range s.orders.List("") {
-		if ord.Status == cloud.OrderPending {
-			out = append(out, ord)
-		}
-	}
-	return out
 }
 
 // FlyScheduled executes the plan across the fleet: each route flies on the

@@ -2,8 +2,11 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -532,5 +535,62 @@ func TestFlyScheduledFailsOnBrokenMeter(t *testing.T) {
 	}
 	if _, err := s.FlyScheduled(plan); !errors.Is(err, core.ErrInvariant) {
 		t.Fatalf("FlyScheduled err = %v, want core.ErrInvariant", err)
+	}
+}
+
+// TestPlanningRoundPinned pins what two planning rounds write into a book
+// whose orders interleave across tenants and shards: every order's status,
+// operating window and access info. The second round must plan only the
+// orders still pending, as tasks in order-id order, so its windows are
+// those of the same plan as before.
+func TestPlanningRoundPinned(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.FleetSize = 2
+	cfg.Seed = t.Name()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	post := func(tranche, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			user := fmt.Sprintf("tenant-%02d", (i*7+tranche)%11)
+			name := fmt.Sprintf("r%d-%02d", tranche, i)
+			north, east := float64(40+23*i), float64(-150+37*((i+tranche)%9))
+			if _, err := s.OrderJSON(user, name, defFor(user, name, north, east, apps.PhotoPackage)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	post(1, 10)
+	if _, err := s.ProcessOrders(); err != nil {
+		t.Fatal(err)
+	}
+	post(2, 8)
+	if _, err := s.ProcessOrders(); err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		ID, Name           string
+		Status             cloud.OrderStatus
+		WindowStartS, EndS float64
+		Access             cloud.AccessInfo
+	}
+	var rows []row
+	for _, o := range s.Orders().List("") {
+		if o.Status != cloud.OrderScheduled {
+			t.Errorf("order %s (%s) is %s after both rounds", o.ID, o.Name, o.Status)
+		}
+		rows = append(rows, row{o.ID, o.Name, o.Status, o.WindowStartS, o.WindowEndS, o.Access})
+	}
+	b, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	const pinned = "5a1c2392d01ab3f270dedfa1eb32ec1c4c2fc1cd6cd753720ade08a574d8fa9a"
+	if got := hex.EncodeToString(sum[:]); got != pinned {
+		t.Errorf("round digest %s, pinned %s; rows:\n%s", got, pinned, b)
 	}
 }
