@@ -106,26 +106,27 @@ func triangle(a, b int) int {
 // miss prices the leg between ids a and b when cost does not hold it: it
 // fills the pair's dense entry, or converts the probe table's distance.
 func (t *legTable) miss(a, b int) legCost {
-	d := t.dist(min(a, b), max(a, b))
-	c := legCost{int64(d*t.durPerM*unitScale + 0.5), int64(d*t.enPerM*unitScale + 0.5)}
-	if t.dense != nil {
-		t.dense[triangle(a, b)] = legCost{^c.dur, c.en}
+	i, j := min(a, b), max(a, b)
+	if t.dense == nil {
+		return t.convert(t.probe(i, j))
 	}
+	c := t.convert(t.measure(i, j))
+	t.dense[triangle(a, b)] = legCost{^c.dur, c.en}
 	return c
 }
 
-// dist returns the 3-D distance between node ids i <= j, through the probe
-// table when the instance has one.
-func (t *legTable) dist(i, j int) float64 {
-	if i == j {
-		return 0
-	}
-	if t.dense != nil {
-		return t.measure(i, j)
-	}
+// convert is the integer cost of a leg d meters long.
+func (t *legTable) convert(d float64) legCost {
+	return legCost{int64(d*t.durPerM*unitScale + 0.5), int64(d*t.enPerM*unitScale + 0.5)}
+}
+
+// probe returns the 3-D distance between node ids i <= j through the probe
+// table. Identical points measure exactly 0, so a leg from a node to itself
+// needs no case of its own.
+func (t *legTable) probe(i, j int) float64 {
 	key := int64(i)*int64(t.n+1) + int64(j) + 1 // +1 keeps 0 as "empty"
 	h := int(splitmix64(uint64(key))) & t.mask
-	for probe := 0; probe < legProbeMax; probe++ {
+	for try := 0; try < legProbeMax; try++ {
 		switch t.keys[h] {
 		case key:
 			return t.vals[h]

@@ -19,6 +19,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"androne/internal/energy"
 	"androne/internal/geo"
@@ -218,12 +219,11 @@ func (cfg Config) PlanStops(stops []Stop, orderedIDs []string) (*Plan, error) {
 }
 
 // annealRestarts runs the configured number of independent annealing chains
-// over a bounded worker pool and returns the winning tour (the next-links
-// array of the best chain). Each chain depends only on its own derived seed
-// and the shared immutable problem, and the winner is selected by (cost,
-// restart index), so the result does not depend on how many workers ran the
-// chains or in what order they finished. With one worker the chains run on
-// the caller's goroutine.
+// on the caller's goroutine and Workers-1 more, and returns the winning tour
+// (the next-links array of the best chain). Each chain depends only on its
+// own derived seed and the shared immutable problem, and the winner is
+// selected by (cost, restart index), so the result does not depend on how
+// many workers ran the chains or in what order they finished.
 func (cfg Config) annealRestarts(prob *problem, seed [][]int32) []int32 {
 	restarts := cfg.Restarts
 	if restarts <= 0 {
@@ -242,36 +242,30 @@ func (cfg Config) annealRestarts(prob *problem, seed [][]int32) []int32 {
 	}
 	results := make([]result, restarts)
 	// Each worker builds one kernel (and leg table) and reuses it across
-	// the restarts it runs.
-	chain := func(k *kernel, ri int) {
-		k.load(seed)
-		k.anneal(newRNG(fmt.Sprintf("%s/restart-%02d", cfg.Seed, ri)), cfg.Iterations)
-		results[ri] = result{cost: k.bestCost, next: append([]int32(nil), k.bestNext...)}
-	}
-	if workers == 1 {
+	// the restarts it claims.
+	var nextRestart atomic.Int64
+	work := func() {
 		k := newKernel(prob)
-		for ri := range results {
-			chain(k, ri)
+		for {
+			ri := int(nextRestart.Add(1)) - 1
+			if ri >= restarts {
+				return
+			}
+			k.load(seed)
+			k.anneal(newRNG(fmt.Sprintf("%s/restart-%02d", cfg.Seed, ri)), cfg.Iterations)
+			results[ri] = result{cost: k.bestCost, next: append([]int32(nil), k.bestNext...)}
 		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				k := newKernel(prob)
-				for ri := range idx {
-					chain(k, ri)
-				}
-			}()
-		}
-		for ri := range results {
-			idx <- ri
-		}
-		close(idx)
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	best := 0
 	for ri := 1; ri < restarts; ri++ {
 		if results[ri].cost < results[best].cost {
