@@ -28,9 +28,9 @@ race:
 vet: androne-vet
 	$(GO) vet ./...
 
-# The androne-specific static-analysis suite: lock discipline, binder
-# namespace isolation, VFC whitelist boundary, service-plane deadlines,
-# timer hygiene, the interprocedural security analyzers, the
+# The androne-specific static-analysis suite: lock discipline, the binder
+# namespace and VFC whitelist boundaries (one call-site policy table,
+# callguard), service-plane deadlines, timer hygiene, the interprocedural security analyzers, the
 # effect-summary contract analyzers (detguard, hotpath), and the
 # concurrency-liveness pair (lockorder, waitleak). One run fails on any
 # finding and on any stale //vet:allow (a suppression no analyzer fires on
@@ -39,14 +39,16 @@ vet: androne-vet
 androne-vet:
 	$(GO) run ./cmd/androne-vet -budget-file VET_BASELINE.json ./...
 
-# Sabotage smoke for the contract analyzers: the fixture suites carry
-# deliberately broken packages whose expected findings ("// want"
-# comments) must all be produced — an analyzer that goes blind fails the
-# test rather than silently passing the repo.
+# Sabotage smoke for the contract analyzers and the call-site guard: the
+# fixture suites carry deliberately broken packages whose expected findings
+# ("// want" comments) must all be produced — an analyzer that goes blind
+# fails the test rather than silently passing the repo. callguard's
+# fixtures hold at least one finding per policy row.
 vet-smoke:
-	$(GO) test -count=1 -run 'TestDetGuard|TestHotPath|TestLockOrder|TestWaitLeak' \
+	$(GO) test -count=1 -run 'TestDetGuard|TestHotPath|TestLockOrder|TestWaitLeak|TestCallGuard' \
 		./internal/analysis/detguard ./internal/analysis/hotpath \
-		./internal/analysis/lockorder ./internal/analysis/waitleak
+		./internal/analysis/lockorder ./internal/analysis/waitleak \
+		./internal/analysis/callguard
 
 # End-to-end scenario harness (internal/simharness): every builtin scenario
 # through the CLI, the JSON examples, and proof that a sabotaged enforcement

@@ -130,7 +130,7 @@ func newEchoRig(clients int) (*echoRig, error) {
 	if err != nil {
 		return nil, err
 	}
-	mgr := ns.Attach(1000) //vet:allow nsguard the bench measures the raw binder ioctl path itself
+	mgr := ns.Attach(1000) //vet:allow callguard the bench measures the raw binder ioctl path itself
 	svcs := make(map[string]*binder.Node)
 	mgrNode := mgr.NewNode("servicemanager:bench", func(txn binder.Txn) (binder.Reply, error) {
 		switch txn.Code {
@@ -150,20 +150,20 @@ func newEchoRig(clients int) (*echoRig, error) {
 		}
 		return binder.Reply{}, fmt.Errorf("unknown code %d", txn.Code)
 	})
-	if err := mgr.BecomeContextManager(mgrNode); err != nil { //vet:allow nsguard the bench measures the raw binder ioctl path itself
+	if err := mgr.BecomeContextManager(mgrNode); err != nil { //vet:allow callguard the bench measures the raw binder ioctl path itself
 		return nil, err
 	}
-	owner := ns.Attach(1000) //vet:allow nsguard the bench measures the raw binder ioctl path itself
+	owner := ns.Attach(1000) //vet:allow callguard the bench measures the raw binder ioctl path itself
 	echo := owner.NewNode("echo", func(txn binder.Txn) (binder.Reply, error) {
 		return binder.Reply{Data: txn.Data}, nil
 	})
-	if _, _, err := owner.Transact(0, binder.CodeAddService, []byte("echo"), []*binder.Node{echo}); err != nil { //vet:allow nsguard the bench measures the raw binder ioctl path itself
+	if _, _, err := owner.Transact(0, binder.CodeAddService, []byte("echo"), []*binder.Node{echo}); err != nil { //vet:allow callguard the bench measures the raw binder ioctl path itself
 		return nil, err
 	}
 
 	r := &echoRig{payload: []byte("0123456789abcdef")}
 	for c := 0; c < clients; c++ {
-		p := ns.Attach(2000 + c) //vet:allow nsguard the bench measures the raw binder ioctl path itself
+		p := ns.Attach(2000 + c) //vet:allow callguard the bench measures the raw binder ioctl path itself
 		_, hs, err := p.Transact(0, binder.CodeGetService, []byte("echo"), nil)
 		if err != nil || len(hs) != 1 {
 			return nil, fmt.Errorf("resolving echo service for client %d: %v", c, err)

@@ -1,9 +1,9 @@
 // androne-vet runs the repository's custom static-analysis suite — the
 // AnDrone-specific invariants the compiler cannot check: lock discipline on
-// the flight hot paths (locksafe), Binder namespace isolation (nsguard),
-// the VFC MAVLink whitelist boundary (whitelistguard), deadlines and
-// cancellation in the service plane (ctxtimeout), timer hygiene in
-// high-rate loops (tickleak), the interprocedural security suite —
+// the flight hot paths (locksafe), Binder namespace isolation and the VFC
+// MAVLink whitelist boundary as one call-site policy table (callguard),
+// deadlines and cancellation in the service plane (ctxtimeout), timer
+// hygiene in high-rate loops (tickleak), the interprocedural security suite —
 // permission checks dominating every hardware path (permguard), sender
 // identity taint (sendertaint), and security-relevant error propagation
 // (errflow) — the effect-summary contract analyzers: determinism on the
@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"os"
 
+	"androne/internal/analysis/callguard"
 	"androne/internal/analysis/ctxtimeout"
 	"androne/internal/analysis/detguard"
 	"androne/internal/analysis/errflow"
@@ -47,28 +48,25 @@ import (
 	"androne/internal/analysis/load"
 	"androne/internal/analysis/lockorder"
 	"androne/internal/analysis/locksafe"
-	"androne/internal/analysis/nsguard"
 	"androne/internal/analysis/permguard"
 	"androne/internal/analysis/sendertaint"
 	"androne/internal/analysis/tickleak"
 	"androne/internal/analysis/waitleak"
-	"androne/internal/analysis/whitelistguard"
 )
 
 // suite is every analyzer the driver knows, in report order.
 var suite = []*framework.Analyzer{
+	callguard.Analyzer,
 	ctxtimeout.Analyzer,
 	detguard.Analyzer,
 	errflow.Analyzer,
 	hotpath.Analyzer,
 	lockorder.Analyzer,
 	locksafe.Analyzer,
-	nsguard.Analyzer,
 	permguard.Analyzer,
 	sendertaint.Analyzer,
 	tickleak.Analyzer,
 	waitleak.Analyzer,
-	whitelistguard.Analyzer,
 }
 
 // budgetFactor is how much the suite's total wall-clock may grow over the

@@ -21,6 +21,13 @@ func AddService(p *binder.Proc, name string) error {
 	return err
 }
 
+// Transact forwards a caller's code, as the real Client.Transact does: a
+// code that is not a constant is legal inside the framework.
+func Transact(p *binder.Proc, code binder.Code) error {
+	_, err := p.Transact(0, code, nil)
+	return err
+}
+
 // Ping is an unguarded transaction; any package may transact non-AddService
 // codes through handles it owns.
 func Ping(p *binder.Proc) error {

@@ -1,5 +1,5 @@
 // Package binder is a fixture standing in for the real binder driver: the
-// nsguard analyzer matches callees by import-path suffix, so this fake at
+// callguard analyzer matches callees by import-path suffix, so this fake at
 // the androne/internal/binder path exercises the same policy table.
 package binder
 

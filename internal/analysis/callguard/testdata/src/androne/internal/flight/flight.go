@@ -1,5 +1,5 @@
 // Package flight is a fixture standing in for the flight controller; the
-// whitelistguard analyzer resolves its methods by import-path suffix and
+// callguard analyzer resolves its methods by import-path suffix and
 // receiver type name.
 package flight
 

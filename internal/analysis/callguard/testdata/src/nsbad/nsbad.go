@@ -14,6 +14,24 @@ func Escape(d *binder.Driver, ns *binder.Namespace, p *binder.Proc) {
 	_, _ = p.Transact(0, binder.CodeAddService, nil) // want `direct AddService transaction bypasses the namespace registration path`
 }
 
+// Value takes a guarded method as a value, which can be called from
+// anywhere later.
+func Value(ns *binder.Namespace) func(int) *binder.Proc {
+	return ns.Attach // want `binder\.Attach is namespace plumbing reserved for androne/internal/android`
+}
+
+// Disguised passes CodeAddService under another spelling, a code that may
+// be it, or a Transact whose code is not known where it is taken.
+func Disguised(p *binder.Proc, code binder.Code) {
+	const add = binder.CodeAddService
+	_, _ = p.Transact(0, 3, nil)                                     // want `direct AddService transaction bypasses the namespace registration path`
+	_, _ = p.Transact(0, add, nil)                                   // want `direct AddService transaction bypasses the namespace registration path`
+	_, _ = p.Transact(0, code, nil)                                  // want `direct AddService transaction bypasses the namespace registration path`
+	_, _ = (*binder.Proc).Transact(p, 0, binder.CodeAddService, nil) // want `direct AddService transaction bypasses the namespace registration path`
+	transact := p.Transact                                           // want `direct AddService transaction bypasses the namespace registration path`
+	_, _ = transact(0, binder.CodePing, nil)
+}
+
 // Fine: non-AddService transactions through an owned handle are the normal
 // IPC path and stay legal.
 func Fine(p *binder.Proc) {
@@ -22,5 +40,5 @@ func Fine(p *binder.Proc) {
 
 // Suppressed demonstrates a reviewed exception.
 func Suppressed(p *binder.Proc) {
-	_ = p.PublishToAllNS("trusted") //vet:allow nsguard fixture: documented exception
+	_ = p.PublishToAllNS("trusted") //vet:allow callguard fixture: documented exception
 }

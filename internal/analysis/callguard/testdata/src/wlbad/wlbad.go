@@ -26,5 +26,5 @@ func TakeMaster(p *mavproxy.Proxy) *mavproxy.Master {
 
 // Suppressed demonstrates a reviewed exception.
 func Suppressed(fc *flight.Controller, msg flight.Message) {
-	fc.HandleMessage(msg) //vet:allow whitelistguard fixture: documented exception
+	fc.HandleMessage(msg) //vet:allow callguard fixture: documented exception
 }

@@ -216,16 +216,17 @@ func (s *Service) handleFly(w http.ResponseWriter, r *http.Request, _ cloud.Path
 }
 
 // handleBills lists settled bills by order id (GET /api/admin/bills).
+// Orders are never deleted, so every settled bill belongs to a listed order.
 func (s *Service) handleBills(w http.ResponseWriter, r *http.Request, _ cloud.PathValues) {
-	bills := make(map[string]map[string]float64)
-	for _, ord := range s.orders.List("") {
-		if b, ok := s.BillFor(ord.ID); ok {
-			bills[ord.ID] = map[string]float64{
-				"energy": b.EnergyCharge, "storage": b.StorageCharge,
-				"network": b.NetworkCharge, "total": b.Total(),
-			}
+	s.mu.Lock()
+	bills := make(map[string]map[string]float64, len(s.bills))
+	for id, b := range s.bills {
+		bills[id] = map[string]float64{
+			"energy": b.EnergyCharge, "storage": b.StorageCharge,
+			"network": b.NetworkCharge, "total": b.Total(),
 		}
 	}
+	s.mu.Unlock()
 	cloud.WriteJSON(w, http.StatusOK, bills)
 }
 

@@ -313,6 +313,54 @@ func TestRepeatOrderKeepsEarlierBill(t *testing.T) {
 	}
 }
 
+// TestBillsBodyMatchesOrderBook flies two orders, leaves a third pending,
+// and holds GET /api/admin/bills to the body built by walking the order
+// book and asking BillFor about each order.
+func TestBillsBodyMatchesOrderBook(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = t.Name()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, o := range []struct {
+		user, name string
+		n, e       float64
+	}{{"alice", "bill-a", 60, 0}, {"bob", "bill-b", -60, 50}} {
+		if _, err := s.OrderJSON(o.user, o.name, defFor(o.user, o.name, o.n, o.e, apps.PhotoPackage)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.OrderJSON("carol", "pending", defFor("carol", "pending", 30, 30)); err != nil {
+		t.Fatal(err)
+	}
+
+	want := make(map[string]map[string]float64)
+	for _, ord := range s.Orders().List("") {
+		if b, ok := s.BillFor(ord.ID); ok {
+			want[ord.ID] = map[string]float64{
+				"energy": b.EnergyCharge, "storage": b.StorageCharge,
+				"network": b.NetworkCharge, "total": b.Total(),
+			}
+		}
+	}
+	if len(want) != 2 {
+		t.Fatalf("%d orders billed, want 2", len(want))
+	}
+	ref := httptest.NewRecorder()
+	cloud.WriteJSON(ref, http.StatusOK, want)
+
+	got := httptest.NewRecorder()
+	s.Handler().ServeHTTP(got, httptest.NewRequest("GET", "/api/admin/bills", nil))
+	if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), ref.Body.Bytes()) {
+		t.Errorf("GET /api/admin/bills = %d %s\nwant 200 %s", got.Code, got.Body, ref.Body)
+	}
+}
+
 func TestServiceFleetOfTwo(t *testing.T) {
 	// With two physical drones, the planner may spread orders across the
 	// fleet; every order still completes and bills.
