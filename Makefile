@@ -43,11 +43,13 @@ androne-vet:
 # fixture suites carry deliberately broken packages whose expected findings
 # ("// want" comments) must all be produced — an analyzer that goes blind
 # fails the test rather than silently passing the repo. callguard's
-# fixtures hold at least one finding per policy row.
+# fixtures live in nsguard (Binder rows) and whitelistguard (VFC rows);
+# TestCallGuard requires at least one finding there per policy row.
 vet-smoke:
-	$(GO) test -count=1 -run 'TestDetGuard|TestHotPath|TestLockOrder|TestWaitLeak|TestCallGuard' \
+	$(GO) test -count=1 -run 'TestDetGuard|TestHotPath|TestLockOrder|TestWaitLeak|TestNSGuard|TestWhitelistGuard|TestCallGuard' \
 		./internal/analysis/detguard ./internal/analysis/hotpath \
 		./internal/analysis/lockorder ./internal/analysis/waitleak \
+		./internal/analysis/nsguard ./internal/analysis/whitelistguard \
 		./internal/analysis/callguard
 
 # End-to-end scenario harness (internal/simharness): every builtin scenario

@@ -2,24 +2,58 @@ package callguard
 
 import (
 	"go/types"
+	"regexp"
 	"sort"
+	"strings"
 	"testing"
 
 	"androne/internal/analysis/analysistest"
+	"androne/internal/analysis/framework"
 	"androne/internal/analysis/load"
 )
 
+// TestCallGuard requires every row of the table to report at least one
+// unsuppressed finding in the fixture suites of ../nsguard (Binder rows)
+// and ../whitelistguard (VFC rows). Those suites match findings to their
+// // want lines, so deleting any row fails one of them, and a new row with
+// no fixture line fails here.
 func TestCallGuard(t *testing.T) {
-	analysistest.Run(t, "testdata", Analyzer,
-		"androne/internal/binder", // the guarded packages themselves: exempt
-		"androne/internal/flight",
-		"androne/internal/android",
-		"androne/internal/devcon",
-		"androne/internal/mavproxy",
-		"androne/internal/core",
-		"nsbad",
-		"wlbad",
-	)
+	patterns := make([]*regexp.Regexp, len(rules))
+	for i, r := range rules {
+		before, after, _ := strings.Cut(r.msg, "%s")
+		patterns[i] = regexp.MustCompile("^" + regexp.QuoteMeta(before) + ".*" + regexp.QuoteMeta(after) + "$")
+	}
+	fired := make([]bool, len(rules))
+	recorder := &framework.Analyzer{Name: Analyzer.Name, Doc: Analyzer.Doc, Run: func(pass *framework.Pass) error {
+		report := pass.Report
+		pass.Report = func(d framework.Diagnostic) {
+			report(d)
+			if len(load.Filter([]load.Finding{{Analyzer: Analyzer.Name, Pos: pass.Fset.Position(d.Pos), Message: d.Message}})) == 0 {
+				return // on a //vet:allow line, so no // want pins it
+			}
+			var rows []int
+			for i, p := range patterns {
+				if p.MatchString(d.Message) {
+					rows = append(rows, i)
+				}
+			}
+			if len(rows) != 1 {
+				t.Errorf("finding %q matches rows %v, want exactly one", d.Message, rows)
+				return
+			}
+			fired[rows[0]] = true
+		}
+		return run(pass)
+	}}
+	analysistest.Run(t, "../nsguard/testdata", recorder,
+		"androne/internal/binder", "androne/internal/android", "androne/internal/devcon", "nsbad")
+	analysistest.Run(t, "../whitelistguard/testdata", recorder,
+		"androne/internal/flight", "androne/internal/mavproxy", "androne/internal/core", "wlbad")
+	for i, r := range rules {
+		if !fired[i] {
+			t.Errorf("row %d (%s.(%s).%s: %q) reports nothing in the fixtures", i, r.api.pkg, r.api.recv, r.api.name, r.msg)
+		}
+	}
 }
 
 // TestRulesResolve loads every package the policy names from the
