@@ -106,7 +106,8 @@ fleet:
 # trace hashes of every builtin and sabotaged scenario in both modes; plus
 # the bit-exactness tests behind event mode's bulk leaps, per layer (the
 # controller's estimator replay, the parked physics, the closed-form
-# accumulator) and for the whole drone. See DESIGN.md "Event-driven
+# accumulator) and for the whole drone, and the small-angle trig forms the
+# fast loop and its leap both run on. See DESIGN.md "Event-driven
 # scheduling". The planner's pinned plan digests over a fixed corpus and its
 # kernel tests hold the annealing kernel to bit-identical plans.
 equivalence:
@@ -115,7 +116,7 @@ equivalence:
 	$(GO) test -count=1 -run 'TestBulkAdvance' ./internal/core
 	$(GO) test -count=1 -run 'TestAdvanceDisarmed' ./internal/flight
 	$(GO) test -count=1 -run 'TestAdvanceParkedBitExact' ./internal/sitl
-	$(GO) test -count=1 -run 'TestRepeatAdd' ./internal/detmath
+	$(GO) test -count=1 -run 'TestRepeatAdd|TestSincos' ./internal/detmath
 	$(GO) test -count=1 -run 'TestPlanHashesPinned|TestKernel' ./internal/planner
 
 # Every measured experiment at CI size, in one invocation, with the gates

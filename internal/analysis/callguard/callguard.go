@@ -16,8 +16,12 @@
 //     unrestricted master handle stays with provider code.
 //
 // Every reference to a guarded method counts, whether it is called or taken
-// as a method value (a bound value can be invoked later from anywhere). The
-// guarded method's own package is always allowed.
+// as a method value (a bound value can be invoked later from anywhere). A
+// reference inside a function literal counts as outside the declaration
+// that encloses the literal, unless the literal is called where it is
+// written: a stored or returned literal carries the call out of its
+// allowed caller just as a method value does. The guarded method's own
+// package is always allowed.
 package callguard
 
 import (
@@ -115,30 +119,52 @@ func run(pass *framework.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, _ := decl.(*ast.FuncDecl)
-			var callee *ast.SelectorExpr // the Fun of the innermost call entered
-			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-						callee = sel
-						check(pass, fd, sel, n)
-					}
-				case *ast.SelectorExpr:
-					if n != callee {
-						check(pass, fd, n, nil)
-					}
-				}
-				return true
-			})
+			walk(pass, decl, site{fd: fd})
 		}
 	}
 	return nil
 }
 
-// check reports sel, a reference inside fd (nil at package scope), against
-// the first rule that rejects it. call is the call sel is the callee of, or
-// nil for a method value.
-func check(pass *framework.Pass, fd *ast.FuncDecl, sel *ast.SelectorExpr, call *ast.CallExpr) {
+// site is where a reference is written: inside fd (nil at package scope),
+// and, when lit is set, inside a function literal there that is not
+// called where it is written.
+type site struct {
+	fd  *ast.FuncDecl
+	lit bool
+}
+
+// walk checks every guarded reference under root, written at the site.
+func walk(pass *framework.Pass, root ast.Node, at site) {
+	var callee *ast.SelectorExpr // the Fun of the innermost call entered
+	var calledLit *ast.FuncLit   // the same, for a literal called in place
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			switch fun := ast.Unparen(n.Fun).(type) {
+			case *ast.SelectorExpr:
+				callee = fun
+				check(pass, at, fun, n)
+			case *ast.FuncLit:
+				calledLit = fun
+			}
+		case *ast.FuncLit:
+			if !at.lit && n != calledLit {
+				walk(pass, n, site{fd: at.fd, lit: true})
+				return false
+			}
+		case *ast.SelectorExpr:
+			if n != callee {
+				check(pass, at, n, nil)
+			}
+		}
+		return true
+	})
+}
+
+// check reports sel, a reference written at the site, against the first
+// rule that rejects it. call is the call sel is the callee of, or nil for a
+// method value.
+func check(pass *framework.Pass, at site, sel *ast.SelectorExpr, call *ast.CallExpr) {
 	rs := byName[sel.Sel.Name]
 	if len(rs) == 0 {
 		return
@@ -147,10 +173,10 @@ func check(pass *framework.Pass, fd *ast.FuncDecl, sel *ast.SelectorExpr, call *
 	for _, r := range rs {
 		if !framework.IsMethod(fn, r.api.pkg, r.api.recv, r.api.name) ||
 			framework.HasPkgSuffix(pass.Pkg, r.api.pkg) ||
-			!r.applies(pass, fn, sel, call) || r.admits(pass.Pkg, fd) {
+			!r.applies(pass, fn, sel, call) || r.admits(pass.Pkg, at) {
 			continue
 		}
-		pass.Report(framework.Diagnostic{Pos: sel.Pos(), Message: strings.Replace(r.msg, "%s", r.callerName(fd), 1)})
+		pass.Report(framework.Diagnostic{Pos: sel.Pos(), Message: strings.Replace(r.msg, "%s", r.callerName(at), 1)})
 		return
 	}
 }
@@ -174,26 +200,35 @@ func (r *rule) applies(pass *framework.Pass, fn *types.Func, sel *ast.SelectorEx
 	return v == nil || !ok || constant.Compare(v, token.EQL, c.Val())
 }
 
-// admits reports whether a reference inside fd of package pkg is allowed.
-func (r *rule) admits(pkg *types.Package, fd *ast.FuncDecl) bool {
+// admits reports whether a reference written at the site in package pkg is
+// allowed. A function literal that escapes its declaration is no named
+// caller, so only a rule admitting the whole package admits it.
+func (r *rule) admits(pkg *types.Package, at site) bool {
+	fd := at.fd
 	for _, c := range r.callers {
 		if framework.HasPkgSuffix(pkg, c.pkg) && (c.name == "" ||
-			fd != nil && fd.Name.Name == c.name && (c.recv == "" || framework.ReceiverTypeName(fd) == c.recv)) {
+			!at.lit && fd != nil && fd.Name.Name == c.name && (c.recv == "" || framework.ReceiverTypeName(fd) == c.recv)) {
 			return true
 		}
 	}
 	return false
 }
 
-// callerName names fd as finely as the rule's callers do.
-func (r *rule) callerName(fd *ast.FuncDecl) string {
-	if fd == nil {
-		return "package scope"
-	}
-	for _, c := range r.callers {
-		if c.recv != "" {
-			return "(" + framework.ReceiverTypeName(fd) + ")." + fd.Name.Name
+// callerName names the site as finely as the rule's callers do.
+func (r *rule) callerName(at site) string {
+	fd := at.fd
+	name := "package scope"
+	if fd != nil {
+		name = fd.Name.Name
+		for _, c := range r.callers {
+			if c.recv != "" {
+				name = "(" + framework.ReceiverTypeName(fd) + ")." + fd.Name.Name
+				break
+			}
 		}
 	}
-	return fd.Name.Name
+	if at.lit {
+		return "a function literal in " + name
+	}
+	return name
 }

@@ -1,4 +1,4 @@
-// Package mavproxy is a fixture with the two legal dispatch sites and two
+// Package mavproxy is a fixture with the two legal dispatch sites and three
 // illegal ones inside the proxy package itself.
 package mavproxy
 
@@ -17,18 +17,22 @@ type Master struct {
 	fc *flight.Controller
 }
 
-// Send forwards without filtering: the master channel is the provider's.
+// Send forwards without filtering: the master channel is the provider's. A
+// function literal called where it is written stays inside Send.
 func (m *Master) Send(msg flight.Message) []flight.Message {
-	return m.fc.HandleMessage(msg)
+	return func() []flight.Message { return m.fc.HandleMessage(msg) }()
 }
 
 // VFC is a tenant's whitelist-enforcing virtual flight controller.
 type VFC struct {
-	proxy *Proxy
+	proxy  *Proxy
+	escape func(flight.Message) []flight.Message
 }
 
-// Send is the whitelist-checked dispatch path.
+// Send is the whitelist-checked dispatch path. The stored literal carries
+// an unchecked dispatch out of it.
 func (v *VFC) Send(msg flight.Message) []flight.Message {
+	v.escape = func(m flight.Message) []flight.Message { return v.proxy.fc.HandleMessage(m) } // want `may only be invoked from the Send methods that enforce the whitelist, not a function literal in Send`
 	return v.proxy.fc.HandleMessage(msg)
 }
 

@@ -9,11 +9,22 @@
 // The trig forms are ports of the Go standard library's portable
 // implementations (math/sin.go, math/sincos.go, math/tan.go, themselves
 // from the Cephes library), with the same constants and the same operation
-// order. TestSincosTanMatchesMath holds them to the math package on the
-// toolchain that builds them.
+// order. Both skip math's argument reduction for small angles: for
+// 0 < |x| < smallAngle (0.785), x·(4/π) < 1, so math's octant is 0 and its
+// reduced argument ((x − 0·π/4) − 0) − 0 is x itself, and the polynomials
+// run on x directly. Round-to-nearest is sign-symmetric, so evaluating
+// them on a negative x equals math's negation of the result for −x. The
+// fast loop's roll and pitch stay inside that bound (the tilt limit is
+// 0.35 rad); yaw often does not, and every argument outside it takes the
+// full path. TestSincosTanMatchesMath and TestSincosMatchesMath hold them
+// to the math package on the toolchain that builds them.
 package detmath
 
 import "math"
+
+// smallAngle bounds the arguments that skip the reduction: below it,
+// x·(4/π) rounds below 1 (0.785·(4/π) ≈ 0.99949), so math's octant is 0.
+const smallAngle = 0.785
 
 // reduceThreshold is math's limit for its Pi/4 Cody–Waite reduction;
 // larger arguments take the Payne–Hanek path (math/trig_reduce.go).
@@ -60,13 +71,47 @@ var _tanQ = [...]float64{
 	-5.38695755929454629881e7, // 0xc189afe03cbe5a31
 }
 
+// Sincos returns math.Sincos(x), bit for bit. For 0 < |x| < smallAngle it
+// evaluates math's polynomials on x without the reduction; every other
+// argument (±0, NaN, ±Inf, |x| ≥ smallAngle) is handed to math.Sincos.
+func Sincos(x float64) (sin, cos float64) {
+	if !(x != 0 && math.Abs(x) < smallAngle) { // ±0, NaN, ±Inf, large
+		return math.Sincos(x)
+	}
+	zz := x * x
+	return sinPoly(x, zz), cosPoly(zz)
+}
+
+// sinPoly and cosPoly are math's sin and cos polynomials on a reduced
+// argument z with zz = z·z, in math's operation order.
+func sinPoly(z, zz float64) float64 {
+	return z + z*zz*((((((_sin[0]*zz)+_sin[1])*zz+_sin[2])*zz+_sin[3])*zz+_sin[4])*zz+_sin[5])
+}
+
+func cosPoly(zz float64) float64 {
+	return 1.0 - 0.5*zz + zz*zz*((((((_cos[0]*zz)+_cos[1])*zz+_cos[2])*zz+_cos[3])*zz+_cos[4])*zz+_cos[5])
+}
+
+// tanPoly is math's tan rational function on a reduced argument z.
+func tanPoly(z, zz float64) float64 {
+	if zz > 1e-14 {
+		return z + z*(zz*(((_tanP[0]*zz)+_tanP[1])*zz+_tanP[2])/((((zz+_tanQ[1])*zz+_tanQ[2])*zz+_tanQ[3])*zz+_tanQ[4]))
+	}
+	return z
+}
+
 // SincosTan returns math.Sin(x), math.Cos(x) and math.Tan(x), bit for bit,
-// from one argument reduction instead of three. ±0 returns (x, 1, x).
-// NaN, ±Inf and |x| ≥ 2²⁹ are handed to the math package, so the rare
-// Payne–Hanek reduction and NaN payloads are math's own.
+// from one argument reduction instead of three, and from none for
+// 0 < |x| < smallAngle. ±0 returns (x, 1, x). NaN, ±Inf and |x| ≥ 2²⁹ are
+// handed to the math package, so the rare Payne–Hanek reduction and NaN
+// payloads are math's own.
 func SincosTan(x float64) (sin, cos, tan float64) {
 	if x == 0 {
 		return x, 1, x
+	}
+	if math.Abs(x) < smallAngle {
+		zz := x * x
+		return sinPoly(x, zz), cosPoly(zz), tanPoly(x, zz)
 	}
 	if !(math.Abs(x) < reduceThreshold) { // NaN, ±Inf, huge
 		return math.Sin(x), math.Cos(x), math.Tan(x)
@@ -91,11 +136,7 @@ func SincosTan(x float64) (sin, cos, tan float64) {
 	zz := z * z
 
 	// tan: period Pi, so only bit 1 of the octant matters.
-	if zz > 1e-14 {
-		tan = z + z*(zz*(((_tanP[0]*zz)+_tanP[1])*zz+_tanP[2])/((((zz+_tanQ[1])*zz+_tanQ[2])*zz+_tanQ[3])*zz+_tanQ[4]))
-	} else {
-		tan = z
-	}
+	tan = tanPoly(z, zz)
 	if j&2 == 2 {
 		tan = -1 / tan
 	}
@@ -111,8 +152,8 @@ func SincosTan(x float64) (sin, cos, tan float64) {
 	if j > 1 {
 		cosSign = !cosSign
 	}
-	cos = 1.0 - 0.5*zz + zz*zz*((((((_cos[0]*zz)+_cos[1])*zz+_cos[2])*zz+_cos[3])*zz+_cos[4])*zz+_cos[5])
-	sin = z + z*zz*((((((_sin[0]*zz)+_sin[1])*zz+_sin[2])*zz+_sin[3])*zz+_sin[4])*zz+_sin[5])
+	cos = cosPoly(zz)
+	sin = sinPoly(z, zz)
 	if j == 1 || j == 2 {
 		sin, cos = cos, sin
 	}

@@ -15,9 +15,9 @@ func sameFloat(a, b float64) bool {
 }
 
 // specialInputs are the edge cases every equality test covers: signed
-// zeros, infinities, NaNs, subnormals, the reduction threshold 2²⁹ with
-// its neighbours, and the octant boundaries k·π/4 where the reduced
-// argument is smallest.
+// zeros, infinities, NaNs, subnormals, the small-angle bound and the
+// reduction threshold 2²⁹ with their neighbours, and the octant boundaries
+// k·π/4 where the reduced argument is smallest.
 func specialInputs() []float64 {
 	xs := []float64{
 		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
@@ -25,7 +25,7 @@ func specialInputs() []float64 {
 		math.SmallestNonzeroFloat64, 0x1p-1022, math.Float64frombits(0x000fffffffffffff),
 		math.MaxFloat64, 1e-300, 1e-8, 1e-7, 1e9,
 	}
-	for _, v := range []float64{reduceThreshold, 1e9} {
+	for _, v := range []float64{smallAngle, reduceThreshold, 1e9} {
 		xs = append(xs, v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1)))
 	}
 	for k := 1; k <= 64; k++ {
@@ -108,6 +108,65 @@ func TestSincosMatchesSinCos(t *testing.T) {
 	}
 }
 
+// TestSincosMatchesMath holds Sincos to math.Sincos bit for bit over ten
+// million inputs.
+func TestSincosMatchesMath(t *testing.T) {
+	fails := 0
+	forEachInput(matchInputs, func(x float64) {
+		s, c := Sincos(x)
+		ws, wc := math.Sincos(x)
+		if sameFloat(s, ws) && sameFloat(c, wc) {
+			return
+		}
+		if fails++; fails <= 10 {
+			t.Errorf("Sincos(%v) [%#x] = (%v, %v), math gives (%v, %v)",
+				x, math.Float64bits(x), s, c, ws, wc)
+		}
+	})
+	if fails > 0 {
+		t.Fatalf("%d inputs differ from math", fails)
+	}
+}
+
+// TestSincosSmallAngles holds both forms to math on the arguments that skip
+// the reduction: ±0, the smallest subnormals, the bound 0.785 and its float
+// neighbours, π/4 and its neighbours, and four million seeded random
+// arguments of both signs with a binade drawn uniformly from the
+// subnormals up to the bound's, so every exponent of the small-angle path
+// is exercised, not only those of attitude angles.
+func TestSincosSmallAngles(t *testing.T) {
+	xs := []float64{0, math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64, 0x1p-1022,
+		smallAngle, math.Nextafter(smallAngle, 0), math.Nextafter(smallAngle, 1),
+		math.Pi / 4, math.Nextafter(math.Pi/4, 0), math.Nextafter(math.Pi/4, 1), 0.35, 1.2}
+	r := rand.New(rand.NewPCG(35, 785))
+	for i := 0; i < 4_000_000; i++ {
+		x := math.Ldexp(1+r.Float64(), -1-r.IntN(1075)) // [2⁻¹⁰⁷⁵, 1): subnormals round
+		if x >= smallAngle {
+			x = r.Float64() * smallAngle
+		}
+		xs = append(xs, x)
+	}
+	fails := 0
+	for _, x := range xs {
+		for _, x := range [2]float64{x, -x} {
+			s, c := Sincos(x)
+			ws, wc := math.Sincos(x)
+			s3, c3, tn := SincosTan(x)
+			if sameFloat(s, ws) && sameFloat(c, wc) &&
+				sameFloat(s3, math.Sin(x)) && sameFloat(c3, math.Cos(x)) && sameFloat(tn, math.Tan(x)) {
+				continue
+			}
+			if fails++; fails <= 10 {
+				t.Errorf("x = %v [%#x]: Sincos (%v, %v), SincosTan (%v, %v, %v); math gives (%v, %v, %v)",
+					x, math.Float64bits(x), s, c, s3, c3, tn, ws, wc, math.Tan(x))
+			}
+		}
+	}
+	if fails > 0 {
+		t.Fatalf("%d inputs differ from math", fails)
+	}
+}
+
 // FuzzSincosTan explores argument bit patterns for a SincosTan result
 // that differs from math.
 func FuzzSincosTan(f *testing.F) {
@@ -129,6 +188,26 @@ func BenchmarkSincosTan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s, c, tn := SincosTan(x)
 		sink += s + c + tn
+		x += 1e-9
+	}
+}
+
+// BenchmarkSincos times Sincos on a small attitude angle.
+func BenchmarkSincos(b *testing.B) {
+	x := 0.3
+	for i := 0; i < b.N; i++ {
+		s, c := Sincos(x)
+		sink += s + c
+		x += 1e-9
+	}
+}
+
+// BenchmarkMathSincos is the call Sincos replaces.
+func BenchmarkMathSincos(b *testing.B) {
+	x := 0.3
+	for i := 0; i < b.N; i++ {
+		s, c := math.Sincos(x)
+		sink += s + c
 		x += 1e-9
 	}
 }

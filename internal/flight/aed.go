@@ -36,14 +36,11 @@ type aedFold struct {
 
 func newAEDFold() aedFold { return aedFold{excursionStart: -1} }
 
-func (f *aedFold) add(s Sample) {
+func (f *aedFold) add(s *Sample) {
 	if !s.HasTruth {
 		return
 	}
-	// The builtin max, not math.Max: the same result here (NaN wins, +0
-	// beats −0, and a divergence is never +Inf) without the call.
-	div := max(angDiffDeg(s.EstRoll, s.TrueRoll), angDiffDeg(s.EstPitch, s.TruePitch),
-		angDiffDeg(s.EstYaw, s.TrueYaw))
+	div := divergenceDeg(s)
 	if div > f.res.MaxDivergenceDeg {
 		f.res.MaxDivergenceDeg = div
 	}
@@ -57,6 +54,16 @@ func (f *aedFold) add(s Sample) {
 	} else {
 		f.excursionStart = -1
 	}
+}
+
+// divergenceDeg is the largest of s's three estimate errors, in degrees.
+// The builtin max, not math.Max: the same result here (NaN wins, +0 beats
+// −0, and a divergence is never +Inf) without the call. The max is taken
+// in radians and converted once: x ↦ x·180/π rounds monotonically, so it
+// commutes with max.
+func divergenceDeg(s *Sample) float64 {
+	return max(angDiffRad(s.EstRoll, s.TrueRoll), angDiffRad(s.EstPitch, s.TruePitch),
+		angDiffRad(s.EstYaw, s.TrueYaw)) * 180 / math.Pi
 }
 
 func (f *aedFold) result() AEDResult {
@@ -80,11 +87,14 @@ type AEDMonitor struct {
 // NewAEDMonitor creates a monitor that has seen no samples.
 func NewAEDMonitor() *AEDMonitor { return &AEDMonitor{fold: newAEDFold()} }
 
-func (m *AEDMonitor) add(s Sample) {
+// add folds in the pending sample, in place, and makes the estimate at
+// time t the pending one.
+func (m *AEDMonitor) add(t, roll, pitch, yaw float64) {
 	if m.hasPending {
-		m.fold.add(m.pending)
+		m.fold.add(&m.pending)
 	}
-	m.pending, m.hasPending = s, true
+	m.pending = Sample{T: t, EstRoll: roll, EstPitch: pitch, EstYaw: yaw}
+	m.hasPending = true
 }
 
 func (m *AEDMonitor) setTruth(roll, pitch, yaw float64) {
@@ -99,11 +109,12 @@ func (m *AEDMonitor) setTruth(roll, pitch, yaw float64) {
 func (m *AEDMonitor) Result() AEDResult {
 	f := m.fold
 	if m.hasPending {
-		f.add(m.pending)
+		f.add(&m.pending)
 	}
 	return f.result()
 }
 
-func angDiffDeg(a, b float64) float64 {
-	return math.Abs(wrapPi(a-b)) * 180 / math.Pi
+// angDiffRad is the absolute angle between a and b, in radians.
+func angDiffRad(a, b float64) float64 {
+	return math.Abs(wrapPi(a - b))
 }

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"androne/internal/geo"
@@ -19,8 +20,8 @@ type Log struct {
 // AnalyzeAED runs the Attitude Estimate Divergence analysis over the log.
 func AnalyzeAED(l *Log) AEDResult {
 	f := newAEDFold()
-	for _, s := range l.samples {
-		f.add(s)
+	for i := range l.samples {
+		f.add(&l.samples[i])
 	}
 	return f.result()
 }
@@ -126,5 +127,36 @@ func TestAEDMonitorMatchesLog(t *testing.T) {
 				t.Fatalf("AED pass = %v, want %v (%+v)", res.Pass, tc.wantPass, res)
 			}
 		})
+	}
+}
+
+// TestAEDDivergenceConvertsOnce holds divergenceDeg, the max of three
+// radian differences converted to degrees once, to the max of the three
+// differences each converted to degrees, over random and edge estimates:
+// x ↦ x·180/π must round monotonically for the two to agree.
+func TestAEDDivergenceConvertsOnce(t *testing.T) {
+	deg := func(a, b float64) float64 { return math.Abs(wrapPi(a-b)) * 180 / math.Pi }
+	r := rand.New(rand.NewPCG(35, 180))
+	edge := []float64{0, math.Copysign(0, -1), 1e-300, math.Pi, -math.Pi, math.Nextafter(math.Pi, 4), math.NaN()}
+	for i := 0; i < 1_000_000; i++ {
+		var v [6]float64 // three estimates, then three truths
+		e := (2*r.Float64() - 1) * math.Pi
+		for k := 0; k < 3; k++ {
+			tr := (2*r.Float64() - 1) * math.Pi
+			switch r.IntN(3) {
+			case 0:
+				v[k], v[k+3] = edge[r.IntN(len(edge))], edge[r.IntN(len(edge))]
+			case 1:
+				v[k], v[k+3] = (2*r.Float64()-1)*math.Pi, tr
+			default: // errors within a few ulps of one another
+				v[k], v[k+3] = tr+e+float64(r.IntN(5)-2)*0x1p-51, tr
+			}
+		}
+		s := Sample{EstRoll: v[0], EstPitch: v[1], EstYaw: v[2], TrueRoll: v[3], TruePitch: v[4], TrueYaw: v[5]}
+		got := divergenceDeg(&s)
+		want := max(deg(v[0], v[3]), deg(v[1], v[4]), deg(v[2], v[5]))
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("divergence of %v = %v, per-axis degrees give %v", v, got, want)
+		}
 	}
 }

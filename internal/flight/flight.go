@@ -34,9 +34,9 @@ const FastLoopHz = 400
 // FastLoopDT is the fast loop period in seconds.
 const FastLoopDT = 1.0 / FastLoopHz
 
-// Sensors is the controller's view of the drone's sensors. On AnDrone
-// hardware this is the HAL bridge into the device container's services; in
-// tests it can wrap devices directly.
+// Sensors is the controller's view of the drone's sensors. Its one
+// implementation is DirectSensors, which reads the device models directly;
+// core's drones and NewVehicle both pass it.
 type Sensors interface {
 	// Fix returns the current GPS reading.
 	Fix() devices.Fix
@@ -487,7 +487,7 @@ func (c *Controller) control(imu devices.IMUSample, hdg float64, fix devices.Fix
 	// Velocity -> tilt. Desired acceleration maps to lean angles.
 	accN := 1.2 * (dvN - c.velN)
 	accE := 1.2 * (dvE - c.velE)
-	sy, cy := math.Sincos(c.estYaw)
+	sy, cy := detmath.Sincos(c.estYaw)
 	accX := cy*accN + sy*accE  // body forward
 	accY := -sy*accN + cy*accE // body right
 	// Forward acceleration needs nose-down (negative) pitch.
@@ -548,11 +548,11 @@ func (c *Controller) updateAttitudeEstimate(imu devices.IMUSample, hdgDeg, dt fl
 	c.estYaw = correctYaw(c.estYaw, &ref)
 }
 
-// integrateGyro advances the estimate by the body rates. One argument
-// reduction per angle; each result equals the separate math call bit for
-// bit (package detmath).
+// integrateGyro advances the estimate by the body rates. At most one
+// argument reduction per angle, none for small angles; each result equals
+// the separate math call bit for bit (package detmath).
 func (c *Controller) integrateGyro(imu devices.IMUSample, dt float64) {
-	sr, cr := math.Sincos(c.estRoll)
+	sr, cr := detmath.Sincos(c.estRoll)
 	_, cp, tp := detmath.SincosTan(c.estPitch)
 	c.estRoll += dt * (imu.GyroX + imu.GyroY*sr*tp + imu.GyroZ*cr*tp)
 	c.estPitch += dt * (imu.GyroY*cr - imu.GyroZ*sr)
@@ -661,7 +661,7 @@ func (c *Controller) Breached() bool { return c.breached }
 
 func (c *Controller) logSample() {
 	if c.aed != nil {
-		c.aed.add(Sample{T: c.timeS, EstRoll: c.estRoll, EstPitch: c.estPitch, EstYaw: c.estYaw})
+		c.aed.add(c.timeS, c.estRoll, c.estPitch, c.estYaw)
 	}
 }
 

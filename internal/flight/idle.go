@@ -23,13 +23,18 @@
 // (attitudeRefsOf). A parked drone's recorded gyro rates are ±0, and then
 // the gyro step adds ±0 to each estimate: the identity, unless the
 // estimate is −0 (replayCorrections states the conditions). So the leap
-// computes the references once and runs each axis's correction alone, in
-// registers, until that axis reaches its bit-exact fixed point. Yaw
+// computes the references once and runs the corrections alone, in
+// registers, until each axis reaches its bit-exact fixed point. Yaw
 // settles: facing north the magnetometer reads a heading of exactly 0,
 // and the yaw estimate decays by 0.98 per step through the subnormals to
 // a fixed point of about ±1.2e-322. Roll and pitch do not settle within
-// a hold, so they cost a few flops per skipped step instead of a full
-// estimator step with its trig. A non-zero gyro rate, a −0 estimate, a
+// a hold. A parked drone's references are level (±0), and then each roll
+// and pitch correction is one multiply and one subtract (levelDecay), so
+// the two axes run as two lanes of one loop and a post-flight leap costs
+// the latency of that chain per skipped step: about 1 ms for the 239,480
+// steps of a 600 s hold on a 2-CPU VM. Yaw and non-level
+// references replay through each axis's own correction (settle), a few
+// flops and two wraps per step. A non-zero gyro rate, a −0 estimate, a
 // non-finite roll, or pitch outside its clamp takes the full estimator
 // step instead, until the estimate stops changing. A noisy sensor
 // changes the recorded inputs every step, so its fingerprint never
@@ -148,21 +153,80 @@ func (c *Controller) AdvanceDisarmed(steps int, dt float64) {
 // checked once, hold for all n steps: the corrections keep roll finite
 // (its reference is finite whenever the tilt gate is open) and pitch
 // clamped, and a round-to-nearest sum is −0 only when both addends are.
-// Each axis runs until its own bit-exact fixed point.
+// Each axis runs until its own bit-exact fixed point: roll and pitch
+// through levelDecay when the references are level, and otherwise, like
+// yaw, through settle.
 func (c *Controller) replayCorrections(ref *attitudeRefs, n int) bool {
 	r, p, y := c.estRoll, c.estPitch, c.estYaw
 	bounded := math.Abs(r) <= math.MaxFloat64 && math.Abs(p) <= maxEstPitch // false for NaN too
 	if !bounded || isNegZero(r) || isNegZero(p) || isNegZero(y) {
 		return false
 	}
-	c.estRoll = settle(correctRoll, r, ref, n)
-	c.estPitch = settle(correctPitch, p, ref, n)
+	if ref.tilt && ref.rollAcc == 0 && ref.pitchAcc == 0 && math.Abs(r) <= math.Pi {
+		c.estRoll, c.estPitch = levelDecay(r, p, n)
+	} else {
+		c.estRoll = settle(correctRoll, r, ref, n)
+		c.estPitch = settle(correctPitch, p, ref, n)
+	}
 	c.estYaw = settle(correctYaw, y, ref, n)
 	return true
 }
 
+// levelDecay returns roll and pitch after n corrections toward level
+// references, bit for bit what settle(correctRoll, ...) and
+// settle(correctPitch, ...) return when the tilt gate is open, rollAcc and
+// pitchAcc are ±0, |roll| ≤ π and |pitch| ≤ maxEstPitch.
+//
+// Under those conditions (±0) − v is −v exactly, wrapPi(−v) is −v, and
+// round-to-nearest is sign-symmetric, so each correction is
+// v − float64(tiltGain·v): one multiply and one subtract (levelStep). The
+// result is no larger in magnitude than v, so the closing wrap and clamp
+// are the identity and the conditions hold for every later step. The two
+// axes run as two lanes of one loop. A fixed point stays fixed, so one
+// test per block of steps, before it, tells whether an axis has stopped
+// changing, and an axis that has leaves the loop.
+func levelDecay(r, p float64, n int) (float64, float64) {
+	for n > 0 {
+		switch rFixed, pFixed := sameBits(levelStep(r), r), sameBits(levelStep(p), p); {
+		case rFixed && pFixed:
+			return r, p
+		case rFixed:
+			return r, levelDecayAxis(p, n)
+		case pFixed:
+			return levelDecayAxis(r, n), p
+		}
+		k := min(n, levelBlock)
+		n -= k
+		for range k {
+			r, p = levelStep(r), levelStep(p)
+		}
+	}
+	return r, p
+}
+
+// levelDecayAxis is one lane of levelDecay, for the axis still changing
+// once the other has settled.
+func levelDecayAxis(v float64, n int) float64 {
+	for n > 0 && !sameBits(levelStep(v), v) {
+		k := min(n, levelBlock)
+		n -= k
+		for range k {
+			v = levelStep(v)
+		}
+	}
+	return v
+}
+
+// levelBlock is how many steps levelDecay runs between fixed-point tests.
+const levelBlock = 256
+
+// levelStep is one roll or pitch correction toward a level reference.
+// Where the compiler fuses a multiply-add, this and the correction fuse
+// into the same single rounding of v − tiltGain·v.
+func levelStep(v float64) float64 { return v - tiltGain*v }
+
 // settle applies one axis's correction to v n times, or until v is its
-// bit-exact fixed point.
+// bit-exact fixed point. It is also levelDecay's test oracle.
 func settle(correct func(float64, *attitudeRefs) float64, v float64, ref *attitudeRefs, n int) float64 {
 	for i := 0; i < n; i++ {
 		next := correct(v, ref)

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"androne/internal/devices"
@@ -207,5 +208,124 @@ func TestAdvanceDisarmedMatchesSteps(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAdvanceDisarmedLevelKernel holds the leap's level-reference kernel
+// (levelDecay) to the per-axis replay it stands in for: replayCorrections
+// must leave every estimate bit-identical to settle over correctRoll,
+// correctPitch and correctYaw. Starts are randomized across binades and
+// signs, against level references of every sign, non-level references and
+// a closed tilt gate, for n = 0, 1, around the kernel's block size, and
+// 10⁶. The long runs cover roll or pitch reaching its fixed point first,
+// both reaching it, and a yaw that ends at its subnormal fixed point. A −0
+// or NaN estimate and pitch outside the clamp must refuse the replay and
+// leave the estimate alone.
+func TestAdvanceDisarmedLevelKernel(t *testing.T) {
+	neg0 := math.Copysign(0, -1)
+	level := func(rollAcc, pitchAcc float64) attitudeRefs {
+		return attitudeRefs{tilt: true, rollAcc: rollAcc, pitchAcc: pitchAcc}
+	}
+	refs := []attitudeRefs{
+		level(0, 0), level(neg0, 0), level(0, neg0), level(neg0, neg0), // level
+		level(0.01, 0), level(neg0, -0.02), level(-0.3, 0.2), // non-level
+		{rollAcc: 0, pitchAcc: 0}, // tilt gate closed
+	}
+	levelRuns := 0
+	check := func(r, p, y float64, ref attitudeRefs, n int) (float64, float64, float64) {
+		t.Helper()
+		c := &Controller{estRoll: r, estPitch: p, estYaw: y}
+		ok := c.replayCorrections(&ref, n)
+		refuse := isNegZero(r) || isNegZero(p) || isNegZero(y) || math.IsNaN(r) || !(math.Abs(p) <= maxEstPitch)
+		if ok == refuse {
+			t.Fatalf("replayCorrections(%v, %v, %v, %+v, %d) = %v, want %v", r, p, y, ref, n, ok, !refuse)
+		}
+		if !ok {
+			if !sameBits(c.estRoll, r) || !sameBits(c.estPitch, p) || !sameBits(c.estYaw, y) {
+				t.Fatalf("refused replay from (%v, %v, %v) moved the estimate", r, p, y)
+			}
+			return r, p, y
+		}
+		if ref.tilt && ref.rollAcc == 0 && ref.pitchAcc == 0 && math.Abs(r) <= math.Pi {
+			levelRuns++
+		}
+		want := [3]float64{settle(correctRoll, r, &ref, n), settle(correctPitch, p, &ref, n), settle(correctYaw, y, &ref, n)}
+		got := [3]float64{c.estRoll, c.estPitch, c.estYaw}
+		for i, axis := range [...]string{"roll", "pitch", "yaw"} {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("from (%v, %v, %v), %+v, n=%d: %s = %v (%#x), settle gives %v (%#x)", r, p, y, ref, n,
+					axis, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+		return got[0], got[1], got[2]
+	}
+
+	rnd := rand.New(rand.NewPCG(35, 1200))
+	// angle draws a start within ±limit: any binade from the subnormals
+	// up, a uniform value, or an edge.
+	angle := func(limit float64, edges ...float64) float64 {
+		var v float64
+		switch rnd.IntN(4) {
+		case 0:
+			v = math.Ldexp(1+rnd.Float64(), -rnd.IntN(1075))
+		case 1:
+			v = rnd.Float64() * limit
+		case 2:
+			return edges[rnd.IntN(len(edges))]
+		default:
+			v = rnd.Float64() * 1e-3
+		}
+		v = min(v, limit)
+		if rnd.IntN(2) == 0 {
+			v = -v
+		}
+		return v
+	}
+	nextPi := math.Nextafter(math.Pi, 4)
+	for i := 0; i < 20_000; i++ {
+		r := angle(math.Pi, 0, neg0, math.Pi, -math.Pi, nextPi, -nextPi, math.NaN(), math.SmallestNonzeroFloat64)
+		p := angle(maxEstPitch, 0, neg0, maxEstPitch, -maxEstPitch, 1.5, math.NaN(), math.SmallestNonzeroFloat64)
+		y := angle(math.Pi, 0, neg0, 1e-322, -1e-322)
+		ref := refs[rnd.IntN(len(refs))]
+		ref.hdg = angle(math.Pi, 0, 1e-300)
+		var n int
+		switch rnd.IntN(3) {
+		case 0:
+			n = rnd.IntN(4)
+		case 1:
+			n = levelBlock - 2 + rnd.IntN(5)
+		default:
+			n = rnd.IntN(5000)
+		}
+		check(r, p, y, ref, n)
+	}
+	if levelRuns < 1000 {
+		t.Fatalf("only %d random cases ran the level kernel", levelRuns)
+	}
+
+	const long = 1_000_000
+	lv := level(neg0, 0) // what a parked drone's accelerometer gives
+	if r, p, _ := check(1e-300, 0.5, 0.3, lv, long); r == 0 || math.Abs(r) >= 0x1p-1022 || math.Abs(p) < 0x1p-1022 {
+		t.Errorf("roll-first run ended at (%v, %v); want roll at its subnormal fixed point", r, p)
+	}
+	if r, p, _ := check(-0.5, -1e-300, 0.3, lv, long); p == 0 || math.Abs(p) >= 0x1p-1022 || math.Abs(r) < 0x1p-1022 {
+		t.Errorf("pitch-first run ended at (%v, %v); want pitch at its subnormal fixed point", r, p)
+	}
+	check(1e-310, -1e-310, 0.3, lv, long)
+	check(math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0.3, lv, long)
+	check(-math.Pi, maxEstPitch, 0.3, lv, long)
+	check(math.Pi, -maxEstPitch, 0.3, level(0, neg0), long)
+	if _, _, y := check(0.02, -0.015, 0.3, lv, long); y == 0 || math.Abs(y) >= 0x1p-1022 {
+		t.Errorf("yaw ended at %v; want its subnormal fixed point", y)
+	}
+	check(0.02, -0.015, 0.3, level(0.01, 0), long)
+	check(0.02, -0.015, 0.3, attitudeRefs{}, long)
+	for _, n := range []int{0, 1, long} {
+		check(neg0, 0.01, 0.3, lv, n)
+		check(0.01, neg0, 0.3, lv, n)
+		check(0.01, 0.01, neg0, lv, n)
+		check(math.NaN(), 0.01, 0.3, lv, n)
+		check(0.01, math.NaN(), 0.3, lv, n)
+		check(0.01, 1.5, 0.3, lv, n)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"sync"
@@ -190,16 +191,15 @@ var (
 // authenticated, sequence-numbered envelopes and opens envelopes from the
 // peer, rejecting tampering and replays. Both ends must share the key.
 type Tunnel struct {
-	key []byte
-
 	mu      sync.Mutex
+	mac     hash.Hash // HMAC-SHA256 keyed once, Reset per envelope under mu
 	sendSeq uint64
 	recvSeq uint64 // highest accepted
 }
 
 // NewTunnel creates a tunnel end using the shared key.
 func NewTunnel(key []byte) *Tunnel {
-	return &Tunnel{key: append([]byte(nil), key...)}
+	return &Tunnel{mac: hmac.New(sha256.New, key)}
 }
 
 // envelope: seq(8) | maclen=32 mac | payload
@@ -210,15 +210,12 @@ const Overhead = 8 + macLen
 
 // Seal wraps a payload for transmission.
 func (t *Tunnel) Seal(payload []byte) []byte {
+	out := make([]byte, 8, Overhead+len(payload))
 	t.mu.Lock()
 	t.sendSeq++
-	seq := t.sendSeq
+	binary.BigEndian.PutUint64(out, t.sendSeq)
+	out = t.sum(out, out[:8], payload)
 	t.mu.Unlock()
-
-	out := make([]byte, 8, Overhead+len(payload))
-	binary.BigEndian.PutUint64(out, seq)
-	mac := t.mac(seq, payload)
-	out = append(out, mac...)
 	return append(out, payload...)
 }
 
@@ -231,11 +228,12 @@ func (t *Tunnel) Open(envelope []byte) ([]byte, error) {
 	seq := binary.BigEndian.Uint64(envelope[:8])
 	mac := envelope[8 : 8+macLen]
 	payload := envelope[8+macLen:]
-	if !hmac.Equal(mac, t.mac(seq, payload)) {
-		return nil, ErrTampered
-	}
+	var want [macLen]byte
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if !hmac.Equal(mac, t.sum(want[:0], envelope[:8], payload)) {
+		return nil, ErrTampered
+	}
 	if seq <= t.recvSeq {
 		return nil, fmt.Errorf("%w: seq %d after %d", ErrReplayed, seq, t.recvSeq)
 	}
@@ -243,13 +241,13 @@ func (t *Tunnel) Open(envelope []byte) ([]byte, error) {
 	return append([]byte(nil), payload...), nil
 }
 
-func (t *Tunnel) mac(seq uint64, payload []byte) []byte {
-	h := hmac.New(sha256.New, t.key)
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], seq)
-	h.Write(b[:])
-	h.Write(payload)
-	return h.Sum(nil)
+// sum appends to dst the MAC of an envelope's big-endian sequence number
+// and payload. The caller holds t.mu.
+func (t *Tunnel) sum(dst, seq, payload []byte) []byte {
+	t.mac.Reset()
+	t.mac.Write(seq)
+	t.mac.Write(payload)
+	return t.mac.Sum(dst)
 }
 
 // --------------------------------------------------------------------------

@@ -2,7 +2,11 @@ package netem
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -204,5 +208,63 @@ func TestTransferTime(t *testing.T) {
 	// Monotone in size.
 	if l.TransferTime(1<<20) >= l.TransferTime(50<<20) {
 		t.Fatal("transfer time not monotone in size")
+	}
+}
+
+// TestTunnelSharedMACConcurrent seals on one tunnel end from several
+// goroutines while the same end opens its peer's envelopes, so the end's
+// one keyed HMAC is in use by both directions at once (run under -race).
+// Every envelope must equal the one a freshly keyed HMAC gives for its
+// sequence number and payload, byte for byte.
+func TestTunnelSharedMACConcurrent(t *testing.T) {
+	key := []byte("shared-mac-key")
+	envelope := func(seq uint64, payload []byte) []byte {
+		h := hmac.New(sha256.New, key)
+		var b [8]byte
+		binary.BigEndian.PutUint64(b[:], seq)
+		h.Write(b[:])
+		h.Write(payload)
+		return append(h.Sum(b[:]), payload...)
+	}
+	const senders, each = 4, 200
+	end, peer := NewTunnel(key), NewTunnel(key)
+	inbound := make([][]byte, senders*each)
+	for i := range inbound {
+		inbound[i] = peer.Seal([]byte{byte(i), byte(i >> 8)})
+	}
+	var wg sync.WaitGroup
+	sealed := make([][][]byte, senders)
+	for g := range senders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				sealed[g] = append(sealed[g], end.Seal([]byte{byte(g), byte(i), 0x42}))
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i, env := range inbound {
+			if _, err := end.Open(env); err != nil {
+				t.Errorf("open %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	seen := make(map[uint64]bool)
+	for _, envs := range sealed {
+		for _, env := range envs {
+			seq := binary.BigEndian.Uint64(env)
+			if want := envelope(seq, env[Overhead:]); !bytes.Equal(env, want) {
+				t.Fatalf("envelope seq %d = %x, fresh HMAC gives %x", seq, env, want)
+			}
+			if seen[seq] {
+				t.Fatalf("sequence number %d sealed twice", seq)
+			}
+			seen[seq] = true
+		}
 	}
 }

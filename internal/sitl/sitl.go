@@ -82,6 +82,9 @@ func (p Params) HoverThrustFrac() float64 {
 type Sim struct {
 	p    Params
 	home geo.Position
+	// powerDenom is the momentum-theory power denominator sqrt(2·ρ·A)
+	// for the propeller disc area A; p never changes after New.
+	powerDenom float64
 
 	// State. NED frame relative to home; body frame x-forward y-right
 	// z-down; attitude as roll/pitch/yaw Euler angles.
@@ -125,16 +128,18 @@ type Sim struct {
 // New creates a simulation at rest on the ground at home. seed makes wind
 // and any stochastic behaviour reproducible.
 func New(home geo.Position, p Params, seed string) *Sim {
+	area := math.Pi * p.PropRadiusM * p.PropRadiusM
 	return &Sim{
-		p:        p,
-		home:     home,
-		d:        0,
-		cr:       1,
-		cp:       1,
-		cy:       1,
-		onGround: true,
-		simTime:  time.Unix(1700000000, 0),
-		rng:      newRNG(seed),
+		p:          p,
+		home:       home,
+		powerDenom: math.Sqrt(2 * AirDensity * area),
+		d:          0,
+		cr:         1,
+		cp:         1,
+		cy:         1,
+		onGround:   true,
+		simTime:    time.Unix(1700000000, 0),
+		rng:        newRNG(seed),
 	}
 }
 
@@ -181,9 +186,10 @@ func (s *Sim) Step(dt float64) {
 	if dt <= 0 {
 		return
 	}
-	p := s.p
+	p := &s.p
 
 	// Motor lag toward command, derated by injected motor health.
+	alpha := dt / (p.MotorTau + dt)
 	for i := range s.motorThrust {
 		eff := s.motorEff[i]
 		if eff == 0 {
@@ -192,7 +198,6 @@ func (s *Sim) Step(dt float64) {
 			eff = 0 // fully failed
 		}
 		target := s.motorCmd[i] * p.MaxMotorThrust * eff
-		alpha := dt / (p.MotorTau + dt)
 		s.motorThrust[i] += alpha * (target - s.motorThrust[i])
 		// A stopped motor's lag would otherwise decay into subnormal
 		// floats, which every later step pays for in slow arithmetic.
@@ -240,10 +245,11 @@ func (s *Sim) Step(dt float64) {
 	windE := s.windMeanE + s.gustE
 
 	// Linear dynamics. Body thrust is -z (up); rotate to world NED.
-	// One argument reduction per angle; each result equals the separate
-	// math call bit for bit (package detmath).
-	sy, cy := math.Sincos(s.yaw)
-	sr, cr = math.Sincos(s.roll)
+	// At most one argument reduction per angle, none for small angles;
+	// each result equals the separate math call bit for bit (package
+	// detmath).
+	sy, cy := detmath.Sincos(s.yaw)
+	sr, cr = detmath.Sincos(s.roll)
 	sp, cp, tp := detmath.SincosTan(s.pitch)
 	s.cr, s.sr, s.cp, s.sp, s.cy, s.sy, s.tp = cr, sr, cp, sp, cy, sy, tp
 	// Third column of the body-to-world rotation (ZYX Euler), times -T.
@@ -284,12 +290,10 @@ func (s *Sim) Step(dt float64) {
 
 	// Power: momentum-theory induced power per rotor, f^(3/2)/sqrt(2 rho A),
 	// divided by powertrain efficiency, plus constant avionics draw.
-	area := math.Pi * p.PropRadiusM * p.PropRadiusM
-	denom := math.Sqrt(2 * AirDensity * area)
 	var pw float64
 	for _, f := range s.motorThrust {
 		if f > 0 {
-			pw += f * math.Sqrt(f) / denom
+			pw += f * math.Sqrt(f) / s.powerDenom
 		}
 	}
 	s.powerW = pw/p.Eta + p.AvionicsW
