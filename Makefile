@@ -116,7 +116,7 @@ equivalence:
 	$(GO) test -count=1 -run 'TestBulkAdvance' ./internal/core
 	$(GO) test -count=1 -run 'TestAdvanceDisarmed' ./internal/flight
 	$(GO) test -count=1 -run 'TestAdvanceParkedBitExact' ./internal/sitl
-	$(GO) test -count=1 -run 'TestRepeatAdd|TestSincos' ./internal/detmath
+	$(GO) test -count=1 -run 'TestRepeatAdd|TestSincos|TestWrapPi' ./internal/detmath
 	$(GO) test -count=1 -run 'TestPlanHashesPinned|TestKernel' ./internal/planner
 
 # Every measured experiment at CI size, in one invocation, with the gates

@@ -3,9 +3,11 @@ package cloud
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"androne/internal/telemetry"
@@ -55,10 +57,14 @@ func NewRateLimiter(rate, burst float64, now func() time.Time) *RateLimiter {
 // Allow consumes one token from tenant's bucket, reporting false when the
 // bucket is dry. New tenants start with a full burst.
 func (l *RateLimiter) Allow(tenant string) bool {
+	return l.allowAt(tenant, l.now())
+}
+
+// allowAt is Allow at time now, read from the limiter's clock.
+func (l *RateLimiter) allowAt(tenant string, now time.Time) bool {
 	if l.rate <= 0 {
 		return true
 	}
-	now := l.now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	b, ok := l.buckets[tenant]
@@ -108,25 +114,40 @@ type AdmissionConfig struct {
 	MaxWait time.Duration
 	// RetryAfter is the hint sent with 429 responses (default 1s).
 	RetryAfter time.Duration
-	// Now is the test clock for the rate limiter (nil = wall clock).
+	// Now is the test clock (nil = wall clock). Admission reads it once
+	// per request, for the token bucket and the latency start, and once
+	// more when the request is done.
 	Now func() time.Time
 }
 
 // Admission is the portal's admission-control middleware.
 type Admission struct {
 	limiter     *RateLimiter
-	maxInFlight int
+	maxInFlight int64
 	maxQueued   int
 	maxWait     time.Duration
 	retryAfter  time.Duration
 
-	mu       sync.Mutex
-	inFlight int
+	// inFlight counts the slots held, plus queuedFlag while a request
+	// waits for one. It is read and written atomically: a request takes
+	// a free slot, and a release frees one, by compare-and-swap without
+	// the mutex while the flag is clear. The flag is set and cleared
+	// under mu, and while it is set every change to the count happens
+	// under mu, so a slot is never freed past a waiter. It is a plain
+	// int64 behind sync/atomic calls because the package's tests read it
+	// as a count once every request is done.
+	inFlight int64
+
+	mu sync.Mutex
 	// waiters queue, first come first served, for an in-flight slot. A
 	// release hands its slot to waiters[0] through its 1-buffered channel
 	// instead of freeing it.
 	waiters []chan struct{}
 }
+
+// queuedFlag marks inFlight while requests are queued. It is far above
+// any slot count, so a flagged word never reads as a free slot.
+const queuedFlag = int64(1) << 62
 
 // NewAdmission builds the middleware from cfg.
 func NewAdmission(cfg AdmissionConfig) *Admission {
@@ -150,7 +171,7 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	}
 	return &Admission{
 		limiter:     NewRateLimiter(cfg.RatePerTenant, cfg.Burst, cfg.Now),
-		maxInFlight: cfg.MaxInFlight,
+		maxInFlight: int64(cfg.MaxInFlight),
 		maxQueued:   cfg.MaxQueued,
 		maxWait:     cfg.MaxWait,
 		retryAfter:  cfg.RetryAfter,
@@ -162,10 +183,33 @@ func TenantOf(r *http.Request) string {
 	if t := r.Header.Get(TenantHeader); t != "" {
 		return t
 	}
-	if t := r.URL.Query().Get("user"); t != "" {
+	if t := queryValue(r.URL.RawQuery, "user"); t != "" {
 		return t
 	}
 	return "anon"
+}
+
+// queryValue returns url.ParseQuery(rawQuery).Get(key) without building
+// the map: the first value of key among the &-separated pairs, unescaped
+// as ParseQuery unescapes it. Pairs ParseQuery drops (those with a
+// semicolon, or a bad escape in key or value) are skipped. A pair without
+// escapes is compared and returned without allocating.
+func queryValue(rawQuery, key string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // endpointOf classifies a request for the per-endpoint latency histograms.
@@ -192,15 +236,28 @@ func endpointOf(r *http.Request) string {
 // acquire takes an in-flight slot, waiting up to maxWait in the bounded
 // queue. It reports false when the request must be shed.
 func (a *Admission) acquire() bool {
-	a.mu.Lock()
-	if a.inFlight < a.maxInFlight {
-		a.inFlight++
-		a.mu.Unlock()
+	if n := atomic.LoadInt64(&a.inFlight); n < a.maxInFlight && atomic.CompareAndSwapInt64(&a.inFlight, n, n+1) {
 		return true
 	}
-	if len(a.waiters) >= a.maxQueued {
-		a.mu.Unlock()
-		return false
+	a.mu.Lock()
+	for {
+		n := atomic.LoadInt64(&a.inFlight)
+		if n < a.maxInFlight {
+			if atomic.CompareAndSwapInt64(&a.inFlight, n, n+1) {
+				a.mu.Unlock()
+				return true
+			}
+			continue
+		}
+		if len(a.waiters) >= a.maxQueued {
+			a.mu.Unlock()
+			return false
+		}
+		// Flag the queue before joining it: a release that then finds
+		// the flag takes mu and hands its slot on instead of freeing it.
+		if n&queuedFlag != 0 || atomic.CompareAndSwapInt64(&a.inFlight, n, n|queuedFlag) {
+			break
+		}
 	}
 	ready := make(chan struct{}, 1)
 	a.waiters = append(a.waiters, ready)
@@ -216,6 +273,7 @@ func (a *Admission) acquire() bool {
 	a.mu.Lock()
 	if i := slices.Index(a.waiters, ready); i >= 0 {
 		a.waiters = slices.Delete(a.waiters, i, i+1)
+		a.clearQueuedLocked()
 		a.mu.Unlock()
 		return false
 	}
@@ -229,17 +287,33 @@ func (a *Admission) acquire() bool {
 
 // release frees an in-flight slot, or hands it to the longest waiter.
 func (a *Admission) release() {
+	if n := atomic.LoadInt64(&a.inFlight); n&queuedFlag == 0 && atomic.CompareAndSwapInt64(&a.inFlight, n, n-1) {
+		return
+	}
 	a.mu.Lock()
 	if len(a.waiters) == 0 {
-		a.inFlight--
+		// The queue emptied before mu was ours.
+		atomic.AddInt64(&a.inFlight, -1)
+		a.clearQueuedLocked()
 		a.mu.Unlock()
 		return
 	}
 	next := a.waiters[0]
 	a.waiters[0] = nil
 	a.waiters = a.waiters[1:]
+	a.clearQueuedLocked()
 	a.mu.Unlock()
 	next <- struct{}{} // never blocks: next was dequeued once, and holds one
+}
+
+// clearQueuedLocked clears queuedFlag once the queue is empty.
+func (a *Admission) clearQueuedLocked() {
+	for len(a.waiters) == 0 {
+		n := atomic.LoadInt64(&a.inFlight)
+		if atomic.CompareAndSwapInt64(&a.inFlight, n, n&^queuedFlag) {
+			return
+		}
+	}
 }
 
 func (a *Admission) shed(w http.ResponseWriter, reason string) {
@@ -250,28 +324,31 @@ func (a *Admission) shed(w http.ResponseWriter, reason string) {
 
 // admit runs r through the tenant's token bucket, then the bounded queue.
 // A request shed by either is answered 429 and admit reports false; an
-// admitted one holds an in-flight slot until done.
-func (a *Admission) admit(w http.ResponseWriter, r *http.Request) bool {
-	if !a.limiter.Allow(TenantOf(r)) {
+// admitted one holds an in-flight slot until done. The clock is read once,
+// for the bucket and for start, the time done measures latency from.
+func (a *Admission) admit(w http.ResponseWriter, r *http.Request) (start time.Time, ok bool) {
+	start = a.limiter.now()
+	if !a.limiter.allowAt(TenantOf(r), start) {
 		mShedRate.Inc()
 		a.shed(w, "tenant rate limit")
-		return false
+		return start, false
 	}
 	if !a.acquire() {
 		mShedQueue.Inc()
 		a.shed(w, "service queue full")
-		return false
+		return start, false
 	}
-	return true
+	return start, true
 }
 
 // done releases an admitted request's slot and times it, from start, in
-// its endpoint's latency histogram lat (nil: not timed).
+// its endpoint's latency histogram lat (nil: not timed). Wrap and a route
+// table share admit and done as their one admit path.
 func (a *Admission) done(lat *telemetry.Histogram, start time.Time) {
 	a.release()
 	mAdmitted.Inc()
 	if lat != nil {
-		lat.Observe(time.Since(start).Seconds())
+		lat.Observe(a.limiter.now().Sub(start).Seconds())
 	}
 }
 
@@ -281,10 +358,10 @@ func (a *Admission) done(lat *telemetry.Histogram, start time.Time) {
 func (a *Admission) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		lat := mEndpointLatency[endpointOf(r)]
-		if !a.admit(w, r) {
+		start, ok := a.admit(w, r)
+		if !ok {
 			return
 		}
-		start := time.Now()
 		next.ServeHTTP(w, r)
 		a.done(lat, start)
 	})

@@ -3,6 +3,7 @@ package cloud
 import (
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -342,4 +343,82 @@ func TestAdmissionLateHandoffPassesSlotOn(t *testing.T) {
 	if !adm.acquire() {
 		t.Fatal("slot leaked")
 	}
+}
+
+// TestAdmissionSlotsUnderContention races admitted requests through two
+// slots and a queue deep enough for all of them (run it under -race):
+// requests take and free slots without the mutex while nobody waits, and
+// hand them on in FIFO order while somebody does. No more than two
+// requests may ever be served at once, none may be shed, and once every
+// request is done no slot may stay held or queued.
+func TestAdmissionSlotsUnderContention(t *testing.T) {
+	const workers, rounds = 8, 200
+	adm := NewAdmission(AdmissionConfig{RatePerTenant: -1, MaxInFlight: 2, MaxQueued: workers, MaxWait: time.Minute})
+	var serving, most atomic.Int64
+	h := adm.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := serving.Add(1)
+		for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+		}
+		runtime.Gosched()
+		serving.Add(-1)
+	}))
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/vdr", nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("status %d", rec.Code)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if m := most.Load(); m > 2 {
+		t.Fatalf("%d requests served at once through 2 slots", m)
+	}
+	if adm.inFlight != 0 || adm.queued() != 0 {
+		t.Fatalf("after every request: inFlight word %#x, %d queued", adm.inFlight, adm.queued())
+	}
+}
+
+// TestAdmissionReadsClockOnce counts an injected clock's reads: an
+// admitted request reads it once for its bucket and latency start and
+// once when done; a request shed by its bucket reads it once.
+func TestAdmissionReadsClockOnce(t *testing.T) {
+	reads := 0
+	at := time.Unix(1700000000, 0)
+	adm := NewAdmission(AdmissionConfig{RatePerTenant: 1, Burst: 1, Now: func() time.Time {
+		reads++
+		return at
+	}})
+	h := adm.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	for _, c := range []struct {
+		status, reads int
+	}{{http.StatusOK, 2}, {http.StatusTooManyRequests, 1}} {
+		reads = 0
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/apps", nil))
+		if rec.Code != c.status || reads != c.reads {
+			t.Fatalf("status %d after %d clock reads, want %d after %d", rec.Code, reads, c.status, c.reads)
+		}
+	}
+}
+
+// FuzzQueryValue holds queryValue to url.ParseQuery(raw).Get(key).
+func FuzzQueryValue(f *testing.F) {
+	for _, raw := range []string{"", "user=bob", "a=1&user=bob&user=eve", "user", "user=", "&&user=b%20o+b",
+		"us%65r=x", "user=%zz&user=ok", "user=a;b&user=c", "%zz=1&user=2", "x=1;user=2&user=3", "user=%", "=user"} {
+		f.Add(raw, "user")
+	}
+	f.Fuzz(func(t *testing.T, raw, key string) {
+		want, _ := url.ParseQuery(raw)
+		if got := queryValue(raw, key); got != want.Get(key) {
+			t.Fatalf("queryValue(%q, %q) = %q, url.ParseQuery's %q", raw, key, got, want.Get(key))
+		}
+	})
 }

@@ -81,20 +81,27 @@ func appendOrderJSON(dst []byte, o *Order) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// appendOrdersJSON appends json.Marshal(orders)'s bytes to dst for a
-// non-nil orders (Orders.List never returns nil).
-func appendOrdersJSON(dst []byte, orders []Order) ([]byte, error) {
+// appendOrdersJSON appends json.Marshal's bytes for a non-nil list of
+// these orders to dst.
+func appendOrdersJSON(dst []byte, orders []*Order) ([]byte, error) {
 	dst = append(dst, '[')
-	for i := range orders {
+	for i, ord := range orders {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		var err error
-		if dst, err = appendOrderJSON(dst, &orders[i]); err != nil {
+		if dst, err = appendOrderJSON(dst, ord); err != nil {
 			return dst, err
 		}
 	}
 	return append(dst, ']'), nil
+}
+
+// orderJSONSize is room enough for appendOrderJSON's bytes of o in the
+// common case: its field names and numbers, and its strings unescaped.
+func orderJSONSize(o *Order) int {
+	return 256 + len(o.ID) + len(o.User) + len(o.Name) + len(o.Definition) + len(o.Status) +
+		len(o.Access.VFCAddr) + len(o.Access.SSHAddr) + len(o.Access.VPNKey)
 }
 
 const hexDigits = "0123456789abcdef"

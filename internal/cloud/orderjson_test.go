@@ -14,7 +14,8 @@ import (
 // FuzzAppendOrderJSON holds the reflection-free order encoder to
 // json.Marshal byte for byte: every field fuzzed, the definition
 // canonicalized as the order book stores it, and the same error for
-// non-finite floats. The seed corpus in testdata/fuzz covers HTML-unsafe
+// non-finite floats. It also holds the order book's read bodies, encoded
+// from the stored orders, to json.Marshal of Get and of a tenant's List. The seed corpus in testdata/fuzz covers HTML-unsafe
 // bytes, U+2028/U+2029, invalid UTF-8, -0, both sides of the 1e-6 and
 // 1e21 exponent cutoffs, NaN and ±Inf.
 func FuzzAppendOrderJSON(f *testing.F) {
@@ -57,10 +58,41 @@ func FuzzAppendOrderJSON(f *testing.F) {
 			t.Fatalf("appendOrderJSON:\n %q\njson.Marshal:\n %q", got[len(prefix):], want)
 		}
 		list := []Order{o, o}
-		gotList, _ := appendOrdersJSON(nil, list)
+		gotList, _ := appendOrdersJSON(nil, []*Order{&o, &o})
 		wantList, _ := json.Marshal(list)
 		if !bytes.Equal(gotList, wantList) {
 			t.Fatalf("appendOrdersJSON:\n %q\njson.Marshal:\n %q", gotList, wantList)
+		}
+
+		// The same order, twice in user's book beside another tenant's,
+		// read back as the portal reads it.
+		book := NewOrders()
+		for _, u := range []string{user, "other-" + user, user} {
+			ord, err := book.Create(u, name, def)
+			if err != nil {
+				if !errors.Is(err, ErrInvalidDefinition) {
+					t.Fatal(err)
+				}
+				return
+			}
+			err = book.Update(ord.ID, func(x *Order) {
+				x.Status, x.WindowStartS, x.WindowEndS, x.EstimatedCharge = o.Status, ws, we, charge
+				x.Access = o.Access
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotOrder, gerr := book.orderJSON(ord.ID)
+			stored, _ := book.Get(ord.ID)
+			wantOrder, werr := json.Marshal(stored)
+			if (gerr == nil) != (werr == nil) || (werr == nil && !bytes.Equal(gotOrder, append(wantOrder, '\n'))) {
+				t.Fatalf("orderJSON(%s):\n %q, %v\njson.Marshal:\n %q, %v", ord.ID, gotOrder, gerr, wantOrder, werr)
+			}
+		}
+		gotBook, gerr := book.listJSON(user)
+		wantBook, werr := json.Marshal(book.List(user))
+		if (gerr == nil) != (werr == nil) || (werr == nil && !bytes.Equal(gotBook, wantBook)) {
+			t.Fatalf("listJSON(%q):\n %q, %v\njson.Marshal(List):\n %q, %v", user, gotBook, gerr, wantBook, werr)
 		}
 	})
 }

@@ -105,15 +105,16 @@ func writeError(w http.ResponseWriter, err error) {
 	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// writeOrder answers with status and one order, encoded as WriteJSON
-// would.
-func writeOrder(w http.ResponseWriter, status int, ord *Order) {
-	body, err := appendOrderJSON(make([]byte, 0, 256+len(ord.Definition)), ord)
+// writeOrder answers with status and order id, encoded as WriteJSON
+// would. An order that cannot be encoded answers 500, as writeError
+// answers any error that is not a known kind.
+func (p *Portal) writeOrder(w http.ResponseWriter, status int, id string) {
+	body, err := p.Orders.orderJSON(id)
 	if err != nil {
-		writeEncodeError(w, err)
+		writeError(w, err)
 		return
 	}
-	writeBody(w, status, append(body, '\n'))
+	writeBody(w, status, body)
 }
 
 func (p *Portal) listApps(w http.ResponseWriter, r *http.Request, _ PathValues) {
@@ -187,35 +188,20 @@ func (p *Portal) createOrder(w http.ResponseWriter, r *http.Request, _ PathValue
 			})
 		}
 	}
-	got, err := p.Orders.Get(ord.ID)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeOrder(w, http.StatusCreated, got)
+	p.writeOrder(w, http.StatusCreated, ord.ID)
 }
 
 func (p *Portal) listOrders(w http.ResponseWriter, r *http.Request, _ PathValues) {
-	orders := p.Orders.List(r.URL.Query().Get("user"))
-	size := 2
-	for i := range orders {
-		size += 256 + len(orders[i].Definition)
-	}
-	body, err := appendOrdersJSON(make([]byte, 0, size), orders)
+	body, err := p.Orders.listJSON(queryValue(r.URL.RawQuery, "user"))
 	if err != nil {
-		writeEncodeError(w, err)
+		writeError(w, err)
 		return
 	}
 	writeBody(w, http.StatusOK, body)
 }
 
 func (p *Portal) getOrder(w http.ResponseWriter, r *http.Request, v PathValues) {
-	ord, err := p.Orders.Get(v[0])
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeOrder(w, http.StatusOK, ord)
+	p.writeOrder(w, http.StatusOK, v[0])
 }
 
 func (p *Portal) listFiles(w http.ResponseWriter, r *http.Request, v PathValues) {

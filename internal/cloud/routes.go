@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"androne/internal/telemetry"
 )
@@ -196,10 +195,10 @@ func (t *Routes) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	} else {
 		lat = mEndpointLatency[endpointOf(r)]
 	}
-	if !t.adm.admit(w, r) {
+	start, ok := t.adm.admit(w, r)
+	if !ok {
 		return
 	}
-	start := time.Now()
 	t.serve(w, r, rw, v, p)
 	t.adm.done(lat, start)
 }

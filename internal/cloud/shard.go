@@ -200,16 +200,22 @@ type Order struct {
 // own counter with no cross-shard coordination and no collisions: the
 // (shard, counter) pair is unique by construction, and IDs within a shard
 // are monotonically increasing.
+//
+// A tenant's reads encode straight from the stored orders, under the
+// shard lock: no copy of an order, and no per-order cache of its bytes.
 type Orders struct {
 	maxOrders int
 	shards    [NumShards]orderShard
 }
 
 type orderShard struct {
-	mu      sync.Mutex
-	next    int
-	orders  map[string]*Order
-	perUser map[string]int
+	mu     sync.Mutex
+	next   int
+	orders map[string]*Order
+	// byUser indexes each tenant's orders in ID order. A shard mints its
+	// IDs in increasing order and never deletes an order, so Create keeps
+	// the index sorted by appending.
+	byUser map[string][]*Order
 }
 
 // NewOrders creates an empty order book with default quotas.
@@ -221,7 +227,7 @@ func NewOrdersWith(q Quotas) *Orders {
 	o := &Orders{maxOrders: q.MaxOrdersPerTenant}
 	for i := range o.shards {
 		o.shards[i].orders = make(map[string]*Order)
-		o.shards[i].perUser = make(map[string]int)
+		o.shards[i].byUser = make(map[string][]*Order)
 	}
 	return o
 }
@@ -263,9 +269,9 @@ func (o *Orders) Create(user, name string, def json.RawMessage) (*Order, error) 
 	sh := &o.shards[shardIdx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if o.maxOrders > 0 && sh.perUser[user] >= o.maxOrders {
+	if n := len(sh.byUser[user]); o.maxOrders > 0 && n >= o.maxOrders {
 		return nil, fmt.Errorf("%w: tenant %q already holds %d orders",
-			ErrQuotaExceeded, user, sh.perUser[user])
+			ErrQuotaExceeded, user, n)
 	}
 	sh.next++
 	ord := &Order{
@@ -279,26 +285,73 @@ func (o *Orders) Create(user, name string, def json.RawMessage) (*Order, error) 
 		ord.Name = ord.ID
 	}
 	sh.orders[ord.ID] = ord
-	sh.perUser[user]++
+	sh.byUser[user] = append(sh.byUser[user], ord)
 	cp := *ord
 	return &cp, nil
 }
 
 // Get retrieves a snapshot of an order. Returning a copy keeps readers
-// (e.g. handlers serializing the order) race-free against Update.
+// race-free against Update.
 func (o *Orders) Get(id string) (*Order, error) {
 	sh, ok := o.shardForID(id)
 	if !ok {
-		return nil, fmt.Errorf("%w: order %q", ErrNotFound, id)
+		return nil, errNoOrder(id)
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ord, ok := sh.orders[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: order %q", ErrNotFound, id)
+		return nil, errNoOrder(id)
 	}
 	cp := *ord
 	return &cp, nil
+}
+
+func errNoOrder(id string) error { return fmt.Errorf("%w: order %q", ErrNotFound, id) }
+
+// orderJSON is the body of GET /api/orders/{id}: the order as
+// encoding/json's Encoder writes it, encoded from the stored order under
+// its shard lock.
+func (o *Orders) orderJSON(id string) ([]byte, error) {
+	sh, ok := o.shardForID(id)
+	if !ok {
+		return nil, errNoOrder(id)
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	ord, ok := sh.orders[id]
+	if !ok {
+		return nil, errNoOrder(id)
+	}
+	body, err := appendOrderJSON(make([]byte, 0, orderJSONSize(ord)+1), ord)
+	if err != nil {
+		return nil, err
+	}
+	return append(body, '\n'), nil
+}
+
+// listJSON is the body of GET /api/orders?user=: json.Marshal of
+// List(user). A tenant's list is encoded from its stored orders, in index
+// order, under its shard lock; the listing of every tenant ("") is
+// encoded from List's copies.
+func (o *Orders) listJSON(user string) ([]byte, error) {
+	if user == "" {
+		all := o.List("")
+		ptrs := make([]*Order, len(all))
+		for i := range all {
+			ptrs[i] = &all[i]
+		}
+		return appendOrdersJSON(nil, ptrs)
+	}
+	sh := &o.shards[ShardOf(user)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	list := sh.byUser[user]
+	size := 2
+	for _, ord := range list {
+		size += orderJSONSize(ord) + 1
+	}
+	return appendOrdersJSON(make([]byte, 0, size), list)
 }
 
 // Update applies fn to an order atomically. fn runs on a private copy with
@@ -311,14 +364,14 @@ func (o *Orders) Get(id string) (*Order, error) {
 func (o *Orders) Update(id string, fn func(*Order)) error {
 	sh, ok := o.shardForID(id)
 	if !ok {
-		return fmt.Errorf("%w: order %q", ErrNotFound, id)
+		return errNoOrder(id)
 	}
 	for {
 		sh.mu.Lock()
 		ord, ok := sh.orders[id]
 		if !ok {
 			sh.mu.Unlock()
-			return fmt.Errorf("%w: order %q", ErrNotFound, id)
+			return errNoOrder(id)
 		}
 		cp := *ord
 		sh.mu.Unlock()
@@ -337,7 +390,7 @@ func (o *Orders) Update(id string, fn func(*Order)) error {
 		cur, ok := sh.orders[id]
 		if !ok {
 			sh.mu.Unlock()
-			return fmt.Errorf("%w: order %q", ErrNotFound, id)
+			return errNoOrder(id)
 		}
 		if cur.gen != cp.gen {
 			sh.mu.Unlock()
@@ -351,31 +404,38 @@ func (o *Orders) Update(id string, fn func(*Order)) error {
 }
 
 // List returns orders sorted by id, optionally filtered by user ("" = all).
-// A user filter touches only the owning shard; the full listing visits
-// shards one at a time — never two locks at once.
+// A user's orders come from the owning shard's index, in ID order (the
+// order of their sequence numbers); the full listing visits shards one at
+// a time — never two locks at once.
 func (o *Orders) List(user string) []Order {
-	if user != "" {
-		i := ShardOf(user)
-		return listOrders(o.shards[i:i+1], user, "")
+	if user == "" {
+		return listOrders(o.shards[:], "")
 	}
-	return listOrders(o.shards[:], "", "")
+	sh := &o.shards[ShardOf(user)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	out := make([]Order, len(sh.byUser[user]))
+	for i, ord := range sh.byUser[user] {
+		out[i] = *ord
+	}
+	return out
 }
 
 // ListStatus returns the orders in status st sorted by id, copying only
 // those: a planning round keeps the pending few of a long book.
 func (o *Orders) ListStatus(st OrderStatus) []Order {
-	return listOrders(o.shards[:], "", st)
+	return listOrders(o.shards[:], st)
 }
 
-// listOrders copies the orders of shards that belong to user and are in
-// status st ("" matches any), one shard lock at a time, sorted by id.
-func listOrders(shards []orderShard, user string, st OrderStatus) []Order {
+// listOrders copies the orders of shards in status st ("" matches any),
+// one shard lock at a time, sorted by id.
+func listOrders(shards []orderShard, st OrderStatus) []Order {
 	out := []Order{}
 	for i := range shards {
 		sh := &shards[i]
 		sh.mu.Lock()
 		for _, ord := range sh.orders {
-			if (user == "" || ord.User == user) && (st == "" || ord.Status == st) {
+			if st == "" || ord.Status == st {
 				out = append(out, *ord)
 			}
 		}
@@ -390,5 +450,5 @@ func (o *Orders) Count(user string) int {
 	sh := &o.shards[ShardOf(user)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.perUser[user]
+	return len(sh.byUser[user])
 }

@@ -195,6 +195,7 @@ func (v *VDR) Save(e VDREntry) error {
 	if err := v.save(e); err != nil {
 		return err
 	}
+	v.rebuildListing()
 	st := v.store.Stats()
 	mVDRDedupRatio.Set(st.DedupRatio())
 	mVDRLiveBytes.Set(float64(st.LiveBytes))
@@ -321,11 +322,17 @@ func copyManifest(m *Manifest) Manifest {
 // Delete removes an entry and releases its layers; the last reference to a
 // layer frees its bytes.
 func (v *VDR) Delete(name string) {
+	if v.delete(name) {
+		v.rebuildListing()
+	}
+}
+
+func (v *VDR) delete(name string) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	m, ok := v.manifests[name]
 	if !ok {
-		return
+		return false
 	}
 	v.ownerLayers[m.Owner] -= len(m.Layers)
 	if v.ownerLayers[m.Owner] <= 0 {
@@ -336,6 +343,7 @@ func (v *VDR) Delete(name string) {
 	}
 	delete(v.manifests, name)
 	v.listing.invalidate()
+	return true
 }
 
 // OwnerLayers returns how many live layers owner holds (the quota input).
@@ -363,8 +371,9 @@ func (v *VDR) manifestsLocked() []Manifest {
 }
 
 // ManifestsJSON returns the portal's GET /api/vdr body: json.Marshal of
-// Manifests. The body is encoded once per Save or Delete and shared
-// between readers, who must not modify it.
+// Manifests. The body is encoded once per Save or Delete, by the writer
+// once its write is done, and shared between readers, who must not modify
+// it. A read that finds no body (it raced a write's rebuild) encodes one.
 func (v *VDR) ManifestsJSON() ([]byte, error) {
 	v.mu.Lock()
 	if body := v.listing.body; body != nil {
@@ -384,3 +393,7 @@ func (v *VDR) ManifestsJSON() ([]byte, error) {
 	v.mu.Unlock()
 	return body, nil
 }
+
+// rebuildListing encodes the listing after a write, so the reads after it
+// find the body. An encode error is left for the next read to meet.
+func (v *VDR) rebuildListing() { _, _ = v.ManifestsJSON() }

@@ -1,10 +1,13 @@
 // Package detmath holds faster forms of float computations on the
 // simulation's deterministic path: fused forms of math package functions
-// for the 400 Hz fast loop, and RepeatAdd, the closed form of a repeated
-// add that idle leaps replay. Each one returns exactly what the code it
-// replaces would return, bit for bit, so the determinism contract (the
-// pinned trace hashes) does not move when a caller switches to it. The
-// saving is shared or skipped work, never a different approximation.
+// for the 400 Hz fast loop, RepeatAdd, the closed form of a repeated
+// add that idle leaps replay, and WrapPi, the angle wrap of the flight
+// stack and the physics. Each one returns exactly what the code it
+// replaces would return, bit for bit (WrapPi within ±17π; beyond it the
+// loop it replaces ran for billions of turns or forever), so the
+// determinism contract (the pinned trace hashes) does not move when a
+// caller switches to it. The saving is shared or skipped work, never a
+// different approximation.
 //
 // The trig forms are ports of the Go standard library's portable
 // implementations (math/sin.go, math/sincos.go, math/tan.go, themselves

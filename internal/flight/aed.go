@@ -1,6 +1,10 @@
 package flight
 
-import "math"
+import (
+	"math"
+
+	"androne/internal/detmath"
+)
 
 // Sample is one fast-loop record for the Attitude Estimate Divergence
 // analysis: the controller's attitude estimate and, when available, the
@@ -116,5 +120,5 @@ func (m *AEDMonitor) Result() AEDResult {
 
 // angDiffRad is the absolute angle between a and b, in radians.
 func angDiffRad(a, b float64) float64 {
-	return math.Abs(wrapPi(a - b))
+	return math.Abs(detmath.WrapPi(a - b))
 }

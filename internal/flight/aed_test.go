@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"androne/internal/detmath"
 	"androne/internal/geo"
 )
 
@@ -135,7 +136,7 @@ func TestAEDMonitorMatchesLog(t *testing.T) {
 // differences each converted to degrees, over random and edge estimates:
 // x ↦ x·180/π must round monotonically for the two to agree.
 func TestAEDDivergenceConvertsOnce(t *testing.T) {
-	deg := func(a, b float64) float64 { return math.Abs(wrapPi(a-b)) * 180 / math.Pi }
+	deg := func(a, b float64) float64 { return math.Abs(detmath.WrapPi(a-b)) * 180 / math.Pi }
 	r := rand.New(rand.NewPCG(35, 180))
 	edge := []float64{0, math.Copysign(0, -1), 1e-300, math.Pi, -math.Pi, math.Nextafter(math.Pi, 4), math.NaN()}
 	for i := 0; i < 1_000_000; i++ {

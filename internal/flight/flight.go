@@ -295,7 +295,7 @@ func (c *Controller) Takeoff(alt float64) error {
 	if c.mode != mavlink.ModeGuided {
 		return fmt.Errorf("%w: takeoff requires GUIDED", ErrWrongMode) //vet:allow hotpath cold error path (takeoff precondition)
 	}
-	if alt <= 0 {
+	if !(alt > 0) || math.IsInf(alt, 1) {
 		return fmt.Errorf("%w: altitude %g", ErrBadArgument, alt) //vet:allow hotpath cold error path (takeoff precondition)
 	}
 	c.tgtN, c.tgtE = c.posN, c.posE
@@ -327,9 +327,14 @@ func (c *Controller) setGuidedTarget(p geo.Position) {
 	c.landing = false
 }
 
-// SetYaw sets the yaw target in radians.
-func (c *Controller) SetYaw(yaw float64) {
-	c.tgtYaw = wrapPi(yaw)
+// SetYaw sets the yaw target in radians. A NaN or infinite yaw fails
+// with ErrBadArgument and leaves the target as it was.
+func (c *Controller) SetYaw(yaw float64) error {
+	if math.IsNaN(yaw) || math.IsInf(yaw, 0) {
+		return fmt.Errorf("%w: yaw %g", ErrBadArgument, yaw) //vet:allow hotpath cold error path (yaw precondition)
+	}
+	c.tgtYaw = detmath.WrapPi(yaw)
+	return nil
 }
 
 // SetMission loads an AUTO-mode waypoint list.
@@ -506,9 +511,9 @@ func (c *Controller) control(imu devices.IMUSample, hdg float64, fix devices.Fix
 	collective := c.hoverFrac + 0.10*climbErr + c.iVelZ
 
 	// Attitude -> rates.
-	desP := 6 * wrapPi(desRoll-c.estRoll)
-	desQ := 6 * wrapPi(desPitch-c.estPitch)
-	desR := clamp(3*wrapPi(c.tgtYaw-c.estYaw), -1.5, 1.5)
+	desP := 6 * detmath.WrapPi(desRoll-c.estRoll)
+	desQ := 6 * detmath.WrapPi(desPitch-c.estPitch)
+	desR := clamp(3*detmath.WrapPi(c.tgtYaw-c.estYaw), -1.5, 1.5)
 
 	// Rates -> torque demands (normalized motor units).
 	errP := desP - imu.GyroX
@@ -594,9 +599,9 @@ const tiltGain = 0.0005
 // correctRoll applies the accelerometer correction to a roll estimate.
 func correctRoll(roll float64, ref *attitudeRefs) float64 {
 	if ref.tilt {
-		roll += tiltGain * wrapPi(ref.rollAcc-roll)
+		roll += tiltGain * detmath.WrapPi(ref.rollAcc-roll)
 	}
-	return wrapPi(roll)
+	return detmath.WrapPi(roll)
 }
 
 // maxEstPitch bounds the pitch estimate, keeping the gyro step's 1/cos
@@ -606,15 +611,15 @@ const maxEstPitch = 1.2
 // correctPitch applies the accelerometer correction to a pitch estimate.
 func correctPitch(pitch float64, ref *attitudeRefs) float64 {
 	if ref.tilt {
-		pitch += tiltGain * wrapPi(ref.pitchAcc-pitch)
+		pitch += tiltGain * detmath.WrapPi(ref.pitchAcc-pitch)
 	}
 	return clamp(pitch, -maxEstPitch, maxEstPitch)
 }
 
 // correctYaw applies the magnetometer correction to a yaw estimate.
 func correctYaw(yaw float64, ref *attitudeRefs) float64 {
-	yaw += 0.02 * wrapPi(ref.hdg-yaw)
-	return wrapPi(yaw)
+	yaw += 0.02 * detmath.WrapPi(ref.hdg-yaw)
+	return detmath.WrapPi(yaw)
 }
 
 // checkFence runs the geofence check against the position estimate.
@@ -832,8 +837,7 @@ func (c *Controller) handleCommand(m *mavlink.CommandLong) []mavlink.Message {
 	case mavlink.CmdDoSetMode:
 		return fail(c.SetModeNum(uint32(m.Param2)))
 	case mavlink.CmdConditionYaw:
-		c.SetYaw(float64(m.Param1) * math.Pi / 180)
-		return ack(mavlink.ResultAccepted)
+		return fail(c.SetYaw(float64(m.Param1) * math.Pi / 180))
 	case mavlink.CmdDoChangeSpeed:
 		c.speedLimit = float64(m.Param2)
 		return ack(mavlink.ResultAccepted)
@@ -884,14 +888,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-func wrapPi(a float64) float64 {
-	for a > math.Pi {
-		a -= 2 * math.Pi
-	}
-	for a < -math.Pi {
-		a += 2 * math.Pi
-	}
-	return a
 }

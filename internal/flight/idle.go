@@ -177,7 +177,7 @@ func (c *Controller) replayCorrections(ref *attitudeRefs, n int) bool {
 // settle(correctPitch, ...) return when the tilt gate is open, rollAcc and
 // pitchAcc are ±0, |roll| ≤ π and |pitch| ≤ maxEstPitch.
 //
-// Under those conditions (±0) − v is −v exactly, wrapPi(−v) is −v, and
+// Under those conditions (±0) − v is −v exactly, detmath.WrapPi(−v) is −v, and
 // round-to-nearest is sign-symmetric, so each correction is
 // v − float64(tiltGain·v): one multiply and one subtract (levelStep). The
 // result is no larger in magnitude than v, so the closing wrap and clamp

@@ -20,6 +20,13 @@ import (
 // the same assembly androne-bench measures as "vfc-send".
 func allocVFC(t *testing.T) *VFC {
 	t.Helper()
+	_, vfc := allocVehicleVFC(t)
+	return vfc
+}
+
+// allocVehicleVFC is allocVFC, with the vehicle behind the VFC.
+func allocVehicleVFC(t *testing.T) (*flight.Vehicle, *VFC) {
+	t.Helper()
 	home := geo.Position{LatLon: geo.LatLon{Lat: 47.397742, Lon: 8.545594}, Alt: 488}
 	v := flight.NewVehicle(home, "alloc-test", flight.WithRecorder(telemetry.NewRecorder()))
 	v.StepSeconds(0.1)
@@ -39,7 +46,7 @@ func allocVFC(t *testing.T) *VFC {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return vfc
+	return v, vfc
 }
 
 // TestSendAcceptedZeroAlloc pins the accepted-command path (whitelist pass,

@@ -97,8 +97,10 @@ func seededReadService(t *testing.T) (*Service, []string) {
 // body bytes through svc.Handler() must equal what encoding/json renders
 // for the same data — Encoder.Encode (trailing newline included) for the
 // app listing and a single order, Marshal for the order and VDR listings.
-// The check runs again after writes, so rebuilt listings are held to the
-// same bytes.
+// The check runs again after writes (a publish, VDR saves and deletes, an
+// order update), after a POST to each tenant's book, and after a planning
+// round, so rebuilt listings and updated orders are held to the same
+// bytes.
 func TestReadBodiesMatchEncodingJSON(t *testing.T) {
 	s, ids := seededReadService(t)
 	h := s.Handler()
@@ -162,6 +164,50 @@ func TestReadBodiesMatchEncodingJSON(t *testing.T) {
 	}
 	if err := s.Orders().Update(ids[0], func(o *cloud.Order) { o.Status = cloud.OrderFlying }); err != nil {
 		t.Fatal(err)
+	}
+	checkAll()
+
+	// A POST appends to the tenant's book; its answer is the order as a
+	// GET reads it. The seeded definitions do not plan, so they leave
+	// the pending set first.
+	for _, id := range ids {
+		if err := s.Orders().Update(id, func(o *cloud.Order) { o.Status = cloud.OrderSaved }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, user := range tricky {
+		name := fmt.Sprintf("posted-%d", i)
+		raw, err := defFor(user, name, 40+float64(30*i), float64(-20*i)).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := json.Marshal(map[string]any{"user": user, "name": name, "definition": json.RawMessage(raw)})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/orders", bytes.NewReader(body)))
+		var posted cloud.Order
+		if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &posted) != nil {
+			t.Fatalf("POST for %q: %d %s", user, rec.Code, rec.Body)
+		}
+		ord, err := s.Orders().Get(posted.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encode(ord); !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("POST body:\n %q\nencoding/json:\n %q", rec.Body.Bytes(), want)
+		}
+		ids = append(ids, posted.ID)
+	}
+	checkAll()
+
+	// A planning round's Update sets each posted order's status, window
+	// and access.
+	if _, err := s.ProcessOrders(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids[len(ids)-len(tricky):] {
+		if ord, _ := s.Orders().Get(id); ord.Status != cloud.OrderScheduled || ord.Access.VPNKey == "" || ord.WindowEndS == 0 {
+			t.Fatalf("planning round left %s as %+v", id, ord)
+		}
 	}
 	checkAll()
 }

@@ -226,7 +226,7 @@ func (s *Sim) Step(dt float64) {
 	s.roll += dt * (s.p_ + s.q_*sr*tp + s.r_*cr*tp)
 	s.pitch += dt * (s.q_*cr - s.r_*sr)
 	s.yaw += dt * (s.q_*sr/cp + s.r_*cr/cp)
-	s.yaw = wrapPi(s.yaw)
+	s.yaw = detmath.WrapPi(s.yaw)
 
 	// A bounded squall expires on sim time.
 	if !s.windUntil.IsZero() && s.simTime.After(s.windUntil) {
@@ -384,16 +384,6 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-func wrapPi(a float64) float64 {
-	for a > math.Pi {
-		a -= 2 * math.Pi
-	}
-	for a < -math.Pi {
-		a += 2 * math.Pi
-	}
-	return a
 }
 
 // rng is a deterministic Gaussian source.
