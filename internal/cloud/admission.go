@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"androne/internal/telemetry"
@@ -116,38 +115,26 @@ type AdmissionConfig struct {
 	RetryAfter time.Duration
 	// Now is the test clock (nil = wall clock). Admission reads it once
 	// per request, for the token bucket and the latency start, and once
-	// more when the request is done.
+	// more when the request is done, so the latency histograms record
+	// this clock's durations.
 	Now func() time.Time
 }
 
 // Admission is the portal's admission-control middleware.
 type Admission struct {
 	limiter     *RateLimiter
-	maxInFlight int64
+	maxInFlight int
 	maxQueued   int
 	maxWait     time.Duration
 	retryAfter  time.Duration
 
-	// inFlight counts the slots held, plus queuedFlag while a request
-	// waits for one. It is read and written atomically: a request takes
-	// a free slot, and a release frees one, by compare-and-swap without
-	// the mutex while the flag is clear. The flag is set and cleared
-	// under mu, and while it is set every change to the count happens
-	// under mu, so a slot is never freed past a waiter. It is a plain
-	// int64 behind sync/atomic calls because the package's tests read it
-	// as a count once every request is done.
-	inFlight int64
-
-	mu sync.Mutex
+	mu       sync.Mutex
+	inFlight int
 	// waiters queue, first come first served, for an in-flight slot. A
 	// release hands its slot to waiters[0] through its 1-buffered channel
 	// instead of freeing it.
 	waiters []chan struct{}
 }
-
-// queuedFlag marks inFlight while requests are queued. It is far above
-// any slot count, so a flagged word never reads as a free slot.
-const queuedFlag = int64(1) << 62
 
 // NewAdmission builds the middleware from cfg.
 func NewAdmission(cfg AdmissionConfig) *Admission {
@@ -171,7 +158,7 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	}
 	return &Admission{
 		limiter:     NewRateLimiter(cfg.RatePerTenant, cfg.Burst, cfg.Now),
-		maxInFlight: int64(cfg.MaxInFlight),
+		maxInFlight: cfg.MaxInFlight,
 		maxQueued:   cfg.MaxQueued,
 		maxWait:     cfg.MaxWait,
 		retryAfter:  cfg.RetryAfter,
@@ -236,28 +223,15 @@ func endpointOf(r *http.Request) string {
 // acquire takes an in-flight slot, waiting up to maxWait in the bounded
 // queue. It reports false when the request must be shed.
 func (a *Admission) acquire() bool {
-	if n := atomic.LoadInt64(&a.inFlight); n < a.maxInFlight && atomic.CompareAndSwapInt64(&a.inFlight, n, n+1) {
+	a.mu.Lock()
+	if a.inFlight < a.maxInFlight {
+		a.inFlight++
+		a.mu.Unlock()
 		return true
 	}
-	a.mu.Lock()
-	for {
-		n := atomic.LoadInt64(&a.inFlight)
-		if n < a.maxInFlight {
-			if atomic.CompareAndSwapInt64(&a.inFlight, n, n+1) {
-				a.mu.Unlock()
-				return true
-			}
-			continue
-		}
-		if len(a.waiters) >= a.maxQueued {
-			a.mu.Unlock()
-			return false
-		}
-		// Flag the queue before joining it: a release that then finds
-		// the flag takes mu and hands its slot on instead of freeing it.
-		if n&queuedFlag != 0 || atomic.CompareAndSwapInt64(&a.inFlight, n, n|queuedFlag) {
-			break
-		}
+	if len(a.waiters) >= a.maxQueued {
+		a.mu.Unlock()
+		return false
 	}
 	ready := make(chan struct{}, 1)
 	a.waiters = append(a.waiters, ready)
@@ -273,7 +247,6 @@ func (a *Admission) acquire() bool {
 	a.mu.Lock()
 	if i := slices.Index(a.waiters, ready); i >= 0 {
 		a.waiters = slices.Delete(a.waiters, i, i+1)
-		a.clearQueuedLocked()
 		a.mu.Unlock()
 		return false
 	}
@@ -287,33 +260,17 @@ func (a *Admission) acquire() bool {
 
 // release frees an in-flight slot, or hands it to the longest waiter.
 func (a *Admission) release() {
-	if n := atomic.LoadInt64(&a.inFlight); n&queuedFlag == 0 && atomic.CompareAndSwapInt64(&a.inFlight, n, n-1) {
-		return
-	}
 	a.mu.Lock()
 	if len(a.waiters) == 0 {
-		// The queue emptied before mu was ours.
-		atomic.AddInt64(&a.inFlight, -1)
-		a.clearQueuedLocked()
+		a.inFlight--
 		a.mu.Unlock()
 		return
 	}
 	next := a.waiters[0]
 	a.waiters[0] = nil
 	a.waiters = a.waiters[1:]
-	a.clearQueuedLocked()
 	a.mu.Unlock()
 	next <- struct{}{} // never blocks: next was dequeued once, and holds one
-}
-
-// clearQueuedLocked clears queuedFlag once the queue is empty.
-func (a *Admission) clearQueuedLocked() {
-	for len(a.waiters) == 0 {
-		n := atomic.LoadInt64(&a.inFlight)
-		if atomic.CompareAndSwapInt64(&a.inFlight, n, n&^queuedFlag) {
-			return
-		}
-	}
 }
 
 func (a *Admission) shed(w http.ResponseWriter, reason string) {

@@ -347,10 +347,10 @@ func TestAdmissionLateHandoffPassesSlotOn(t *testing.T) {
 
 // TestAdmissionSlotsUnderContention races admitted requests through two
 // slots and a queue deep enough for all of them (run it under -race):
-// requests take and free slots without the mutex while nobody waits, and
-// hand them on in FIFO order while somebody does. No more than two
-// requests may ever be served at once, none may be shed, and once every
-// request is done no slot may stay held or queued.
+// requests take free slots, and hand them on in FIFO order while somebody
+// waits. No more than two requests may ever be served at once, none may
+// be shed, and once every request is done no slot may stay held or
+// queued.
 func TestAdmissionSlotsUnderContention(t *testing.T) {
 	const workers, rounds = 8, 200
 	adm := NewAdmission(AdmissionConfig{RatePerTenant: -1, MaxInFlight: 2, MaxQueued: workers, MaxWait: time.Minute})
@@ -382,7 +382,7 @@ func TestAdmissionSlotsUnderContention(t *testing.T) {
 		t.Fatalf("%d requests served at once through 2 slots", m)
 	}
 	if adm.inFlight != 0 || adm.queued() != 0 {
-		t.Fatalf("after every request: inFlight word %#x, %d queued", adm.inFlight, adm.queued())
+		t.Fatalf("after every request: %d in flight, %d queued", adm.inFlight, adm.queued())
 	}
 }
 

@@ -206,3 +206,39 @@ func TestListingsNeverInstallStale(t *testing.T) {
 		}
 	}
 }
+
+// TestVDRWriterRebuildsOnlyListedListing checks who encodes the VDR
+// listing: a VDR that has never been listed leaves the body for its first
+// read, so a Save or Delete there encodes nothing; once the listing has
+// been read, Save and Delete leave the body built.
+func TestVDRWriterRebuildsOnlyListedListing(t *testing.T) {
+	v := NewVDR()
+	built := func() bool {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		return v.listing.body != nil
+	}
+	save := func(name string) {
+		t.Helper()
+		if err := v.Save(VDREntry{Name: name, Owner: "alice", Definition: []byte(`{}`)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save("vd-0")
+	save("vd-1")
+	v.Delete("vd-1")
+	if built() {
+		t.Fatal("Save and Delete built the listing of a VDR nobody lists")
+	}
+	if _, err := v.ManifestsJSON(); err != nil {
+		t.Fatal(err)
+	}
+	save("vd-2")
+	if !built() {
+		t.Fatal("Save left a read listing unbuilt")
+	}
+	v.Delete("vd-2")
+	if !built() {
+		t.Fatal("Delete left a read listing unbuilt")
+	}
+}

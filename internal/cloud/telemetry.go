@@ -38,6 +38,6 @@ var (
 func newLatency(endpoint string) *telemetry.Histogram {
 	return telemetry.NewHistogram(
 		"androne_portal_latency_"+endpoint+"_seconds",
-		"Portal request latency for the "+endpoint+" endpoint.",
+		"Portal request latency for the "+endpoint+" endpoint, from before the tenant's token bucket (queue wait included) to the response.",
 		telemetry.ExponentialBounds(0.0001, 2, 15))
 }

@@ -91,6 +91,10 @@ type VDR struct {
 	ownerLayers map[string]int
 	maxLayers   int // per-tenant live layer quota
 	listing     listingCache
+	// listed is set once ManifestsJSON has been called. From then on Save
+	// and Delete rebuild the listing themselves; a VDR nobody lists (a
+	// mission's, a test rig's) leaves it to the next read.
+	listed bool
 }
 
 // NewVDR creates a repository over a private blob store with default
@@ -192,20 +196,24 @@ func buildLayers(e VDREntry) ([]layerPayload, error) {
 // layer quota (the previous generation of the same entry is counted as
 // replaced, so steady-state churn needs no headroom).
 func (v *VDR) Save(e VDREntry) error {
-	if err := v.save(e); err != nil {
+	listed, err := v.save(e)
+	if err != nil {
 		return err
 	}
-	v.rebuildListing()
+	if listed {
+		v.rebuildListing()
+	}
 	st := v.store.Stats()
 	mVDRDedupRatio.Set(st.DedupRatio())
 	mVDRLiveBytes.Set(float64(st.LiveBytes))
 	return nil
 }
 
-func (v *VDR) save(e VDREntry) error {
+// save stores e and reports whether the listing has been read.
+func (v *VDR) save(e VDREntry) (listed bool, err error) {
 	layers, err := buildLayers(e)
 	if err != nil {
-		return fmt.Errorf("virtual drone %q: %w", e.Name, err)
+		return false, fmt.Errorf("virtual drone %q: %w", e.Name, err)
 	}
 	var containerName string
 	if e.Checkpoint != nil {
@@ -220,7 +228,7 @@ func (v *VDR) save(e VDREntry) error {
 		owned -= len(old.Layers)
 	}
 	if v.maxLayers > 0 && owned+len(layers) > v.maxLayers {
-		return fmt.Errorf("%w: tenant %q holds %d VDR layers, +%d exceeds the %d-layer quota",
+		return false, fmt.Errorf("%w: tenant %q holds %d VDR layers, +%d exceeds the %d-layer quota",
 			ErrQuotaExceeded, e.Owner, owned, len(layers), v.maxLayers)
 	}
 
@@ -245,7 +253,7 @@ func (v *VDR) save(e VDREntry) error {
 	v.manifests[e.Name] = m
 	v.ownerLayers[e.Owner] += len(m.Layers)
 	v.listing.invalidate()
-	return nil
+	return v.listed, nil
 }
 
 // assemble decodes an entry from a manifest copy: the definition layer
@@ -327,6 +335,8 @@ func (v *VDR) Delete(name string) {
 	}
 }
 
+// delete removes name and reports whether the listing needs a rebuild:
+// an entry went and the listing has been read.
 func (v *VDR) delete(name string) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -343,7 +353,7 @@ func (v *VDR) delete(name string) bool {
 	}
 	delete(v.manifests, name)
 	v.listing.invalidate()
-	return true
+	return v.listed
 }
 
 // OwnerLayers returns how many live layers owner holds (the quota input).
@@ -371,11 +381,13 @@ func (v *VDR) manifestsLocked() []Manifest {
 }
 
 // ManifestsJSON returns the portal's GET /api/vdr body: json.Marshal of
-// Manifests. The body is encoded once per Save or Delete, by the writer
-// once its write is done, and shared between readers, who must not modify
-// it. A read that finds no body (it raced a write's rebuild) encodes one.
+// Manifests. The body is encoded once per Save or Delete and shared
+// between readers, who must not modify it. Once the listing has been read,
+// the writer encodes it when its write is done; until then, and for a read
+// that raced a write's rebuild, the read encodes it.
 func (v *VDR) ManifestsJSON() ([]byte, error) {
 	v.mu.Lock()
+	v.listed = true
 	if body := v.listing.body; body != nil {
 		v.mu.Unlock()
 		return body, nil

@@ -12,7 +12,11 @@ import (
 // arguments through a VFC in front of an armed, guided controller: a yaw
 // of 1e13° (billions of turns) is accepted and wrapped, a yaw of +Inf and
 // a takeoff to NaN are denied, and each answers within a millisecond, so a
-// tenant cannot stall the controller's owner with an angle.
+// tenant cannot stall the controller's owner with an angle. Each command is
+// sent several times and the fastest answer is held to the bound, so a
+// thread descheduled for a few milliseconds does not fail the test; the
+// unbounded wrap this guards against took seconds for every send, and the
+// 5 s guard catches one that never returns.
 func TestNonFiniteArgumentsDeniedPromptly(t *testing.T) {
 	v, vfc := allocVehicleVFC(t)
 	if err := v.Controller.Arm(); err != nil {
@@ -32,23 +36,32 @@ func TestNonFiniteArgumentsDeniedPromptly(t *testing.T) {
 	} {
 		type answer struct {
 			replies []mavlink.Message
-			took    time.Duration
+			fastest time.Duration
 		}
+		const sends = 5
 		done := make(chan answer, 1)
 		go func() {
-			start := time.Now()
-			replies := vfc.Send(c.cmd)
-			done <- answer{replies, time.Since(start)}
+			var a answer
+			for i := 0; i < sends; i++ {
+				start := time.Now()
+				replies := vfc.Send(c.cmd)
+				if took := time.Since(start); i == 0 || took < a.fastest {
+					a.fastest = took
+				}
+				if ack, ok := replies[0].(*mavlink.CommandAck); !ok || ack.Result != c.want || i == 0 {
+					a.replies = replies
+				}
+			}
+			done <- a
 		}()
 		select {
 		case a := <-done:
-			replies, took := a.replies, a.took
-			ack, ok := replies[0].(*mavlink.CommandAck)
+			ack, ok := a.replies[0].(*mavlink.CommandAck)
 			if !ok || ack.Result != c.want {
-				t.Fatalf("%s: answered %v, want result %d", c.what, replies, c.want)
+				t.Fatalf("%s: answered %v, want result %d", c.what, a.replies, c.want)
 			}
-			if took > time.Millisecond {
-				t.Errorf("%s: answered after %v, want within 1ms", c.what, took)
+			if a.fastest > time.Millisecond {
+				t.Errorf("%s: fastest of %d answers took %v, want within 1ms", c.what, sends, a.fastest)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s: no answer after 5s", c.what)
